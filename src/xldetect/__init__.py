@@ -32,7 +32,6 @@ from .classifier import (
     SupervisedConfig,
     TextClassifier,
     doc_embedding,
-    loss_and_grad,
     predict,
     train_supervised,
 )

@@ -78,17 +78,28 @@ def count_features(
     vocab = FeatureVocabulary(
         [f for f, _ in ranked], [c for _, c in ranked], max_features, len(token_docs)
     )
-    vectors = []
-    for feats in doc_features:
-        counts: dict[int, int] = {}
-        for f in feats:
-            fid = vocab.feature_to_id.get(f)
-            if fid is not None:
-                counts[fid] = counts.get(fid, 0) + 1
-        ids = np.asarray(sorted(counts), dtype=np.int64)
-        vals = np.asarray([counts[i] for i in ids], dtype=np.float64)
-        vectors.append(SparseVector(ids, vals))
-    return vocab, vectors
+    return vocab, [_count_vector(vocab, feats) for feats in doc_features]
+
+
+def vectorize(
+    vocab: FeatureVocabulary,
+    extractor: Callable[[list[str]], list[str]],
+    token_docs: list[list[str]],
+) -> list[SparseVector]:
+    """Per-document count vectors over a fixed vocabulary; features outside
+    it are dropped."""
+    return [_count_vector(vocab, extractor(toks)) for toks in token_docs]
+
+
+def _count_vector(vocab: FeatureVocabulary, features: list[str]) -> SparseVector:
+    counts: dict[int, int] = {}
+    for f in features:
+        fid = vocab.feature_to_id.get(f)
+        if fid is not None:
+            counts[fid] = counts.get(fid, 0) + 1
+    ids = np.asarray(sorted(counts), dtype=np.int64)
+    vals = np.asarray([counts[i] for i in ids], dtype=np.float64)
+    return SparseVector(ids, vals)
 
 
 def tfidf_transform(

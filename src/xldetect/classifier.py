@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import logging
 import struct
-import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .corpus import AccountDocument, LABEL_NAMES, tokenize
-from .embedding import VectorTable
+from .embedding import ArtifactReader, VectorTable
 from .errors import FormatError, TrainingError
 from .vocab import SubwordIndex, Vocabulary, build_vocab, fnv1a_32, input_ids
 
@@ -39,7 +38,6 @@ class SupervisedConfig:
     pretrained: VectorTable | None = None
     freeze_pretrained: bool = False
     seed: int = 1
-    workers: int = 1
 
     def __post_init__(self):
         if self.dim < 1:
@@ -56,8 +54,6 @@ class SupervisedConfig:
             raise ValueError(
                 f"pretrained vectors have dim {self.pretrained.dim}, config says {self.dim}"
             )
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
 
 
 class TextClassifier:
@@ -111,14 +107,20 @@ class TextClassifier:
 
 def doc_embedding(tokens: list[str], model: TextClassifier) -> np.ndarray:
     """Mean over all contributing input rows; zero vector when none."""
-    ids, counts = model.doc_rows(tokens)
+    return _mean_row(model, *model.doc_rows(tokens))
+
+
+def _mean_row(model: TextClassifier, ids: np.ndarray, counts: np.ndarray) -> np.ndarray:
     if len(ids) == 0:
         return np.zeros(model.dim, dtype=np.float32)
     return (counts @ model.input_rows[ids]) / counts.sum()
 
 
-def _softmax64(logits: np.ndarray) -> np.ndarray:
-    z = np.asarray(logits, dtype=np.float64)
+def _class_probs(model: TextClassifier, ids: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Float64 softmax class distribution of the document whose rows are
+    ids with multiplicities counts."""
+    h = _mean_row(model, ids, counts).astype(np.float64)
+    z = model.output_weights.astype(np.float64) @ h
     z = z - z.max()
     e = np.exp(z)
     return e / e.sum()
@@ -126,39 +128,9 @@ def _softmax64(logits: np.ndarray) -> np.ndarray:
 
 def predict(tokens: list[str], model: TextClassifier) -> tuple[int, np.ndarray]:
     """Predicted label and class distribution; a tie never flags positive."""
-    h = doc_embedding(tokens, model).astype(np.float64)
-    probs = _softmax64(model.output_weights.astype(np.float64) @ h)
+    probs = _class_probs(model, *model.doc_rows(tokens))
     label = 1 if probs[1] > probs[0] else 0
     return label, probs
-
-
-@dataclass
-class LossGrad:
-    loss: float
-    output_grad: np.ndarray   # dL/d output_weights, shape (2, d)
-    hidden_grad: np.ndarray   # dL/d doc vector, shape (d,)
-    row_ids: np.ndarray       # unique contributing input rows
-    row_grads: np.ndarray     # dL/d input_rows[row_ids], shape (len(row_ids), d)
-
-
-def loss_and_grad(tokens: list[str], label: int, model: TextClassifier) -> LossGrad:
-    """Cross-entropy loss and exact analytic gradients for one document."""
-    ids, counts = model.doc_rows(tokens)
-    if len(ids) == 0:
-        h = np.zeros(model.dim, dtype=np.float64)
-    else:
-        h = (counts.astype(np.float64) @ model.input_rows[ids].astype(np.float64)) / counts.sum()
-    probs = _softmax64(model.output_weights.astype(np.float64) @ h)
-    loss = -float(np.log(max(probs[label], 1e-300)))
-    g = probs.copy()
-    g[label] -= 1.0
-    output_grad = np.outer(g, h)
-    hidden_grad = model.output_weights.astype(np.float64).T @ g
-    if len(ids) == 0:
-        row_grads = np.empty((0, model.dim), dtype=np.float64)
-    else:
-        row_grads = np.outer(counts.astype(np.float64) / counts.sum(), hidden_grad)
-    return LossGrad(loss, output_grad, hidden_grad, ids, row_grads)
 
 
 def train_supervised(
@@ -198,28 +170,17 @@ def train_supervised(
 
     trainable_input = not (config.pretrained is not None and config.freeze_pretrained)
     total_steps = config.epochs * len(train_docs)
-    state = _SupervisedState(total_steps, config.initial_lr)
+    step = 0
     for epoch in range(config.epochs):
         order = np.random.default_rng((config.seed, epoch)).permutation(len(train_docs))
-        if config.workers == 1:
-            _supervised_worker(
-                model, docs_rows, labels, order, state, config, trainable_input, 0
-            )
-        else:
-            threads = [
-                threading.Thread(
-                    target=_supervised_worker,
-                    args=(model, docs_rows, labels, order, state, config,
-                          trainable_input, w),
-                )
-                for w in range(config.workers)
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-        if state.error is not None:
-            raise state.error
+        for di in order:
+            step += 1
+            ids, counts = docs_rows[di]
+            if len(ids) == 0:
+                continue
+            lr = np.float32(config.initial_lr * max(0.0, 1.0 - step / total_steps))
+            _doc_step(model.input_rows, model.output_weights, ids, counts, labels[di], lr,
+                      trainable_input)
         peak = np.abs(model.output_weights).max()
         if not np.isfinite(peak) or peak > _PARAM_LIMIT:
             raise TrainingError(f"training diverged after epoch {epoch}")
@@ -229,70 +190,28 @@ def train_supervised(
     return model
 
 
-class _SupervisedState:
-    def __init__(self, total: int, initial_lr: float):
-        self.total = total
-        self.initial_lr = initial_lr
-        self.step = 0
-        self.lock = threading.Lock()
-        self.error: TrainingError | None = None
-
-
-def _supervised_worker(model, docs_rows, labels, order, state, config,
-                       trainable_input, worker_id):
-    input_rows = model.input_rows
-    output_weights = model.output_weights
-    single = config.workers == 1
-    pending = 0
-    try:
-        for pos in range(worker_id, len(order), config.workers):
-            di = order[pos]
-            if single:
-                state.step += 1
-            else:
-                pending += 1
-                if pending >= 64:
-                    with state.lock:
-                        state.step += pending
-                    pending = 0
-            step = state.step + pending
-            lr = np.float32(state.initial_lr * max(0.0, 1.0 - step / state.total))
-            ids, counts = docs_rows[di]
-            if len(ids) == 0:
-                continue
-            total = counts.sum()
-            h = (counts @ input_rows[ids]) / total
-            z = output_weights @ h
-            z = z - z.max()
-            e = np.exp(z)
-            p = e / e.sum()
-            if not np.isfinite(p).all():
-                raise TrainingError(f"non-finite loss at step {step}")
-            g = p
-            g[labels[di]] -= 1.0
-            g *= lr
-            hidden_grad = output_weights.T @ g
-            output_weights -= np.outer(g, h)
-            if trainable_input:
-                np.add.at(input_rows, ids, np.outer(counts, -hidden_grad / total))
-        if pending:
-            with state.lock:
-                state.step += pending
-    except TrainingError as exc:
-        with state.lock:
-            state.error = exc
+def _doc_step(input_rows, output_weights, ids, counts, label, lr, trainable_input):
+    """One SGD step on the softmax cross-entropy of one document, in place."""
+    total = counts.sum()
+    h = (counts @ input_rows[ids]) / total
+    z = output_weights @ h
+    z = z - z.max()
+    e = np.exp(z)
+    g = e / e.sum()
+    if not np.isfinite(g).all():
+        raise TrainingError("non-finite class probabilities in an SGD step")
+    g[label] -= 1.0
+    g *= lr
+    hidden_grad = output_weights.T @ g
+    output_weights -= np.outer(g, h)
+    if trainable_input:
+        np.add.at(input_rows, ids, np.outer(counts, -hidden_grad / total))
 
 
 def _mean_loss(model, docs_rows, labels) -> float:
     total = 0.0
-    weights = model.output_weights.astype(np.float64)
     for (ids, counts), label in zip(docs_rows, labels):
-        if len(ids) == 0:
-            h = np.zeros(model.dim, dtype=np.float64)
-        else:
-            h = (counts.astype(np.float64) @ model.input_rows[ids].astype(np.float64)) / counts.sum()
-        probs = _softmax64(weights @ h)
-        total += -float(np.log(max(probs[label], 1e-300)))
+        total += -float(np.log(max(_class_probs(model, ids, counts)[label], 1e-300)))
     return total / len(labels)
 
 
@@ -330,33 +249,22 @@ def save_classifier(model: TextClassifier, path: str | Path) -> None:
 
 def load_classifier(path: str | Path) -> TextClassifier:
     with open(path, "rb") as fh:
-        magic = fh.read(len(_MAGIC_MODEL))
-        if magic != _MAGIC_MODEL:
+        if fh.read(len(_MAGIC_MODEL)) != _MAGIC_MODEL:
             raise FormatError(f"{path}: not a classifier model file")
-        dim, nwords, buckets, n_min, n_max = struct.unpack(
-            "<IIQII", fh.read(struct.calcsize("<IIQII"))
-        )
-        names = []
-        for _ in range(_N_CLASSES):
-            (nlen,) = struct.unpack("<H", fh.read(2))
-            names.append(fh.read(nlen).decode("utf-8"))
-        if tuple(names) != LABEL_NAMES:
-            raise FormatError(f"{path}: unexpected label names {names}")
-        word_ngrams, min_count, total_tokens = struct.unpack(
-            "<IIQ", fh.read(struct.calcsize("<IIQ"))
-        )
+        reader = ArtifactReader(fh, path)
+        dim, nwords, buckets, n_min, n_max = reader.unpack("<IIQII")
+        names = tuple(reader.text(reader.unpack("<H")[0]) for _ in range(_N_CLASSES))
+        if names != LABEL_NAMES:
+            raise FormatError(f"{path}: unexpected label names {list(names)}")
+        word_ngrams, min_count, total_tokens = reader.unpack("<IIQ")
         words, counts = [], []
         for _ in range(nwords):
-            wlen, count = struct.unpack("<HQ", fh.read(struct.calcsize("<HQ")))
-            words.append(fh.read(wlen).decode("utf-8"))
+            wlen, count = reader.unpack("<HQ")
+            words.append(reader.text(wlen))
             counts.append(count)
-        vocab = Vocabulary(words, counts, min_count, total_tokens)
-        sub = SubwordIndex(n_min, n_max, buckets) if buckets > 0 else None
-        n_input = nwords + buckets
-        input_rows = np.frombuffer(fh.read(n_input * dim * 4), dtype="<f4").reshape(
-            n_input, dim
-        ).copy()
-        output_weights = np.frombuffer(fh.read(_N_CLASSES * dim * 4), dtype="<f4").reshape(
-            _N_CLASSES, dim
-        ).copy()
+        input_rows = reader.floats(nwords + buckets, dim)
+        output_weights = reader.floats(_N_CLASSES, dim)
+        reader.end()
+    vocab = Vocabulary(words, counts, min_count, total_tokens)
+    sub = SubwordIndex(n_min, n_max, buckets) if buckets > 0 else None
     return TextClassifier(vocab, sub, word_ngrams, input_rows, output_weights)

@@ -1,6 +1,6 @@
 """Command-line pipeline: each stage consumes prior artifacts by path and
 appends a manifest line, so any stage can be re-run from its recorded
-config and seed. Single-worker runs are byte-reproducible."""
+config and seed. Re-runs with the same config and seed are byte-identical."""
 
 from __future__ import annotations
 
@@ -60,7 +60,6 @@ def _append_manifest(cfg, command, config_path, inputs, outputs, started):
             str(config_path),
             cfg.config_hash(),
             str(cfg.seed),
-            str(cfg.workers),
             ";".join(str(p) for p in inputs),
             ";".join(str(p) for p in outputs),
             f"{time.monotonic() - started:.3f}",
@@ -69,7 +68,7 @@ def _append_manifest(cfg, command, config_path, inputs, outputs, started):
     new = not manifest.exists()
     with open(manifest, "a", encoding="utf-8") as fh:
         if new:
-            fh.write("command\tconfig\tconfig_hash\tseed\tworkers\tinputs\toutputs\twall_s\n")
+            fh.write("command\tconfig\tconfig_hash\tseed\tinputs\toutputs\twall_s\n")
         fh.write(line + "\n")
 
 
@@ -107,7 +106,6 @@ def _skipgram_config(cfg: PipelineConfig) -> emb.SkipgramConfig:
         min_count=cfg["embedding.min_count"],
         seed=cfg.seed,
         subwords=_subword_index(cfg, "embedding"),
-        workers=cfg.workers,
     )
 
 
@@ -122,7 +120,6 @@ def _supervised_config(cfg: PipelineConfig, pretrained) -> clf.SupervisedConfig:
         pretrained=pretrained,
         freeze_pretrained=cfg["classifier.freeze_pretrained"],
         seed=cfg.seed,
-        workers=cfg.workers,
     )
 
 
@@ -274,16 +271,7 @@ def cmd_baseline(cfg: PipelineConfig, config_path) -> list[Path]:
     )
     kind = cfg["baseline.kind"]
     test_tokens = [cp.tokenize(d.text) for d in test_docs]
-    test_counts = []
-    for toks in test_tokens:
-        found: dict[int, int] = {}
-        for f in extractor(toks):
-            fid = vocab.feature_to_id.get(f)
-            if fid is not None:
-                found[fid] = found.get(fid, 0) + 1
-        ids = np.asarray(sorted(found), dtype=np.int64)
-        vals = np.asarray([found[i] for i in ids], dtype=np.float64)
-        test_counts.append(bl.SparseVector(ids, vals))
+    test_counts = bl.vectorize(vocab, extractor, test_tokens)
     if kind.endswith("tfidf"):
         test_vectors = bl.tfidf_transform(
             test_counts, [max(1, len(t)) for t in test_tokens], vocab
@@ -435,7 +423,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="pipeline config file")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
-        p.add_argument("--workers", type=int, default=None, help="override worker count")
         p.add_argument("--out", default=None, help="override output directory")
     return parser
 
@@ -448,8 +435,6 @@ def main(argv=None) -> int:
     overrides = {}
     if args.seed is not None:
         overrides["seed"] = args.seed
-    if args.workers is not None:
-        overrides["workers"] = args.workers
     if args.out is not None:
         overrides["out_dir"] = args.out
     try:

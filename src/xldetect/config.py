@@ -44,7 +44,6 @@ def _choice(key, options):
 # key -> (type tag, default, optional validator)
 SCHEMA: dict[str, tuple] = {
     "seed": ("int", 13, _nonneg("seed")),
-    "workers": ("int", 1, _at_least("workers", 1)),
     "out_dir": ("str", "out", None),
 
     "ingest.posts": ("str", "", None),
@@ -187,10 +186,6 @@ class PipelineConfig:
         return self.values["seed"]
 
     @property
-    def workers(self) -> int:
-        return self.values["workers"]
-
-    @property
     def out_dir(self) -> str:
         return self.values["out_dir"]
 
@@ -231,7 +226,7 @@ def validate_config(path: str | Path | None, overrides: dict | None = None) -> P
     """Parse and validate; raises ConfigError carrying every violation.
 
     An empty (or absent) file yields pure defaults. overrides are applied
-    after parsing (used for --seed/--workers/--out flags).
+    after parsing (used for the --seed and --out flags).
     """
     raw: dict[str, str] = {}
     errors: list[str] = []

@@ -3,18 +3,13 @@
 Each word's vector is the mean of its own input row and the hashed rows
 of its character n-grams; training performs one SGD step per retained
 (center, context) pair against noise words drawn from the unigram^0.75
-distribution. Single-worker training is bit-reproducible for a fixed
-seed; multi-worker training runs unsynchronized threads over the shared
-parameter matrices (last write wins) and therefore is not. Threads only
-pay off when per-step work is large (high dim, many subword rows);
-small workloads run fastest single-worker.
+distribution. Training is bit-reproducible for a fixed seed.
 """
 
 from __future__ import annotations
 
 import logging
 import struct
-import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
@@ -42,7 +37,6 @@ class SkipgramConfig:
     min_count: int = 5
     seed: int = 1
     subwords: SubwordIndex | None = field(default_factory=SubwordIndex)
-    workers: int = 1
 
     def __post_init__(self):
         if self.dim < 1:
@@ -57,8 +51,6 @@ class SkipgramConfig:
             raise ValueError(f"negatives must be >= 1, got {self.negatives}")
         if self.subsample_t <= 0:
             raise ValueError(f"subsample_t must be > 0, got {self.subsample_t}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
 
 
 class EmbeddingMatrix:
@@ -179,28 +171,6 @@ def _row_index(vocab: Vocabulary, subwords: SubwordIndex | None) -> list[np.ndar
     ]
 
 
-def pair_gradients(h: np.ndarray, target_rows: np.ndarray, labels: np.ndarray, ):
-    """Loss and gradients of the negative-sampling objective for one center.
-
-    The objective for hidden vector h against target rows U with binary
-    labels l is -sum(l*log sigma(U h) + (1-l)*log sigma(-U h)). Returns
-    (loss, grad_h, grad_rows) where grad_rows[i] is the gradient for
-    target_rows[i].
-    """
-    scores = target_rows @ h
-    scores = np.clip(scores, -_SCORE_CLIP, _SCORE_CLIP)
-    p = 1.0 / (1.0 + np.exp(-scores))
-    eps = 1e-12
-    loss = -(
-        np.log(np.maximum(p[labels == 1], eps)).sum()
-        + np.log(np.maximum(1.0 - p[labels == 0], eps)).sum()
-    )
-    g = p - labels
-    grad_h = target_rows.T @ g
-    grad_rows = np.outer(g, h)
-    return loss, grad_h, grad_rows
-
-
 def train_skipgram(corpus: Iterable[list[str]], config: SkipgramConfig) -> EmbeddingMatrix:
     """Train skipgram embeddings over a tokenized corpus.
 
@@ -231,93 +201,31 @@ def train_skipgram(corpus: Iterable[list[str]], config: SkipgramConfig) -> Embed
     in_vocab_tokens = sum(len(s) for s in sentences)
     total_scheduled = config.epochs * in_vocab_tokens
     logger.info(
-        "skipgram: %d words, %d in-vocabulary tokens, %d epochs, %d worker(s)",
-        len(vocab), in_vocab_tokens, config.epochs, config.workers,
+        "skipgram: %d words, %d in-vocabulary tokens, %d epochs",
+        len(vocab), in_vocab_tokens, config.epochs,
     )
 
-    state = _TrainState(total_scheduled, config.initial_lr)
-    seeds = np.random.SeedSequence(config.seed).spawn(config.workers)
-    if config.workers == 1:
-        _skipgram_worker(
-            model, sentences, word_rows, keep_prob, sampler, config, state, 0,
-            np.random.default_rng(seeds[0]),
-        )
-    else:
-        threads = [
-            threading.Thread(
-                target=_skipgram_worker,
-                args=(model, sentences, word_rows, keep_prob, sampler, config, state,
-                      w, np.random.default_rng(seeds[w])),
-            )
-            for w in range(config.workers)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-    if state.error is not None:
-        raise state.error
+    rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(1)[0])
+    progress = 0
+    for epoch in range(config.epochs):
+        for sent in sentences:
+            progress += len(sent)
+            lr = config.initial_lr * max(0.0, 1.0 - progress / total_scheduled)
+            kept = sent[rng.random(len(sent)) < keep_prob[sent]]
+            n = len(kept)
+            if n < 2:
+                continue
+            radii = rng.integers(1, config.window + 1, size=n)
+            for i in range(n):
+                b = radii[i]
+                ctx = np.concatenate((kept[max(0, i - b) : i], kept[i + 1 : i + b + 1]))
+                negs = sampler.sample(rng, (len(ctx), config.negatives))
+                _center_step(input_rows, context_rows, word_rows[kept[i]], ctx, negs, lr)
+        _epoch_guard(input_rows, epoch)
 
-    _check_finite(model.input_rows, "input rows")
-    _check_finite(model.context_rows, "context rows")
+    _check_finite(input_rows, "input rows")
+    _check_finite(context_rows, "context rows")
     return model
-
-
-class _TrainState:
-    def __init__(self, total: int, initial_lr: float):
-        self.total = total
-        self.initial_lr = initial_lr
-        self.progress = 0
-        self.lock = threading.Lock()
-        self.error: TrainingError | None = None
-
-
-def _skipgram_worker(model, sentences, word_rows, keep_prob, sampler, config, state,
-                     worker_id, rng):
-    input_rows = model.input_rows
-    context_rows = model.context_rows
-    negatives = config.negatives
-    window = config.window
-    single = config.workers == 1
-    pending = 0  # locally accumulated progress, flushed in chunks when parallel
-    try:
-        for epoch in range(config.epochs):
-            for si in range(worker_id, len(sentences), config.workers):
-                sent = sentences[si]
-                if single:
-                    state.progress += len(sent)
-                else:
-                    if state.error is not None:
-                        return
-                    pending += len(sent)
-                    if pending >= 4096:
-                        with state.lock:
-                            state.progress += pending
-                        pending = 0
-                lr = state.initial_lr * max(
-                    0.0, 1.0 - (state.progress + pending) / state.total
-                )
-                kept = sent[rng.random(len(sent)) < keep_prob[sent]]
-                n = len(kept)
-                if n < 2:
-                    continue
-                radii = rng.integers(1, window + 1, size=n)
-                for i in range(n):
-                    b = radii[i]
-                    ctx = np.concatenate((kept[max(0, i - b) : i], kept[i + 1 : i + b + 1]))
-                    if len(ctx) == 0:
-                        continue
-                    negs = sampler.sample(rng, (len(ctx), negatives))
-                    _center_step(
-                        input_rows, context_rows, word_rows[kept[i]], ctx, negs, lr
-                    )
-            _epoch_guard(input_rows, epoch)
-        if pending:
-            with state.lock:
-                state.progress += pending
-    except TrainingError as exc:
-        with state.lock:
-            state.error = exc
 
 
 def _center_step(input_rows, context_rows, rows, ctx_ids, neg_ids, lr):
@@ -454,26 +362,59 @@ def save_checkpoint(model: EmbeddingMatrix, path: str | Path) -> None:
         fh.write(np.ascontiguousarray(model.context_rows, dtype="<f4").tobytes())
 
 
+class ArtifactReader:
+    """Sequential reads from an open binary artifact that raise FormatError,
+    naming the path and byte offset, on truncation, bad UTF-8 or
+    trailing bytes."""
+
+    def __init__(self, fh, path):
+        self.fh = fh
+        self.path = path
+        self.offset = fh.tell()
+
+    def take(self, n: int) -> bytes:
+        data = self.fh.read(n)
+        if len(data) != n:
+            raise FormatError(
+                f"{self.path}: truncated at byte {self.offset + len(data)}: "
+                f"{n} bytes expected at offset {self.offset}"
+            )
+        self.offset += n
+        return data
+
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+
+    def text(self, n: int) -> str:
+        offset = self.offset
+        try:
+            return self.take(n).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{self.path}: invalid UTF-8 at byte {offset}") from exc
+
+    def floats(self, rows: int, cols: int) -> np.ndarray:
+        data = self.take(rows * cols * 4)
+        return np.frombuffer(data, dtype="<f4").reshape(rows, cols).copy()
+
+    def end(self) -> None:
+        if self.fh.read(1):
+            raise FormatError(f"{self.path}: trailing bytes after offset {self.offset}")
+
+
 def load_checkpoint(path: str | Path) -> EmbeddingMatrix:
     with open(path, "rb") as fh:
-        magic = fh.read(len(_MAGIC_CHECKPOINT))
-        if magic != _MAGIC_CHECKPOINT:
+        if fh.read(len(_MAGIC_CHECKPOINT)) != _MAGIC_CHECKPOINT:
             raise FormatError(f"{path}: not an embedding checkpoint")
-        dim, nwords, buckets, n_min, n_max, min_count, total_tokens = struct.unpack(
-            "<IIQIIIQ", fh.read(struct.calcsize("<IIQIIIQ"))
-        )
+        reader = ArtifactReader(fh, path)
+        dim, nwords, buckets, n_min, n_max, min_count, total_tokens = reader.unpack("<IIQIIIQ")
         words, counts = [], []
         for _ in range(nwords):
-            wlen, count = struct.unpack("<HQ", fh.read(struct.calcsize("<HQ")))
-            words.append(fh.read(wlen).decode("utf-8"))
+            wlen, count = reader.unpack("<HQ")
+            words.append(reader.text(wlen))
             counts.append(count)
-        vocab = Vocabulary(words, counts, min_count, total_tokens)
-        sub = SubwordIndex(n_min, n_max, buckets) if buckets > 0 else None
-        n_input = nwords + buckets
-        input_rows = np.frombuffer(fh.read(n_input * dim * 4), dtype="<f4").reshape(
-            n_input, dim
-        ).copy()
-        context_rows = np.frombuffer(fh.read(nwords * dim * 4), dtype="<f4").reshape(
-            nwords, dim
-        ).copy()
+        input_rows = reader.floats(nwords + buckets, dim)
+        context_rows = reader.floats(nwords, dim)
+        reader.end()
+    vocab = Vocabulary(words, counts, min_count, total_tokens)
+    sub = SubwordIndex(n_min, n_max, buckets) if buckets > 0 else None
     return EmbeddingMatrix(vocab, sub, input_rows, context_rows)

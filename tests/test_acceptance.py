@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a verdict line.
 
-Heavy end-to-end experiments (criteria 7 and 8) run single-worker with
-frozen seeds, so their outcomes are exactly reproducible.
+Heavy end-to-end experiments (criteria 7 and 8) run with frozen seeds, so
+their outcomes are exactly reproducible.
 """
 
 import math
@@ -26,12 +26,13 @@ from xldetect.baselines import (
     tfidf_transform,
     train_logreg,
 )
-from xldetect.classifier import SupervisedConfig, TextClassifier, loss_and_grad, train_supervised
+from xldetect.classifier import SupervisedConfig, _doc_step, train_supervised
 from xldetect.cli import main as cli_main
 from xldetect.corpus import SplitSpec, split, subsample_train, tokenize
 from xldetect.curves import fraction_means, learning_curve
 from xldetect.embedding import (
     SkipgramConfig,
+    _center_step,
     VectorTable,
     load_checkpoint,
     load_vectors,
@@ -43,7 +44,7 @@ from xldetect.linalg import svd_small
 from xldetect.metrics import binary_metrics, confusion, f1_from_pr
 from xldetect.report import Report, parse_report, serialize_report
 from xldetect.synth import SyntheticConfig, generate_synthetic_bilingual
-from xldetect.vocab import SubwordIndex, build_vocab, subwords
+from xldetect.vocab import SubwordIndex, subwords
 
 
 def verdict(number: int, ok: bool, detail: str) -> None:
@@ -103,37 +104,69 @@ def test_criterion_02_svd_correctness():
     )
 
 
+def _step_grad_error(loss, params, step, lr=0.5, eps=1e-6) -> float:
+    """Worst relative gap between -delta/lr of one SGD step and central
+    differences of loss() over every entry of params. On 64-bit tables the
+    step is linear in lr at the pre-step parameters, so -delta/lr is the
+    step's analytic gradient."""
+    updated = [p.copy() for p in params]
+    step(*updated, lr)
+    worst = 0.0
+    for p, new in zip(params, updated):
+        analytic = (p - new) / lr
+        for idx in np.ndindex(p.shape):
+            saved = p[idx]
+            p[idx] = saved + eps
+            lp = loss()
+            p[idx] = saved - eps
+            lm = loss()
+            p[idx] = saved
+            fd = (lp - lm) / (2 * eps)
+            worst = max(worst, abs(fd - analytic[idx]) / max(1.0, abs(fd)))
+    return worst
+
+
 def _classifier_grad_error(rng) -> float:
     dim = int(rng.integers(3, 7))
-    words = [f"w{k}" for k in range(int(rng.integers(2, 5)))]
-    vocab = build_vocab([words * 2], min_count=1)
-    rows = rng.standard_normal((len(vocab), dim))
+    rows = rng.standard_normal((int(rng.integers(2, 5)), dim))
     weights = rng.standard_normal((2, dim))
-    model = TextClassifier(vocab, None, 1, rows, weights)
-    tokens = [words[int(rng.integers(0, len(words)))] for _ in range(4)]
+    ids = rng.integers(0, len(rows), size=4)
+    ids[-1] = ids[0]  # a repeated row id
+    counts = rng.integers(1, 4, size=4).astype(np.float64)
     label = int(rng.integers(0, 2))
-    lg = loss_and_grad(tokens, label, model)
-    eps = 1e-5
-    worst = 0.0
-    for c in range(2):
-        for k in range(dim):
-            wp, wm = weights.copy(), weights.copy()
-            wp[c, k] += eps
-            wm[c, k] -= eps
-            lp = loss_and_grad(tokens, label, TextClassifier(vocab, None, 1, rows, wp)).loss
-            lm = loss_and_grad(tokens, label, TextClassifier(vocab, None, 1, rows, wm)).loss
-            fd = (lp - lm) / (2 * eps)
-            worst = max(worst, abs(fd - lg.output_grad[c, k]) / max(1.0, abs(fd)))
-    for r, rid in enumerate(lg.row_ids):
-        for k in range(dim):
-            rp, rm = rows.copy(), rows.copy()
-            rp[rid, k] += eps
-            rm[rid, k] -= eps
-            lp = loss_and_grad(tokens, label, TextClassifier(vocab, None, 1, rp, weights)).loss
-            lm = loss_and_grad(tokens, label, TextClassifier(vocab, None, 1, rm, weights)).loss
-            fd = (lp - lm) / (2 * eps)
-            worst = max(worst, abs(fd - lg.row_grads[r, k]) / max(1.0, abs(fd)))
-    return worst
+
+    def loss():
+        z = weights @ ((counts @ rows[ids]) / counts.sum())
+        return float(np.logaddexp(z[0], z[1]) - z[label])
+
+    return _step_grad_error(
+        loss, [rows, weights],
+        lambda r, w, lr: _doc_step(r, w, ids, counts, label, lr, True),
+    )
+
+
+def _skipgram_grad_error(rng) -> float:
+    dim = int(rng.integers(3, 7))
+    input_rows = rng.standard_normal((5, dim)) * 0.5
+    context_rows = rng.standard_normal((4, dim)) * 0.5
+    rows = rng.integers(0, len(input_rows), size=3)
+    rows[-1] = rows[0]  # a repeated input row
+    ctx = rng.integers(0, len(context_rows), size=3)
+    negs = rng.integers(0, len(context_rows), size=(3, 4))
+    negs[0, 0] = ctx[0]  # a noise draw equal to its own context
+
+    def loss():
+        h = input_rows[rows].mean(axis=0)
+        total = 0.0
+        for c, noise in zip(ctx, negs):
+            total += np.logaddexp(0.0, -(context_rows[c] @ h))
+            total += sum(np.logaddexp(0.0, context_rows[n] @ h) for n in noise if n != c)
+        return float(total)
+
+    return _step_grad_error(
+        loss, [input_rows, context_rows],
+        lambda i, c, lr: _center_step(i, c, rows, ctx, negs, lr),
+    )
 
 
 def _logreg_grad_error(rng) -> float:
@@ -181,15 +214,14 @@ def test_criterion_03_gradient_checks():
     started = time.monotonic()
     rng = np.random.default_rng(99)
     worst = 0.0
-    for _ in range(50):
-        worst = max(worst, _classifier_grad_error(rng))
-    for _ in range(50):
-        worst = max(worst, _logreg_grad_error(rng))
+    for check in (_classifier_grad_error, _skipgram_grad_error, _logreg_grad_error):
+        for _ in range(50):
+            worst = max(worst, check(rng))
     elapsed = time.monotonic() - started
     verdict(
         3,
         worst <= 1e-4 and elapsed < 10.0,
-        f"100 gradient checks, worst relative error {worst:.2e} in {elapsed:.1f}s",
+        f"150 gradient checks, worst relative error {worst:.2e} in {elapsed:.1f}s",
     )
 
 

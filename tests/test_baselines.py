@@ -14,6 +14,7 @@ from xldetect.baselines import (
     save_feature_vocab,
     tfidf_transform,
     train_logreg,
+    vectorize,
 )
 
 
@@ -76,6 +77,16 @@ class TestCountFeatures:
         vocab, vectors = count_features([["a"], ["b"]], bow_extractor, 100)
         ids0 = {vocab.features[i] for i in vectors[0].ids}
         assert ids0 == {"a"}
+
+    def test_vectorize_over_fixed_vocabulary(self):
+        docs = [["a", "b", "a"], ["a", "c"], ["a"]]
+        vocab, vectors = count_features(docs, bow_extractor, max_features=2)
+        again = vectorize(vocab, bow_extractor, docs)
+        assert all((u.ids == v.ids).all() and (u.values == v.values).all()
+                   for u, v in zip(vectors, again))
+        (unseen,) = vectorize(vocab, bow_extractor, [["z", "c", "a", "a"]])
+        assert [vocab.features[i] for i in unseen.ids] == ["a"]
+        assert unseen.values.tolist() == [2.0]
 
     def test_empty_corpus(self):
         with pytest.raises(ValueError):

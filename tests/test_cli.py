@@ -1,5 +1,7 @@
 """End-to-end pipeline tests through the command-line interface."""
 
+import pytest
+
 from xldetect.cli import main
 from xldetect.report import read_report
 
@@ -110,6 +112,9 @@ class TestPipeline:
         assert (out / "doc_vectors.txt").exists()
 
         manifest = (out / "manifest.tsv").read_text(encoding="utf-8").splitlines()
+        header = manifest[0].split("\t")
+        assert header[-1] == "wall_s"
+        assert all(len(line.split("\t")) == len(header) for line in manifest[1:])
         commands = [line.split("\t")[0] for line in manifest[1:]]
         assert commands == [
             "synth", "train-embeddings", "train-embeddings", "align",
@@ -136,6 +141,10 @@ class TestPipeline:
         cfg.write_text("embedding.dmi = 100\n", encoding="utf-8")
         assert main(["synth", "--config", str(cfg)]) == 1
         assert "embedding.dmi" in capsys.readouterr().err
+        # an unknown flag is an argparse usage error
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", "--config", str(cfg), "--workers", "2"])
+        assert exc.value.code == 2
 
     def test_missing_required_key_exit_one(self, tmp_path, capsys):
         cfg = tmp_path / "empty.cfg"

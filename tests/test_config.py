@@ -50,9 +50,11 @@ class TestValidation:
         assert any("embedding.dim" in e for e in err.value.errors)
 
     def test_unknown_key_listed(self, tmp_path):
-        with pytest.raises(ConfigError) as err:
-            validate_config(write_config(tmp_path, "embedding.dmi = 100\n"))
-        assert any("embedding.dmi" in e for e in err.value.errors)
+        # workers was a key once; training now has a single path
+        for key, line in (("embedding.dmi", "embedding.dmi = 100\n"), ("workers", "workers = 2\n")):
+            with pytest.raises(ConfigError) as err:
+                validate_config(write_config(tmp_path, line))
+            assert any(repr(key) in e for e in err.value.errors)
 
     def test_all_violations_reported(self, tmp_path):
         text = "embedding.dim = -1\nclassifier.lr = 0\nnot.a.key = 3\n"
