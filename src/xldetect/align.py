@@ -15,8 +15,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .embedding import VectorTable, _format_float
-from .errors import AlignmentError, FormatError
+from . import formats
+from .embedding import VectorTable
+from .errors import AlignmentError
 from .linalg import svd_small
 
 logger = logging.getLogger(__name__)
@@ -57,8 +58,8 @@ class OrthogonalMap:
     def __post_init__(self):
         self.w = np.asarray(self.w, dtype=np.float64)
         d = self.w.shape[0]
-        if self.w.shape != (d, d):
-            raise AlignmentError(f"map must be square, got {self.w.shape}")
+        if d == 0 or self.w.shape != (d, d):
+            raise AlignmentError(f"map must be square and non-empty, got {self.w.shape}")
         err = np.abs(self.w.T @ self.w - np.eye(d)).max()
         if err > 1e-6:
             raise AlignmentError(f"map is not orthogonal: max |W'W - I| = {err:.3e}")
@@ -287,15 +288,14 @@ def load_dictionary(path: str | Path, role: str = "train") -> BilingualDictionar
 
     Duplicate source words are allowed (a word may have several valid
     translations)."""
+    art = formats.TextArtifact(path)
     pairs = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh.read().splitlines(), start=1):
-            if not line.strip():
-                continue
-            fields = line.split()
-            if len(fields) != 2:
-                raise FormatError(f"{path}:{lineno}: expected 'source target'")
+    for lineno, line in enumerate(art.lines, start=1):
+        fields = line.split()
+        if len(fields) == 2:
             pairs.append((fields[0], fields[1]))
+        elif fields:
+            raise art.error(lineno, "expected 'source target'")
     return BilingualDictionary(pairs, role)
 
 
@@ -306,29 +306,8 @@ def save_dictionary(dictionary: BilingualDictionary, path: str | Path) -> None:
 
 
 def save_map(omap: OrthogonalMap, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{_MAGIC_MAP} {omap.dim}\n")
-        for row in omap.w:
-            fh.write(" ".join(_format_float(x) for x in row))
-            fh.write("\n")
+    formats.write_matrix(path, f"{_MAGIC_MAP} {omap.dim}", omap.w)
 
 
 def load_map(path: str | Path) -> OrthogonalMap:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise FormatError(f"{path}: empty map file")
-    header = lines[0].split()
-    if len(header) != 2 or header[0] != _MAGIC_MAP:
-        raise FormatError(f"{path}: bad header {lines[0]!r}")
-    d = int(header[1])
-    body = [ln for ln in lines[1:] if ln]
-    if len(body) != d:
-        raise FormatError(f"{path}: expected {d} rows, found {len(body)}")
-    w = np.empty((d, d))
-    for i, line in enumerate(body):
-        fields = line.split()
-        if len(fields) != d:
-            raise FormatError(f"{path}: row {i} has {len(fields)} values, expected {d}")
-        w[i] = [float(x) for x in fields]
-    return OrthogonalMap(w)
+    return OrthogonalMap(formats.read_matrix(path, _MAGIC_MAP)[1])

@@ -11,6 +11,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import formats
 from .errors import FormatError, TrainingError
 
 
@@ -236,22 +237,13 @@ def save_feature_vocab(vocab: FeatureVocabulary, path: str | Path) -> None:
 
 
 def load_feature_vocab(path: str | Path) -> FeatureVocabulary:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise FormatError(f"{path}: empty feature vocabulary file")
-    header = lines[0].split()
-    if len(header) != 5 or header[0] != "FEATS" or header[1] != "v1":
-        raise FormatError(f"{path}: bad header {lines[0]!r}")
-    size, max_features, n_docs = (int(x) for x in header[2:])
-    body = [ln for ln in lines[1:] if ln]
-    if len(body) != size:
-        raise FormatError(f"{path}: header says {size} features, found {len(body)}")
+    art = formats.TextArtifact(path)
+    size, max_features, n_docs = art.header("FEATS v1", 3)
     features, dfs = [], []
-    for line in body:
+    for lineno, line in art.records(size):
         fields = line.split("\t")
         if len(fields) != 2:
-            raise FormatError(f"{path}: expected 'feature<TAB>df'")
+            raise art.error(lineno, "expected 'feature<TAB>df'")
         features.append(fields[0])
-        dfs.append(int(fields[1]))
+        dfs.append(art.count(lineno, fields[1]))
     return FeatureVocabulary(features, dfs, max_features, n_docs)

@@ -16,7 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import AccountDocument, LABEL_NAMES, tokenize
-from .embedding import ArtifactReader, VectorTable
+from . import formats
+from .embedding import VectorTable
 from .errors import FormatError, TrainingError
 from .vocab import SubwordIndex, Vocabulary, build_vocab, fnv1a_32, input_ids
 
@@ -220,51 +221,26 @@ def _mean_loss(model, docs_rows, labels) -> float:
 
 
 def save_classifier(model: TextClassifier, path: str | Path) -> None:
-    sub = model.subwords
     with open(path, "wb") as fh:
-        fh.write(_MAGIC_MODEL)
-        fh.write(
-            struct.pack(
-                "<IIQII",
-                model.dim,
-                len(model.vocab),
-                sub.buckets if sub else 0,
-                sub.n_min if sub else 0,
-                sub.n_max if sub else 0,
-            )
-        )
+        formats.write_model_head(fh, _MAGIC_MODEL, model.dim, model.vocab, model.subwords)
         for name in model.label_names:
             data = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(data)))
-            fh.write(data)
-        fh.write(struct.pack("<IIQ", model.word_ngrams, model.vocab.min_count,
-                             model.vocab.total_tokens))
-        for word, count in zip(model.vocab.words, model.vocab.counts):
-            data = word.encode("utf-8")
-            fh.write(struct.pack("<HQ", len(data), count))
-            fh.write(data)
-        fh.write(np.ascontiguousarray(model.input_rows, dtype="<f4").tobytes())
-        fh.write(np.ascontiguousarray(model.output_weights, dtype="<f4").tobytes())
+            fh.write(struct.pack("<H", len(data)) + data)
+        fh.write(struct.pack("<I", model.word_ngrams))
+        formats.write_vocab_block(fh, model.vocab)
+        formats.write_floats(fh, model.input_rows, model.output_weights)
 
 
 def load_classifier(path: str | Path) -> TextClassifier:
     with open(path, "rb") as fh:
-        if fh.read(len(_MAGIC_MODEL)) != _MAGIC_MODEL:
-            raise FormatError(f"{path}: not a classifier model file")
-        reader = ArtifactReader(fh, path)
-        dim, nwords, buckets, n_min, n_max = reader.unpack("<IIQII")
+        reader = formats.ArtifactReader(fh, path)
+        dim, nwords, sub = formats.read_model_head(reader, _MAGIC_MODEL, "a classifier model file")
         names = tuple(reader.text(reader.unpack("<H")[0]) for _ in range(_N_CLASSES))
         if names != LABEL_NAMES:
             raise FormatError(f"{path}: unexpected label names {list(names)}")
-        word_ngrams, min_count, total_tokens = reader.unpack("<IIQ")
-        words, counts = [], []
-        for _ in range(nwords):
-            wlen, count = reader.unpack("<HQ")
-            words.append(reader.text(wlen))
-            counts.append(count)
-        input_rows = reader.floats(nwords + buckets, dim)
+        (word_ngrams,) = reader.unpack("<I")
+        vocab = formats.read_vocab_block(reader, nwords)
+        input_rows = reader.floats(nwords + (sub.buckets if sub else 0), dim)
         output_weights = reader.floats(_N_CLASSES, dim)
         reader.end()
-    vocab = Vocabulary(words, counts, min_count, total_tokens)
-    sub = SubwordIndex(n_min, n_max, buckets) if buckets > 0 else None
     return TextClassifier(vocab, sub, word_ngrams, input_rows, output_weights)

@@ -237,18 +237,11 @@ def cmd_evaluate(cfg: PipelineConfig, config_path) -> list[Path]:
     return [out]
 
 
-def _baseline_vectors(cfg, token_docs):
-    kind = cfg["baseline.kind"]
-    if kind.startswith("bow"):
-        extractor = bl.bow_extractor
-    else:
-        n_lo, n_hi = cfg["baseline.ngram_min"], cfg["baseline.ngram_max"]
-        extractor = lambda toks: bl.extract_ngrams(toks, n_lo, n_hi)
-    vocab, counts = bl.count_features(token_docs, extractor, cfg["baseline.max_features"])
-    if kind.endswith("tfidf"):
-        lengths = [len(toks) for toks in token_docs]
-        return vocab, bl.tfidf_transform(counts, lengths, vocab), extractor
-    return vocab, counts, extractor
+def _baseline_weights(kind, vocab, counts, token_docs):
+    """Counts, or TFIDF for *_tfidf kinds; an empty document's length counts as 1."""
+    if not kind.endswith("tfidf"):
+        return counts
+    return bl.tfidf_transform(counts, [max(1, len(toks)) for toks in token_docs], vocab)
 
 
 def cmd_baseline(cfg: PipelineConfig, config_path) -> list[Path]:
@@ -257,9 +250,13 @@ def cmd_baseline(cfg: PipelineConfig, config_path) -> list[Path]:
     documents = cp.read_documents(docs_path)
     train_docs, test_docs = _split_docs(cfg, documents)
     train_tokens = [cp.tokenize(d.text) for d in train_docs]
-    vocab, train_vectors, extractor = _baseline_vectors(cfg, train_tokens)
+    kind = cfg["baseline.kind"]
+    n_lo, n_hi = cfg["baseline.ngram_min"], cfg["baseline.ngram_max"]
+    extractor = (bl.bow_extractor if kind.startswith("bow")
+                 else lambda toks: bl.extract_ngrams(toks, n_lo, n_hi))
+    vocab, counts = bl.count_features(train_tokens, extractor, cfg["baseline.max_features"])
     model = bl.train_logreg(
-        train_vectors,
+        _baseline_weights(kind, vocab, counts, train_tokens),
         [d.label for d in train_docs],
         n_features=len(vocab),
         config=bl.LogRegConfig(
@@ -269,15 +266,9 @@ def cmd_baseline(cfg: PipelineConfig, config_path) -> list[Path]:
             seed=cfg.seed,
         ),
     )
-    kind = cfg["baseline.kind"]
     test_tokens = [cp.tokenize(d.text) for d in test_docs]
     test_counts = bl.vectorize(vocab, extractor, test_tokens)
-    if kind.endswith("tfidf"):
-        test_vectors = bl.tfidf_transform(
-            test_counts, [max(1, len(t)) for t in test_tokens], vocab
-        )
-    else:
-        test_vectors = test_counts
+    test_vectors = _baseline_weights(kind, vocab, test_counts, test_tokens)
     preds = [bl.predict_logreg(model, v)[0] for v in test_vectors]
     metrics_report = cv.binary_metrics(
         cv.confusion(preds, [d.label for d in test_docs])

@@ -15,6 +15,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
+from . import formats
 from .errors import FormatError, LabelingError
 
 logger = logging.getLogger(__name__)
@@ -184,14 +185,14 @@ def subsample_train(
 def read_status_file(path: str | Path) -> dict[str, AccountStatus]:
     """Parse "account_id TAB status" lines; unknown statuses are rejected."""
     statuses: dict[str, AccountStatus] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh.read().splitlines(), start=1):
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2 or not fields[0]:
-                raise FormatError(f"{path}:{lineno}: expected 'account_id<TAB>status'")
-            statuses[fields[0]] = AccountStatus.parse(fields[1])
+    art = formats.TextArtifact(path)
+    for lineno, line in enumerate(art.lines, start=1):
+        if not line:
+            continue
+        fields = line.split("\t")
+        if len(fields) != 2 or not fields[0]:
+            raise art.error(lineno, "expected 'account_id<TAB>status'")
+        statuses[fields[0]] = AccountStatus.parse(fields[1])
     return statuses
 
 
@@ -203,16 +204,14 @@ def write_documents(documents: Iterable[AccountDocument], path: str | Path) -> N
 
 def read_documents(path: str | Path) -> list[AccountDocument]:
     documents = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh.read().splitlines(), start=1):
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3 or fields[1] not in ("0", "1"):
-                raise FormatError(
-                    f"{path}:{lineno}: expected 'account_id<TAB>label<TAB>text'"
-                )
-            documents.append(
-                AccountDocument(account_id=fields[0], text=fields[2], label=int(fields[1]))
-            )
+    art = formats.TextArtifact(path)
+    for lineno, line in enumerate(art.lines, start=1):
+        if not line:
+            continue
+        fields = line.split("\t")
+        if len(fields) != 3 or fields[1] not in ("0", "1"):
+            raise art.error(lineno, "expected 'account_id<TAB>label<TAB>text'")
+        documents.append(
+            AccountDocument(account_id=fields[0], text=fields[2], label=int(fields[1]))
+        )
     return documents

@@ -9,13 +9,13 @@ distribution. Training is bit-reproducible for a fixed seed.
 from __future__ import annotations
 
 import logging
-import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
 import numpy as np
 
+from . import formats
 from .errors import FormatError, TrainingError
 from .vocab import SubwordIndex, Vocabulary, build_vocab, input_ids
 
@@ -288,133 +288,35 @@ def _sigmoid(x):
 # persistence
 
 
-def _format_float(x: float) -> str:
-    return np.format_float_positional(np.float64(x), unique=True, trim="0")
-
-
 def save_vectors(table: VectorTable, path: str | Path) -> None:
     """Write the word2vec-style text format: "<count> <dim>" header, then
     one word per line followed by its vector, shortest-round-trip decimals."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{len(table)} {table.dim}\n")
-        for word, vec in zip(table.words, table.vectors):
-            fh.write(word)
-            for x in vec:
-                fh.write(" " + _format_float(x))
-            fh.write("\n")
+    formats.write_matrix(path, f"{len(table)} {table.dim}", table.vectors, table.words)
 
 
 def load_vectors(path: str | Path, expect_dim: int | None = None) -> VectorTable:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise FormatError(f"{path}: empty vector file")
-    header = lines[0].split()
-    if len(header) != 2:
-        raise FormatError(f"{path}: bad header {lines[0]!r}")
-    count, dim = int(header[0]), int(header[1])
-    if expect_dim is not None and dim != expect_dim:
-        raise FormatError(f"{path}: dimension {dim}, expected {expect_dim}")
-    body = [ln for ln in lines[1:] if ln]
-    if len(body) != count:
-        raise FormatError(f"{path}: header says {count} vectors, found {len(body)}")
-    words: list[str] = []
-    vectors = np.empty((count, dim), dtype=np.float64)
-    seen = set()
-    for i, line in enumerate(body):
-        fields = line.split(" ")
-        if len(fields) != dim + 1:
-            raise FormatError(f"{path}: line {i + 2}: expected {dim} values")
-        word = fields[0]
-        if word in seen:
-            raise FormatError(f"{path}: duplicate word {word!r}")
-        seen.add(word)
-        try:
-            vectors[i] = [float(x) for x in fields[1:]]
-        except ValueError as exc:
-            raise FormatError(f"{path}: line {i + 2}: non-numeric field") from exc
-        words.append(word)
+    words, vectors = formats.read_matrix(path, None)
+    if expect_dim is not None and vectors.shape[1] != expect_dim:
+        raise FormatError(f"{path}:1: dimension {vectors.shape[1]}, expected {expect_dim}")
     return VectorTable(words, vectors)
 
 
 def save_checkpoint(model: EmbeddingMatrix, path: str | Path) -> None:
     """Binary checkpoint: raw float32 parameter rows in id order."""
-    sub = model.subwords
     with open(path, "wb") as fh:
-        fh.write(_MAGIC_CHECKPOINT)
-        fh.write(
-            struct.pack(
-                "<IIQIIIQ",
-                model.dim,
-                len(model.vocab),
-                sub.buckets if sub else 0,
-                sub.n_min if sub else 0,
-                sub.n_max if sub else 0,
-                model.vocab.min_count,
-                model.vocab.total_tokens,
-            )
-        )
-        for word, count in zip(model.vocab.words, model.vocab.counts):
-            data = word.encode("utf-8")
-            fh.write(struct.pack("<HQ", len(data), count))
-            fh.write(data)
-        fh.write(np.ascontiguousarray(model.input_rows, dtype="<f4").tobytes())
-        fh.write(np.ascontiguousarray(model.context_rows, dtype="<f4").tobytes())
-
-
-class ArtifactReader:
-    """Sequential reads from an open binary artifact that raise FormatError,
-    naming the path and byte offset, on truncation, bad UTF-8 or
-    trailing bytes."""
-
-    def __init__(self, fh, path):
-        self.fh = fh
-        self.path = path
-        self.offset = fh.tell()
-
-    def take(self, n: int) -> bytes:
-        data = self.fh.read(n)
-        if len(data) != n:
-            raise FormatError(
-                f"{self.path}: truncated at byte {self.offset + len(data)}: "
-                f"{n} bytes expected at offset {self.offset}"
-            )
-        self.offset += n
-        return data
-
-    def unpack(self, fmt: str) -> tuple:
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
-
-    def text(self, n: int) -> str:
-        offset = self.offset
-        try:
-            return self.take(n).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"{self.path}: invalid UTF-8 at byte {offset}") from exc
-
-    def floats(self, rows: int, cols: int) -> np.ndarray:
-        data = self.take(rows * cols * 4)
-        return np.frombuffer(data, dtype="<f4").reshape(rows, cols).copy()
-
-    def end(self) -> None:
-        if self.fh.read(1):
-            raise FormatError(f"{self.path}: trailing bytes after offset {self.offset}")
+        formats.write_model_head(fh, _MAGIC_CHECKPOINT, model.dim, model.vocab, model.subwords)
+        formats.write_vocab_block(fh, model.vocab)
+        formats.write_floats(fh, model.input_rows, model.context_rows)
 
 
 def load_checkpoint(path: str | Path) -> EmbeddingMatrix:
     with open(path, "rb") as fh:
-        if fh.read(len(_MAGIC_CHECKPOINT)) != _MAGIC_CHECKPOINT:
-            raise FormatError(f"{path}: not an embedding checkpoint")
-        reader = ArtifactReader(fh, path)
-        dim, nwords, buckets, n_min, n_max, min_count, total_tokens = reader.unpack("<IIQIIIQ")
-        words, counts = [], []
-        for _ in range(nwords):
-            wlen, count = reader.unpack("<HQ")
-            words.append(reader.text(wlen))
-            counts.append(count)
-        input_rows = reader.floats(nwords + buckets, dim)
+        reader = formats.ArtifactReader(fh, path)
+        dim, nwords, sub = formats.read_model_head(
+            reader, _MAGIC_CHECKPOINT, "an embedding checkpoint"
+        )
+        vocab = formats.read_vocab_block(reader, nwords)
+        input_rows = reader.floats(nwords + (sub.buckets if sub else 0), dim)
         context_rows = reader.floats(nwords, dim)
         reader.end()
-    vocab = Vocabulary(words, counts, min_count, total_tokens)
-    sub = SubwordIndex(n_min, n_max, buckets) if buckets > 0 else None
     return EmbeddingMatrix(vocab, sub, input_rows, context_rows)

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .embedding import _format_float
+from . import formats
 from .errors import FormatError
 
 _N_CLASSES = 2
@@ -41,41 +41,13 @@ class SoftmaxHead:
 
 def import_external_features(path: str | Path) -> tuple[list[str], np.ndarray]:
     """Read "<count> <dim>" then one "document_id v1 .. vdim" line each."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise FormatError(f"{path}: empty feature file")
-    header = lines[0].split()
-    if len(header) != 2:
-        raise FormatError(f"{path}: bad header {lines[0]!r}")
-    count, dim = int(header[0]), int(header[1])
-    body = [ln for ln in lines[1:] if ln]
-    if len(body) != count:
-        raise FormatError(f"{path}: header says {count} rows, found {len(body)}")
-    ids = []
-    matrix = np.empty((count, dim), dtype=np.float64)
-    for i, line in enumerate(body):
-        fields = line.split(" ")
-        if len(fields) != dim + 1:
-            raise FormatError(f"{path}: line {i + 2}: expected {dim} values")
-        ids.append(fields[0])
-        try:
-            matrix[i] = [float(x) for x in fields[1:]]
-        except ValueError as exc:
-            raise FormatError(f"{path}: line {i + 2}: non-numeric field") from exc
-    return ids, matrix
+    return formats.read_matrix(path, None)
 
 
 def save_external_features(ids: list[str], matrix: np.ndarray, path: str | Path) -> None:
     if len(ids) != matrix.shape[0]:
         raise ValueError("ids/matrix length mismatch")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{matrix.shape[0]} {matrix.shape[1]}\n")
-        for doc_id, row in zip(ids, matrix):
-            fh.write(doc_id)
-            for x in row:
-                fh.write(" " + _format_float(float(x)))
-            fh.write("\n")
+    formats.write_matrix(path, f"{matrix.shape[0]} {matrix.shape[1]}", matrix, ids)
 
 
 def match_features(

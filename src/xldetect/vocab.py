@@ -8,12 +8,9 @@ so that out-of-vocabulary words still compose a vector.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable
 
 import numpy as np
-
-from .errors import FormatError
 
 FNV_OFFSET_BASIS = 2166136261
 FNV_PRIME = 16777619
@@ -133,32 +130,3 @@ def input_ids(word: str, vocab: Vocabulary, index: SubwordIndex | None) -> list[
             # unreachable with n_min <= 3 since the wrapped form has length >= 3
             raise ValueError(f"no input rows for out-of-vocabulary word {word!r}")
     return ids
-
-
-def save_vocab(vocab: Vocabulary, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"VOCAB v1 {len(vocab)} {vocab.min_count} {vocab.total_tokens}\n")
-        for word, count in zip(vocab.words, vocab.counts):
-            fh.write(f"{word}\t{count}\n")
-
-
-def load_vocab(path: str | Path) -> Vocabulary:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise FormatError(f"{path}: empty vocabulary file")
-    header = lines[0].split()
-    if len(header) != 5 or header[0] != "VOCAB" or header[1] != "v1":
-        raise FormatError(f"{path}: bad header {lines[0]!r}")
-    size, min_count, total_tokens = (int(x) for x in header[2:])
-    body = [ln for ln in lines[1:] if ln]
-    if len(body) != size:
-        raise FormatError(f"{path}: header says {size} words, found {len(body)}")
-    words, counts = [], []
-    for lineno, line in enumerate(body, start=2):
-        fields = line.split("\t")
-        if len(fields) != 2:
-            raise FormatError(f"{path}:{lineno}: expected 'word<TAB>count'")
-        words.append(fields[0])
-        counts.append(int(fields[1]))
-    return Vocabulary(words, counts, min_count, total_tokens)

@@ -287,6 +287,9 @@ class TestMergeAndIO:
         path.write_text("NOTAMAP 3\n", encoding="utf-8")
         with pytest.raises(FormatError):
             load_map(path)
+        path.write_text("XLMAP1 0\n", encoding="utf-8")
+        with pytest.raises(AlignmentError):
+            load_map(path)
 
     def test_dictionary_file_round_trip(self, tmp_path):
         d = BilingualDictionary([("hello", "kamusta"), ("world", "mundo"), ("hello", "hi")])

@@ -168,6 +168,37 @@ class TestPipeline:
         ).read_bytes()
 
 
+    @pytest.mark.parametrize(
+        "damaged", [b"x 2\nw 1 2\n", b"1 2\nw\xff 1 2\n"], ids=["bad-header", "not-utf8"]
+    )
+    def test_damaged_vectors_exit_two(self, tmp_path, capsys, damaged):
+        out = tmp_path / "out"
+        out.mkdir()
+        cfg = write_cfg(tmp_path, out)
+        (out / "vectors.txt").write_bytes(damaged)
+        (out / "target_vectors.txt").write_bytes(b"1 2\nw 1 2\n")
+        (out / "dictionary.txt").write_bytes(b"w w\n")
+        assert run("align", cfg) == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and "vectors.txt:" in errors[0]
+        assert "Traceback" not in err
+
+    def test_tfidf_baseline_with_empty_document(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        cfg = write_cfg(tmp_path, out)
+        words = ["alpha", "beta", "gamma", "delta", "omega"]
+        lines = [
+            f"acct{i}\t{i % 2}\t{'' if i == 0 else ' '.join(words[: 2 + i % 4])}\n"
+            for i in range(40)
+        ]
+        (out / "target_documents.tsv").write_text("".join(lines), encoding="utf-8")
+        # wherever the split puts the empty document, the stage succeeds
+        for seed in range(1, 6):
+            assert run("baseline", cfg, "--seed", str(seed)) == 0
+
+
 class TestReproducibility:
     ARTIFACTS = (
         "source_documents.tsv", "target_documents.tsv", "dictionary.txt",

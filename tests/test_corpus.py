@@ -189,6 +189,12 @@ class TestFiles:
         write_documents(d, path)
         assert read_documents(path) == d
 
+    def test_documents_not_utf8(self, tmp_path):
+        path = tmp_path / "docs.tsv"
+        path.write_bytes(b"a\t0\thello\nb\t1\tbad \xff byte\n")
+        with pytest.raises(FormatError, match=r"docs\.tsv:2: invalid UTF-8"):
+            read_documents(path)
+
     def test_status_file(self, tmp_path):
         path = tmp_path / "statuses.tsv"
         path.write_text("u1\tsuspended\nu2\tactive\n", encoding="utf-8")

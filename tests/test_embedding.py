@@ -268,8 +268,23 @@ class TestVectorIO:
 
     def test_non_numeric_rejected(self, tmp_path):
         path = tmp_path / "nan.txt"
-        path.write_text("1 2\nw 1 oops\n", encoding="utf-8")
-        with pytest.raises(FormatError):
+        for body in ("w 1 oops", "w 1 nan", "w inf 1"):
+            path.write_text(f"1 2\n{body}\n", encoding="utf-8")
+            with pytest.raises(FormatError, match=r"nan\.txt:2: "):
+                load_vectors(path)
+
+    def test_bad_header_values_rejected(self, tmp_path):
+        path = tmp_path / "header.txt"
+        # a negative dimension, and one that promises more values than the file holds
+        for text in ("0 -1\n", "1 1000000000000\nw 1\n"):
+            path.write_text(text, encoding="utf-8")
+            with pytest.raises(FormatError, match=r"header\.txt:1: "):
+                load_vectors(path)
+
+    def test_error_names_physical_line(self, tmp_path):
+        path = tmp_path / "gap.txt"
+        path.write_text("2 2\nw1 1 2\n\nw2 1 oops\n", encoding="utf-8")
+        with pytest.raises(FormatError, match=r"gap\.txt:4: "):
             load_vectors(path)
 
 

@@ -8,8 +8,6 @@ from xldetect.vocab import (
     fnv1a_32,
     hash_subword,
     input_ids,
-    load_vocab,
-    save_vocab,
     subwords,
 )
 
@@ -154,21 +152,3 @@ class TestInputIds:
             seen[h] = g
         assert collision is not None
 
-
-class TestVocabDump:
-    def test_round_trip(self, tmp_path):
-        vocab = build_vocab([["b", "a", "a", "c", "c", "c"]], min_count=1)
-        path = tmp_path / "vocab.tsv"
-        save_vocab(vocab, path)
-        loaded = load_vocab(path)
-        assert loaded.words == vocab.words
-        assert loaded.counts.tolist() == vocab.counts.tolist()
-        assert loaded.min_count == vocab.min_count
-        assert loaded.total_tokens == vocab.total_tokens
-
-    def test_header_line(self, tmp_path):
-        vocab = build_vocab([["a", "a", "b"]], min_count=1)
-        path = tmp_path / "vocab.tsv"
-        save_vocab(vocab, path)
-        first = path.read_text(encoding="utf-8").splitlines()[0]
-        assert first == "VOCAB v1 2 1 3"
