@@ -10,7 +10,6 @@ from .align import (
     BilingualDictionary,
     OrthogonalMap,
     apply_map,
-    csls_score,
     evaluate_translation,
     induce_dictionary,
     merge_tables,
@@ -58,7 +57,7 @@ from .embedding import (
     train_skipgram,
     word_vector,
 )
-from .external import head_predict, import_external_features, train_softmax_head
+from .external import import_external_features
 from .linalg import svd_small
 from .metrics import ConfusionMatrix, MetricsReport, binary_metrics, confusion
 from .synth import SyntheticConfig, generate_synthetic_bilingual

@@ -61,7 +61,7 @@ class OrthogonalMap:
         if d == 0 or self.w.shape != (d, d):
             raise AlignmentError(f"map must be square and non-empty, got {self.w.shape}")
         err = np.abs(self.w.T @ self.w - np.eye(d)).max()
-        if err > 1e-6:
+        if not err <= 1e-6:  # also catches NaN
             raise AlignmentError(f"map is not orthogonal: max |W'W - I| = {err:.3e}")
 
     @property
@@ -87,7 +87,10 @@ def procrustes(x: np.ndarray, y: np.ndarray) -> OrthogonalMap:
             f"procrustes fit with {n} pairs in dimension {d}; n >= d is recommended",
             stacklevel=2,
         )
-    m = y.T @ x
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is checked next
+        m = y.T @ x
+    if not np.isfinite(m).all():
+        raise AlignmentError("degenerate alignment: non-finite cross-covariance")
     if not m.any():
         raise AlignmentError("degenerate alignment: zero cross-covariance")
     u, _, v = svd_small(m)
@@ -108,15 +111,6 @@ def _normalized(vectors: np.ndarray) -> np.ndarray:
     return vectors / norms[:, None]
 
 
-def csls_score(x_mapped: np.ndarray, y: np.ndarray, r_t: float, r_s: float) -> float:
-    """2 cos(x, y) minus the hubness corrections of both endpoints."""
-    nx = np.linalg.norm(x_mapped)
-    ny = np.linalg.norm(y)
-    if nx == 0 or ny == 0:
-        raise AlignmentError("cannot L2-normalize a zero vector")
-    return float(2.0 * (x_mapped @ y) / (nx * ny) - r_t - r_s)
-
-
 def _mean_topk(sims: np.ndarray, k: int) -> np.ndarray:
     """Row-wise mean of the k largest entries."""
     k = min(k, sims.shape[1])
@@ -124,13 +118,23 @@ def _mean_topk(sims: np.ndarray, k: int) -> np.ndarray:
     return part.mean(axis=1)
 
 
-def _knn_means(a: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
-    """For each row of a, mean cosine to its k nearest rows of b (batched)."""
-    out = np.empty(a.shape[0])
+def _cosine_blocks(a: np.ndarray, b: np.ndarray):
+    """Cosines of _BATCH rows of a at a time to every row of b (rows normalized)."""
     for start in range(0, a.shape[0], _BATCH):
-        block = a[start : start + _BATCH] @ b.T
-        out[start : start + _BATCH] = _mean_topk(block, k)
-    return out
+        yield a[start : start + _BATCH] @ b.T
+
+
+def _knn_means(a: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
+    """For each row of a, mean cosine to its k nearest rows of b."""
+    return np.concatenate([_mean_topk(block, k) for block in _cosine_blocks(a, b)])
+
+
+def csls_blocks(x: np.ndarray, y: np.ndarray, r_y: np.ndarray):
+    """CSLS of normalized rows x against normalized rows y, _BATCH rows of x
+    at a time, as 2 cos(x, y) - r_y[y]. That is CSLS minus r_x[x], which is
+    constant along a row, so a row's argmax and top-k are CSLS's own."""
+    for block in _cosine_blocks(x, y):
+        yield 2.0 * block - r_y
 
 
 def induce_dictionary(
@@ -148,34 +152,27 @@ def induce_dictionary(
         raise ValueError("embedding dimensions differ")
     ns = min(top_k_vocab, len(mapped_source))
     nt = min(top_k_vocab, len(target))
+    if ns == 0 or nt == 0:
+        raise AlignmentError("dictionary induction needs words on both sides")
     xs = _normalized(mapped_source.vectors[:ns])
     yt = _normalized(target.vectors[:nt])
     r_src = _knn_means(xs, yt, csls_k)   # per-source mean cosine to k nearest targets
     r_tgt = _knn_means(yt, xs, csls_k)   # per-target mean cosine to k nearest sources
 
-    best_tgt = np.empty(ns, dtype=np.int64)
-    for start in range(0, ns, _BATCH):
-        block = 2.0 * (xs[start : start + _BATCH] @ yt.T) - r_tgt[None, :]
-        best_tgt[start : start + _BATCH] = block.argmax(axis=1)
-    best_src = np.empty(nt, dtype=np.int64)
-    for start in range(0, nt, _BATCH):
-        block = 2.0 * (yt[start : start + _BATCH] @ xs.T) - r_src[None, :]
-        best_src[start : start + _BATCH] = block.argmax(axis=1)
-
-    pairs = []
-    for i in range(ns):
-        j = best_tgt[i]
-        if best_src[j] == i:
-            score = 2.0 * float(xs[i] @ yt[j]) - r_src[i] - r_tgt[j]
-            pairs.append((-score, i, j))
-    if not pairs:
+    best_tgt = np.concatenate([b.argmax(axis=1) for b in csls_blocks(xs, yt, r_tgt)])
+    best_src = np.concatenate([b.argmax(axis=1) for b in csls_blocks(yt, xs, r_src)])
+    src = np.flatnonzero(best_src[best_tgt] == np.arange(ns))
+    if not src.size:
         raise AlignmentError("dictionary induction found no mutual nearest neighbors")
-    pairs.sort()
-    logger.info("induced %d mutual-neighbor pairs", len(pairs))
+    tgt = best_tgt[src]
+    scores = 2.0 * np.einsum("ij,ij->i", xs[src], yt[tgt]) - r_src[src] - r_tgt[tgt]
+    order = np.lexsort((src, -scores))
+    logger.info("induced %d mutual-neighbor pairs", len(src))
     return BilingualDictionary(
-        [(mapped_source.words[i], target.words[j]) for _, i, j in pairs],
+        [(mapped_source.words[i], target.words[j])
+         for i, j in zip(src[order].tolist(), tgt[order].tolist())],
         role="induced",
-        scores=[-neg for neg, _, _ in pairs],
+        scores=scores[order].tolist(),
     )
 
 
@@ -249,14 +246,13 @@ def evaluate_translation(
     r_tgt = _knn_means(yt, xs, csls_k)
 
     queries = sorted(gold)
+    kk = min(k, yt.shape[0])
     correct = 0
-    for start in range(0, len(queries), _BATCH):
-        batch = queries[start : start + _BATCH]
-        scores = 2.0 * (xs[batch] @ yt.T) - r_tgt[None, :]
-        kk = min(k, scores.shape[1])
+    blocks = csls_blocks(xs[queries], yt, r_tgt)
+    for start, scores in zip(range(0, len(queries), _BATCH), blocks):
         top = np.argpartition(-scores, kk - 1, axis=1)[:, :kk]
-        for row, q in enumerate(batch):
-            if gold[q].intersection(top[row].tolist()):
+        for q, row in zip(queries[start : start + _BATCH], top.tolist()):
+            if gold[q].intersection(row):
                 correct += 1
     return correct / len(queries)
 

@@ -137,7 +137,6 @@ class LogRegConfig:
     l2_lambda: float = 1.0
     epochs: int = 100
     lr: float = 0.1
-    seed: int = 0  # reserved; full-batch training is deterministic
 
     def __post_init__(self):
         if self.l2_lambda < 0:

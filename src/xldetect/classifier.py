@@ -19,7 +19,7 @@ from .corpus import AccountDocument, LABEL_NAMES, tokenize
 from . import formats
 from .embedding import VectorTable
 from .errors import FormatError, TrainingError
-from .vocab import SubwordIndex, Vocabulary, build_vocab, fnv1a_32, input_ids
+from .vocab import SubwordIndex, Vocabulary, build_vocab, fnv1a_32, init_input_rows, input_ids
 
 logger = logging.getLogger(__name__)
 
@@ -147,11 +147,7 @@ def train_supervised(
             logger.warning("training data has no documents of class %s", LABEL_NAMES[cls])
 
     vocab = build_vocab(token_docs, min_count=config.min_count)
-    rng = np.random.default_rng(config.seed)
-    buckets = config.subwords.buckets if config.subwords is not None else 0
-    scale = 1.0 / config.dim
-    input_rows = rng.random((len(vocab) + buckets, config.dim), dtype=np.float32) * 2.0 - 1.0
-    input_rows *= np.float32(scale)
+    input_rows = init_input_rows(vocab, config.subwords, config.dim, config.seed)
     if config.pretrained is not None:
         input_rows[len(vocab):] = 0.0
         hits = 0

@@ -263,7 +263,6 @@ def cmd_baseline(cfg: PipelineConfig, config_path) -> list[Path]:
             l2_lambda=cfg["baseline.l2_lambda"],
             epochs=cfg["baseline.epochs"],
             lr=cfg["baseline.lr"],
-            seed=cfg.seed,
         ),
     )
     test_tokens = [cp.tokenize(d.text) for d in test_docs]

@@ -11,7 +11,8 @@ from __future__ import annotations
 import hashlib
 from pathlib import Path
 
-from .errors import ConfigError
+from . import formats
+from .errors import ConfigError, FormatError
 
 _BASELINE_KINDS = ("bow", "bow_tfidf", "ngrams", "ngrams_tfidf")
 _SWEEP_KINDS = ("monolingual", "transfer")
@@ -232,10 +233,11 @@ def validate_config(path: str | Path | None, overrides: dict | None = None) -> P
     errors: list[str] = []
     if path is not None:
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                lines = fh.read().splitlines()
+            lines = formats.TextArtifact(path).lines
         except OSError as exc:
             raise ConfigError([f"cannot read config file {path}: {exc}"]) from exc
+        except FormatError as exc:
+            raise ConfigError([str(exc)]) from None
         for lineno, line in enumerate(lines, start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):

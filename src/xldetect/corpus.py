@@ -94,8 +94,7 @@ def ingest_posts(source: str | Path | Iterable[str]) -> IngestResult:
     """
     if isinstance(source, (str, Path)):
         try:
-            with open(source, "r", encoding="utf-8") as fh:
-                lines = fh.read().splitlines()
+            lines = formats.TextArtifact(source).lines
         except OSError as exc:
             raise OSError(f"cannot read posts file {source}: {exc}") from exc
     else:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import formats
 from .errors import FormatError, TrainingError
-from .vocab import SubwordIndex, Vocabulary, build_vocab, input_ids
+from .vocab import SubwordIndex, Vocabulary, build_vocab, init_input_rows, input_ids
 
 logger = logging.getLogger(__name__)
 
@@ -153,18 +153,6 @@ def negative_table(vocab: Vocabulary, power: float = 0.75) -> AliasSampler:
     return AliasSampler(vocab.counts.astype(np.float64) ** power)
 
 
-def _init_matrices(
-    vocab: Vocabulary, subwords: SubwordIndex | None, dim: int, seed: int
-) -> tuple[np.ndarray, np.ndarray]:
-    buckets = subwords.buckets if subwords is not None else 0
-    rng = np.random.default_rng(seed)
-    scale = 1.0 / dim
-    input_rows = (rng.random((len(vocab) + buckets, dim), dtype=np.float32) * 2.0 - 1.0)
-    input_rows *= np.float32(scale)
-    context_rows = np.zeros((len(vocab), dim), dtype=np.float32)
-    return input_rows, context_rows
-
-
 def _row_index(vocab: Vocabulary, subwords: SubwordIndex | None) -> list[np.ndarray]:
     return [
         np.asarray(input_ids(w, vocab, subwords), dtype=np.int64) for w in vocab.words
@@ -179,7 +167,8 @@ def train_skipgram(corpus: Iterable[list[str]], config: SkipgramConfig) -> Embed
     """
     sentences_tok = [s for s in corpus]
     vocab = build_vocab(sentences_tok, min_count=config.min_count)
-    input_rows, context_rows = _init_matrices(vocab, config.subwords, config.dim, config.seed)
+    input_rows = init_input_rows(vocab, config.subwords, config.dim, config.seed)
+    context_rows = np.zeros((len(vocab), config.dim), dtype=np.float32)
     model = EmbeddingMatrix(vocab, config.subwords, input_rows, context_rows)
     if config.epochs == 0:
         return model

@@ -40,6 +40,8 @@ class TextArtifact:
             lineno = exc.object.count(b"\n", 0, exc.start) + 1
             raise self.error(lineno, f"invalid UTF-8 at byte {exc.start}") from None
         self.lines = text.split("\n")
+        if not self.lines[-1]:
+            self.lines.pop()  # what follows the last newline, or an empty file
 
     def error(self, lineno: int, message: str) -> FormatError:
         return FormatError(f"{self.path}:{lineno}: {message}")
@@ -55,9 +57,10 @@ class TextArtifact:
 
     def header(self, magic: str, n: int) -> list[int]:
         """Line 1: the words of magic, then n counts."""
-        words, expected = self.lines[0].split(), magic.split()
+        first = self.lines[0] if self.lines else ""
+        words, expected = first.split(), magic.split()
         if len(words) != len(expected) + n or words[: len(expected)] != expected:
-            raise self.error(1, f"bad header {self.lines[0]!r}")
+            raise self.error(1, f"bad header {first!r}")
         return [self.count(1, w) for w in words[len(expected):]]
 
     def records(self, count: int) -> list[tuple[int, str]]:

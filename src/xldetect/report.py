@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from . import formats
 from .errors import FormatError
 from .metrics import MetricsReport
 
@@ -107,8 +108,11 @@ def write_report(report: Report, path: str | Path) -> None:
 
 
 def read_report(path: str | Path) -> Report:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_report(fh.read())
+    art = formats.TextArtifact(path)
+    try:
+        return parse_report("\n".join(art.lines))
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from None
 
 
 def metrics_section(metrics: MetricsReport) -> dict[str, str]:

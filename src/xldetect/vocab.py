@@ -67,9 +67,6 @@ class Vocabulary:
     def __contains__(self, word: str) -> bool:
         return word in self.word_to_id
 
-    def id_of(self, word: str) -> int | None:
-        return self.word_to_id.get(word)
-
 
 def build_vocab(corpus: Iterable[list[str]], min_count: int = 5) -> Vocabulary:
     """Count words over a tokenized corpus and keep those with count >= min_count."""
@@ -130,3 +127,15 @@ def input_ids(word: str, vocab: Vocabulary, index: SubwordIndex | None) -> list[
             # unreachable with n_min <= 3 since the wrapped form has length >= 3
             raise ValueError(f"no input rows for out-of-vocabulary word {word!r}")
     return ids
+
+
+def init_input_rows(
+    vocab: Vocabulary, index: SubwordIndex | None, dim: int, seed: int
+) -> np.ndarray:
+    """The |V| word rows then the bucket rows that input_ids indexes,
+    drawn uniformly from [-1/dim, 1/dim) in float32."""
+    buckets = index.buckets if index is not None else 0
+    rng = np.random.default_rng(seed)
+    rows = rng.random((len(vocab) + buckets, dim), dtype=np.float32) * 2.0 - 1.0
+    rows *= np.float32(1.0 / dim)
+    return rows

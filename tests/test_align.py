@@ -5,7 +5,7 @@ from xldetect.align import (
     BilingualDictionary,
     OrthogonalMap,
     apply_map,
-    csls_score,
+    csls_blocks,
     evaluate_translation,
     induce_dictionary,
     load_dictionary,
@@ -94,9 +94,19 @@ class TestProcrustes:
         with pytest.raises(AlignmentError):
             procrustes(x, y)
 
+    def test_overflowing_cross_covariance(self):
+        x = np.eye(3)
+        x[0, 0] = 1e200
+        with pytest.raises(AlignmentError, match="non-finite cross-covariance"):
+            procrustes(x, x)
+
     def test_map_validates_orthogonality(self):
         with pytest.raises(AlignmentError):
             OrthogonalMap(np.array([[1.0, 0.5], [0.0, 1.0]]))
+
+    def test_nan_map_rejected(self):
+        with pytest.raises(AlignmentError, match="not orthogonal"):
+            OrthogonalMap(np.full((2, 2), np.nan))
 
 
 def _expm_skew(a):
@@ -130,26 +140,33 @@ class TestApplyMap:
             apply_map(OrthogonalMap(np.eye(5)), src)
 
 
+def csls(x, y, r_y):
+    """The one row of csls_blocks for a single query x."""
+    (block,) = csls_blocks(np.atleast_2d(x), np.atleast_2d(y), np.asarray(r_y))
+    return block[0]
+
+
 class TestCsls:
     def test_identical_unit_vectors(self):
         x = np.array([1.0, 0.0])
-        assert csls_score(x, x, 0.0, 0.0) == pytest.approx(2.0)
+        assert csls(x, x, [0.0])[0] == pytest.approx(2.0)
 
     def test_orthogonal_vectors(self):
-        assert csls_score(np.array([1.0, 0.0]), np.array([0.0, 1.0]), 0.0, 0.0) == 0.0
+        assert csls(np.array([1.0, 0.0]), np.array([0.0, 1.0]), [0.0])[0] == 0.0
 
     def test_hub_penalized(self):
         # same cosine to the query, but the hub sits in a dense neighborhood
         x = np.array([1.0, 0.0])
         hub = np.array([np.sqrt(0.5), np.sqrt(0.5)])
         loner = np.array([np.sqrt(0.5), -np.sqrt(0.5)])
-        hub_score = csls_score(x, hub, 0.0, 0.9)
-        loner_score = csls_score(x, loner, 0.0, 0.1)
+        hub_score, loner_score = csls(x, np.stack([hub, loner]), [0.9, 0.1])
         assert hub_score < loner_score
 
     def test_zero_vector_rejected(self):
+        zero = VectorTable(["a", "b"], np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))
+        ones = VectorTable(["c", "d"], np.ones((2, 3)))
         with pytest.raises(AlignmentError):
-            csls_score(np.zeros(3), np.ones(3), 0.0, 0.0)
+            induce_dictionary(zero, ones, top_k_vocab=2, csls_k=1)
 
 
 class TestInduction:
@@ -180,6 +197,33 @@ class TestInduction:
         assert len(induced) > 10
         assert induced.scores is not None and len(induced.scores) == len(induced)
         assert all(a >= b for a, b in zip(induced.scores, induced.scores[1:]))
+
+    def test_matches_pairwise_reference(self):
+        # reference: the full CSLS matrix and a loop over sources; 1100 rows
+        # span two blocks of the batched search
+        src, tgt, q, _ = twin_tables(n=1100, d=8, seed=13, noise=0.6)
+        mapped = apply_map(OrthogonalMap(q), src)
+        induced = induce_dictionary(mapped, tgt, top_k_vocab=1100, csls_k=4)
+        xs, yt = (t.vectors / np.linalg.norm(t.vectors, axis=1)[:, None] for t in (mapped, tgt))
+        cos = xs @ yt.T
+        r_src = np.sort(cos, axis=1)[:, -4:].mean(axis=1)
+        r_tgt = np.sort(cos, axis=0)[-4:].mean(axis=0)
+        full = 2.0 * cos - r_src[:, None] - r_tgt[None, :]
+        expected = []
+        for i in range(len(xs)):
+            j = int(full[i].argmax())
+            if int(full[:, j].argmax()) == i:
+                expected.append((-full[i, j], i, j))
+        expected.sort()
+        assert 10 < len(expected) < 1100
+        assert induced.pairs == [(src.words[i], tgt.words[j]) for _, i, j in expected]
+        assert np.abs(np.array(induced.scores) + [e[0] for e in expected]).max() <= 1e-12
+
+    def test_empty_table_rejected(self):
+        src, _, _, _ = twin_tables(n=5, d=3)
+        empty = VectorTable([], np.empty((0, 3)))
+        with pytest.raises(AlignmentError):
+            induce_dictionary(src, empty)
 
 
 class TestRefine:

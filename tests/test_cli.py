@@ -184,6 +184,46 @@ class TestPipeline:
         assert len(errors) == 1 and "vectors.txt:" in errors[0]
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("iterations", [0, 1])
+    def test_huge_vectors_exit_two(self, tmp_path, capsys, iterations):
+        # finite values whose cross-covariance overflows to inf
+        out = tmp_path / "out"
+        out.mkdir()
+        cfg = write_cfg(tmp_path, out, SMALL_SYNTH.replace(
+            "align.iterations = 1", f"align.iterations = {iterations}"))
+        vectors = b"3 2\nw 1e200 1\nu 1 0\nv 0 1\n"
+        (out / "vectors.txt").write_bytes(vectors)
+        (out / "target_vectors.txt").write_bytes(vectors)
+        (out / "dictionary.txt").write_bytes(b"w w\nu u\nv v\n")
+        assert run("align", cfg) == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and "non-finite cross-covariance" in errors[0]
+        assert "Traceback" not in err
+
+    def test_config_not_utf8_exit_one(self, tmp_path, capsys):
+        cfg = tmp_path / "pipeline.cfg"
+        cfg.write_bytes(b"seed = 5\nout_dir = \xff\n")
+        assert run("synth", str(cfg)) == 1
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if line.startswith("config error:")]
+        assert len(errors) == 1
+        assert errors[0].startswith(f"config error: {cfg}:2: invalid UTF-8")
+        assert "Traceback" not in err
+
+    def test_posts_not_utf8_exit_two(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "posts.tsv").write_bytes(b"u1\ten\thello\nu2\ten\tbad \xff\n")
+        (out / "statuses.tsv").write_bytes(b"u1\tactive\nu2\tsuspended\n")
+        cfg = write_cfg(tmp_path, out, SMALL_SYNTH + (
+            "ingest.posts = {out}/posts.tsv\ningest.statuses = {out}/statuses.tsv\n"))
+        assert run("ingest", cfg) == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and "posts.tsv:2: invalid UTF-8" in errors[0]
+        assert "Traceback" not in err
+
     def test_tfidf_baseline_with_empty_document(self, tmp_path):
         out = tmp_path / "out"
         out.mkdir()

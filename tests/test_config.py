@@ -102,6 +102,14 @@ class TestValidation:
         with pytest.raises(ConfigError):
             validate_config(tmp_path / "missing.cfg")
 
+    def test_not_utf8_names_line(self, tmp_path):
+        path = tmp_path / "pipeline.cfg"
+        path.write_bytes(b"# comment\nseed = 4\nout_dir = caf\xe9\n")
+        with pytest.raises(ConfigError) as err:
+            validate_config(path)
+        assert len(err.value.errors) == 1
+        assert err.value.errors[0].startswith(f"{path}:3: invalid UTF-8")
+
     def test_overrides_applied(self, tmp_path):
         cfg = validate_config(write_config(tmp_path, "seed = 4\n"), {"seed": 9})
         assert cfg.seed == 9

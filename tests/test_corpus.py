@@ -51,6 +51,21 @@ class TestIngest:
         with pytest.raises(OSError):
             ingest_posts("/nonexistent/posts.tsv")
 
+    def test_file_counts_lines_as_read(self, tmp_path):
+        path = tmp_path / "posts.tsv"
+        path.write_bytes(b"u1\ten\thello\r\nbroken\n\nu2\ten\tbye\n")
+        result = ingest_posts(path)
+        assert [r.account_id for r in result.records] == ["u1", "u2"]
+        assert (result.malformed, result.total_lines) == (2, 4)
+        path.write_bytes(b"")
+        assert ingest_posts(path).total_lines == 0
+
+    def test_file_not_utf8(self, tmp_path):
+        path = tmp_path / "posts.tsv"
+        path.write_bytes(b"u1\ten\thello\nu2\ten\tbad \xff byte\n")
+        with pytest.raises(FormatError, match=r"posts\.tsv:2: invalid UTF-8"):
+            ingest_posts(path)
+
     def test_empty_text_is_malformed(self):
         result = ingest_posts(["u1\ten\t   ", "u2\ten\tok", "u3\ten\talso ok"])
         assert result.malformed == 1

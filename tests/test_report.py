@@ -69,6 +69,15 @@ class TestParsing:
         with pytest.raises(FormatError):
             parse_report("NOTAREPORT\n")
 
+    def test_file_errors_name_path(self, tmp_path):
+        path = tmp_path / "report.txt"
+        path.write_bytes(b"XLREPORT 1\n\n[run]\nseed=\xff\n")
+        with pytest.raises(FormatError, match=r"report\.txt:4: invalid UTF-8"):
+            read_report(path)
+        path.write_bytes(b"XLREPORT 1\n\nstray\n")
+        with pytest.raises(FormatError, match=r"report\.txt: cannot parse report line 3"):
+            read_report(path)
+
     def test_rejects_unterminated_csv(self):
         text = "XLREPORT 1\n\n```csv curve\na,b\n1,2\n"
         with pytest.raises(FormatError):
