@@ -58,7 +58,6 @@ from .embedding import (
     word_vector,
 )
 from .external import import_external_features
-from .linalg import svd_small
 from .metrics import ConfusionMatrix, MetricsReport, binary_metrics, confusion
 from .synth import SyntheticConfig, generate_synthetic_bilingual
 from .vocab import SubwordIndex, Vocabulary, build_vocab, hash_subword, input_ids, subwords

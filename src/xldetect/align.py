@@ -18,7 +18,6 @@ import numpy as np
 from . import formats
 from .embedding import VectorTable
 from .errors import AlignmentError
-from .linalg import svd_small
 
 logger = logging.getLogger(__name__)
 
@@ -93,8 +92,8 @@ def procrustes(x: np.ndarray, y: np.ndarray) -> OrthogonalMap:
         raise AlignmentError("degenerate alignment: non-finite cross-covariance")
     if not m.any():
         raise AlignmentError("degenerate alignment: zero cross-covariance")
-    u, _, v = svd_small(m)
-    return OrthogonalMap(u @ v.T)
+    u, _, vt = np.linalg.svd(m, full_matrices=False)
+    return OrthogonalMap(u @ vt)
 
 
 def apply_map(omap: OrthogonalMap, table: VectorTable) -> VectorTable:

@@ -12,7 +12,7 @@ from typing import Callable
 import numpy as np
 
 from . import formats
-from .errors import FormatError, TrainingError
+from .errors import DataError, FormatError, TrainingError
 
 
 @dataclass(frozen=True)
@@ -194,7 +194,7 @@ def train_logreg(
     if len(vectors) != len(labels):
         raise ValueError("one label per document required")
     if not ((labels == 1).any() and (labels == 0).any()):
-        raise ValueError("both classes must be present in the training data")
+        raise DataError("both classes must be present in the training data")
     n_docs = len(vectors)
     indptr, indices, data = _csr(vectors, n_features)
     w = np.zeros(n_features)

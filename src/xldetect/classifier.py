@@ -19,7 +19,7 @@ from .corpus import AccountDocument, LABEL_NAMES, tokenize
 from . import formats
 from .embedding import VectorTable
 from .errors import FormatError, TrainingError
-from .vocab import SubwordIndex, Vocabulary, build_vocab, fnv1a_32, init_input_rows, input_ids
+from .vocab import SubwordIndex, Vocabulary, build_vocab, hash_subword, init_input_rows, input_ids
 
 logger = logging.getLogger(__name__)
 
@@ -98,8 +98,7 @@ class TextClassifier:
             buckets = self.subwords.buckets
             for n in range(2, self.word_ngrams + 1):
                 for i in range(len(tokens) - n + 1):
-                    gram = " ".join(tokens[i : i + n])
-                    ids.append(offset + fnv1a_32(gram.encode("utf-8")) % buckets)
+                    ids.append(offset + hash_subword(" ".join(tokens[i : i + n]), buckets))
         if not ids:
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float32)
         uniq, counts = np.unique(np.asarray(ids, dtype=np.int64), return_counts=True)

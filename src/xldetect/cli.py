@@ -1,6 +1,7 @@
 """Command-line pipeline: each stage consumes prior artifacts by path and
-appends a manifest line, so any stage can be re-run from its recorded
-config and seed. Re-runs with the same config and seed are byte-identical."""
+returns its (inputs, outputs); ``main`` times it and appends a manifest
+line, so any stage can be re-run from its recorded config and seed.
+Re-runs with the same config and seed are byte-identical."""
 
 from __future__ import annotations
 
@@ -128,8 +129,7 @@ def _split_docs(cfg: PipelineConfig, docs):
     return cp.split(docs, spec)
 
 
-def cmd_ingest(cfg: PipelineConfig, config_path) -> list[Path]:
-    started = time.monotonic()
+def cmd_ingest(cfg: PipelineConfig) -> tuple[list[Path], list[Path]]:
     posts_path = _require_file(_require_key(cfg, "ingest.posts"), "the data producer")
     status_path = _require_file(_require_key(cfg, "ingest.statuses"), "the data producer")
     result = cp.ingest_posts(posts_path)
@@ -144,12 +144,10 @@ def cmd_ingest(cfg: PipelineConfig, config_path) -> list[Path]:
         "ingest: %d records (%d malformed lines) -> %d documents",
         len(result.records), result.malformed, len(documents),
     )
-    _append_manifest(cfg, "ingest", config_path, [posts_path, status_path], [out], started)
-    return [out]
+    return [posts_path, status_path], [out]
 
 
-def cmd_train_embeddings(cfg: PipelineConfig, config_path) -> list[Path]:
-    started = time.monotonic()
+def cmd_train_embeddings(cfg: PipelineConfig) -> tuple[list[Path], list[Path]]:
     corpus_path = _require_file(_require_key(cfg, "embedding.corpus"), "ingest or synth")
     documents = cp.read_documents(corpus_path)
     sentences = [cp.tokenize(d.text) for d in documents]
@@ -159,14 +157,10 @@ def cmd_train_embeddings(cfg: PipelineConfig, config_path) -> list[Path]:
     emb.save_vectors(model.to_table(), out_vectors)
     emb.save_checkpoint(model, out_checkpoint)
     logger.info("trained %d-dim vectors for %d words", model.dim, len(model.vocab))
-    _append_manifest(
-        cfg, "train-embeddings", config_path, [corpus_path], [out_vectors, out_checkpoint], started
-    )
-    return [out_vectors, out_checkpoint]
+    return [corpus_path], [out_vectors, out_checkpoint]
 
 
-def cmd_align(cfg: PipelineConfig, config_path) -> list[Path]:
-    started = time.monotonic()
+def cmd_align(cfg: PipelineConfig) -> tuple[list[Path], list[Path]]:
     src_path = _require_file(_require_key(cfg, "align.source_vectors"), "train-embeddings")
     tgt_path = _require_file(_require_key(cfg, "align.target_vectors"), "train-embeddings")
     dict_path = _require_file(_require_key(cfg, "align.train_dict"), "the dictionary producer")
@@ -189,13 +183,10 @@ def cmd_align(cfg: PipelineConfig, config_path) -> list[Path]:
     out_merged = _out_path(cfg, "align.out_merged")
     al.save_map(omap, out_map)
     emb.save_vectors(al.merge_tables(target, al.apply_map(omap, source)), out_merged)
-    inputs = [src_path, tgt_path, dict_path]
-    _append_manifest(cfg, "align", config_path, inputs, [out_map, out_merged], started)
-    return [out_map, out_merged]
+    return [src_path, tgt_path, dict_path], [out_map, out_merged]
 
 
-def cmd_train_classifier(cfg: PipelineConfig, config_path) -> list[Path]:
-    started = time.monotonic()
+def cmd_train_classifier(cfg: PipelineConfig) -> tuple[list[Path], list[Path]]:
     docs_path = _require_file(_require_key(cfg, "classifier.docs"), "ingest or synth")
     documents = cp.read_documents(docs_path)
     train_docs, _ = _split_docs(cfg, documents)
@@ -212,12 +203,10 @@ def cmd_train_classifier(cfg: PipelineConfig, config_path) -> list[Path]:
         "trained classifier on %d documents; final mean loss %.4f",
         len(train_docs), model.loss_history[-1],
     )
-    _append_manifest(cfg, "train-classifier", config_path, inputs, [out_model], started)
-    return [out_model]
+    return inputs, [out_model]
 
 
-def cmd_evaluate(cfg: PipelineConfig, config_path) -> list[Path]:
-    started = time.monotonic()
+def cmd_evaluate(cfg: PipelineConfig) -> tuple[list[Path], list[Path]]:
     model_path = _require_file(_require_key(cfg, "evaluate.model"), "train-classifier")
     docs_path = _require_file(_require_key(cfg, "evaluate.docs"), "ingest or synth")
     model = clf.load_classifier(model_path)
@@ -233,8 +222,7 @@ def cmd_evaluate(cfg: PipelineConfig, config_path) -> list[Path]:
         "evaluate: f1=%.4f precision=%.4f recall=%.4f on %d documents",
         metrics.f1, metrics.precision, metrics.recall, len(test_docs),
     )
-    _append_manifest(cfg, "evaluate", config_path, [model_path, docs_path], [out], started)
-    return [out]
+    return [model_path, docs_path], [out]
 
 
 def _baseline_weights(kind, vocab, counts, token_docs):
@@ -244,8 +232,7 @@ def _baseline_weights(kind, vocab, counts, token_docs):
     return bl.tfidf_transform(counts, [max(1, len(toks)) for toks in token_docs], vocab)
 
 
-def cmd_baseline(cfg: PipelineConfig, config_path) -> list[Path]:
-    started = time.monotonic()
+def cmd_baseline(cfg: PipelineConfig) -> tuple[list[Path], list[Path]]:
     docs_path = _require_file(_require_key(cfg, "baseline.docs"), "ingest or synth")
     documents = cp.read_documents(docs_path)
     train_docs, test_docs = _split_docs(cfg, documents)
@@ -284,12 +271,10 @@ def cmd_baseline(cfg: PipelineConfig, config_path) -> list[Path]:
     rp.write_report(report, out_report)
     bl.save_feature_vocab(vocab, out_features)
     logger.info("baseline %s: f1=%.4f on %d test documents", kind, metrics_report.f1, len(test_docs))
-    _append_manifest(cfg, "baseline", config_path, [docs_path], [out_report, out_features], started)
-    return [out_report, out_features]
+    return [docs_path], [out_report, out_features]
 
 
-def cmd_sweep(cfg: PipelineConfig, config_path) -> list[Path]:
-    started = time.monotonic()
+def cmd_sweep(cfg: PipelineConfig) -> tuple[list[Path], list[Path]]:
     docs_path = _require_file(_require_key(cfg, "sweep.docs"), "ingest or synth")
     documents = cp.read_documents(docs_path)
     train_docs, test_docs = _split_docs(cfg, documents)
@@ -336,12 +321,10 @@ def cmd_sweep(cfg: PipelineConfig, config_path) -> list[Path]:
         fh.write(",".join(columns) + "\n")
         for row in rows:
             fh.write(",".join(row) + "\n")
-    _append_manifest(cfg, "sweep", config_path, inputs, [out_report, out_csv], started)
-    return [out_report, out_csv]
+    return inputs, [out_report, out_csv]
 
 
-def cmd_export_vectors(cfg: PipelineConfig, config_path) -> list[Path]:
-    started = time.monotonic()
+def cmd_export_vectors(cfg: PipelineConfig) -> tuple[list[Path], list[Path]]:
     model_path = _require_file(_require_key(cfg, "export.model"), "train-classifier")
     docs_path = _require_file(_require_key(cfg, "export.docs"), "ingest or synth")
     model = clf.load_classifier(model_path)
@@ -352,12 +335,10 @@ def cmd_export_vectors(cfg: PipelineConfig, config_path) -> list[Path]:
     )
     out = _out_path(cfg, "export.out")
     ext.save_external_features(ids, matrix, out)
-    _append_manifest(cfg, "export-vectors", config_path, [model_path, docs_path], [out], started)
-    return [out]
+    return [model_path, docs_path], [out]
 
 
-def cmd_synth(cfg: PipelineConfig, config_path) -> list[Path]:
-    started = time.monotonic()
+def cmd_synth(cfg: PipelineConfig) -> tuple[list[Path], list[Path]]:
     sconfig = sy.SyntheticConfig(
         vocab_size=cfg["synth.vocab_size"],
         n_source_docs=cfg["synth.source_docs"],
@@ -386,8 +367,7 @@ def cmd_synth(cfg: PipelineConfig, config_path) -> list[Path]:
         "synth: %d source / %d target documents, vocabulary %d",
         len(data.source_docs), len(data.target_docs), sconfig.vocab_size,
     )
-    _append_manifest(cfg, "synth", config_path, [], [out_source, out_target, out_dict], started)
-    return [out_source, out_target, out_dict]
+    return [], [out_source, out_target, out_dict]
 
 
 _COMMANDS = {
@@ -433,8 +413,10 @@ def main(argv=None) -> int:
         for err in exc.errors:
             print(f"config error: {err}", file=sys.stderr)
         return 1
+    started = time.monotonic()
     try:
-        outputs = _COMMANDS[args.command](cfg, args.config)
+        inputs, outputs = _COMMANDS[args.command](cfg)
+        _append_manifest(cfg, args.command, args.config, inputs, outputs, started)
     except ConfigError as exc:
         for err in exc.errors:
             print(f"config error: {err}", file=sys.stderr)

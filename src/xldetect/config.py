@@ -34,8 +34,8 @@ def _open01(key):
     return (lambda v: 0.0 < v < 1.0, f"{key} must be in (0,1)")
 
 
-def _unit(key):
-    return (lambda v: 0.0 <= v < 1.0, f"{key} must be in [0,1)")
+def _unit(key, hi=1.0):
+    return (lambda v: 0.0 <= v < hi, f"{key} must be in [0,{hi:g})")
 
 
 def _choice(key, options):
@@ -130,7 +130,7 @@ SCHEMA: dict[str, tuple] = {
     "synth.signal_lift": ("float", 40.0, _at_least("synth.signal_lift", 1.0)),
     "synth.signal_run_mean": ("float", 3.0, _at_least("synth.signal_run_mean", 1.0)),
     "synth.positive_rate": ("float", 0.3, _open01("synth.positive_rate")),
-    "synth.label_noise": ("float", 0.0, _unit("synth.label_noise")),
+    "synth.label_noise": ("float", 0.0, _unit("synth.label_noise", 0.5)),
     "synth.zipf_exponent": ("float", 0.5, _nonneg("synth.zipf_exponent")),
     "synth.friends": ("int", 4, _at_least("synth.friends", 1)),
     "synth.friend_prob": ("float", 0.85, _unit("synth.friend_prob")),

@@ -16,7 +16,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from . import formats
-from .errors import FormatError, LabelingError
+from .errors import DataError, FormatError, LabelingError
 
 logger = logging.getLogger(__name__)
 
@@ -154,7 +154,7 @@ def split(
     """Deterministic seeded partition with |train| = round(fraction * n)."""
     n = len(documents)
     if n < 2:
-        raise ValueError(f"need at least 2 documents to split, got {n}")
+        raise DataError(f"need at least 2 documents to split, got {n}")
     if not 0.0 < spec.train_fraction < 1.0:
         raise ValueError(f"train_fraction must be in (0,1), got {spec.train_fraction}")
     perm = np.random.default_rng(spec.seed).permutation(n)
@@ -202,7 +202,9 @@ def write_documents(documents: Iterable[AccountDocument], path: str | Path) -> N
 
 
 def read_documents(path: str | Path) -> list[AccountDocument]:
+    """One document per account; a repeated account id is a FormatError."""
     documents = []
+    seen: set[str] = set()
     art = formats.TextArtifact(path)
     for lineno, line in enumerate(art.lines, start=1):
         if not line:
@@ -210,6 +212,9 @@ def read_documents(path: str | Path) -> list[AccountDocument]:
         fields = line.split("\t")
         if len(fields) != 3 or fields[1] not in ("0", "1"):
             raise art.error(lineno, "expected 'account_id<TAB>label<TAB>text'")
+        if fields[0] in seen:
+            raise art.error(lineno, f"duplicate account id {fields[0]!r}")
+        seen.add(fields[0])
         documents.append(
             AccountDocument(account_id=fields[0], text=fields[2], label=int(fields[1]))
         )

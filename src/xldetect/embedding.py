@@ -256,23 +256,6 @@ def word_vector(word: str, model: EmbeddingMatrix) -> np.ndarray:
     return model.input_rows[np.asarray(ids, dtype=np.int64)].mean(axis=0)
 
 
-def sampled_objective(model: EmbeddingMatrix, sample: list[tuple[int, int, np.ndarray]]) -> float:
-    """Mean negative-sampling log objective over fixed (center, context,
-    negatives) triples; used to verify training increases the objective."""
-    total = 0.0
-    word_rows = _row_index(model.vocab, model.subwords)
-    for center, ctx, negs in sample:
-        h = model.input_rows[word_rows[center]].mean(axis=0).astype(np.float64)
-        pos = float(model.context_rows[ctx].astype(np.float64) @ h)
-        neg = model.context_rows[negs].astype(np.float64) @ h
-        total += np.log(_sigmoid(pos)) + np.log(_sigmoid(-neg)).sum()
-    return total / len(sample)
-
-
-def _sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-np.clip(x, -_SCORE_CLIP, _SCORE_CLIP)))
-
-
 # ---------------------------------------------------------------------------
 # persistence
 

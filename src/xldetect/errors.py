@@ -21,6 +21,11 @@ class AlignmentError(XLDetectError):
     """Embedding alignment failed (degenerate input, empty induction, ...)."""
 
 
+class DataError(XLDetectError, ValueError):
+    """Input data cannot support the requested stage (e.g. an empty
+    vocabulary, too few documents to split, a single class)."""
+
+
 class DependencyError(XLDetectError):
     """A pipeline stage was invoked before its input artifacts exist."""
 

@@ -24,6 +24,7 @@ import numpy as np
 
 from .corpus import AccountDocument
 from .embedding import AliasSampler
+from .errors import DataError
 
 
 @dataclass
@@ -119,7 +120,7 @@ def generate_synthetic_bilingual(config: SyntheticConfig, seed: int) -> Syntheti
         / (config.signal_run_mean - signal_mass)
     )
     if extra >= 1.0:
-        raise ValueError(
+        raise DataError(
             f"signal_lift {config.signal_lift} unreachable: the signal set already "
             f"carries {signal_mass:.3f} of the unigram mass"
         )

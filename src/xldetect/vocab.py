@@ -12,6 +12,8 @@ from typing import Iterable
 
 import numpy as np
 
+from .errors import DataError
+
 FNV_OFFSET_BASIS = 2166136261
 FNV_PRIME = 16777619
 _U32 = 0xFFFFFFFF
@@ -77,13 +79,13 @@ def build_vocab(corpus: Iterable[list[str]], min_count: int = 5) -> Vocabulary:
             counts[tok] = counts.get(tok, 0) + 1
             total += 1
     if total == 0:
-        raise ValueError("empty corpus: no tokens to build a vocabulary from")
+        raise DataError("empty corpus: no tokens to build a vocabulary from")
     kept = sorted(
         ((w, c) for w, c in counts.items() if c >= min_count),
         key=lambda wc: (-wc[1], wc[0]),
     )
     if not kept:
-        raise ValueError(
+        raise DataError(
             f"empty vocabulary: no word reaches min_count={min_count} "
             f"(corpus has {len(counts)} distinct words)"
         )

@@ -63,12 +63,20 @@ class TestProcrustes:
 
     def test_orthogonality_invariant(self):
         rng = np.random.default_rng(3)
-        for _ in range(10):
-            x = rng.standard_normal((50, 8))
-            y = rng.standard_normal((50, 8))
-            w = procrustes(x, y).w
-            assert np.abs(w.T @ w - np.eye(8)).max() <= 1e-6
+        pairs = [(rng.standard_normal((50, 8)), rng.standard_normal((50, 8))) for _ in range(10)]
+        # procrustes(I, m.T) fits to the cross-covariance m itself
+        rank_deficient = np.diag([5.0, 1e-18, 0.0, 0.0, 0.0, 0.0])
+        pairs += [(np.eye(6), rank_deficient), (np.eye(1), np.array([[-2.0]]))]
+        x, y = rng.standard_normal((40, 6)), rng.standard_normal((40, 6))
+        scaled = [procrustes(x * scale, y * scale).w for scale in (1e-12, 1.0, 1e12)]
+        for w in [procrustes(x, y).w for x, y in pairs] + scaled:
+            d = w.shape[0]
+            assert np.abs(w.T @ w - np.eye(d)).max() <= 1e-6
             assert abs(abs(np.linalg.det(w)) - 1.0) <= 1e-6
+        assert procrustes(np.eye(1), np.array([[-2.0]])).w[0, 0] == -1.0
+        # the fit is scale-free: tiny and huge inputs give the unit-scale map
+        assert np.abs(scaled[0] - scaled[1]).max() <= 1e-10
+        assert np.abs(scaled[2] - scaled[1]).max() <= 1e-10
 
     def test_local_optimality(self):
         # random small orthogonal perturbations never improve the objective

@@ -224,6 +224,38 @@ class TestPipeline:
         assert len(errors) == 1 and "posts.tsv:2: invalid UTF-8" in errors[0]
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command, edits, docs, message", [
+        ("train-embeddings", [("embedding.min_count = 3", "embedding.min_count = 1000")],
+         None, "empty vocabulary"),
+        ("train-classifier",
+         [("classifier.dim = 24", "classifier.dim = 24\nclassifier.min_count = 1000")],
+         None, "empty vocabulary"),
+        ("train-classifier", [], "u0\t1\talpha beta\n", "need at least 2 documents"),
+        ("sweep", [], "u0\t1\talpha beta\n", "need at least 2 documents"),
+        ("baseline", [], "".join(f"u{i}\t0\talpha beta\n" for i in range(10)),
+         "both classes must be present"),
+        ("synth", [("synth.signal_words = 20", "synth.signal_words = 100"),
+                   ("synth.signal_lift = 12.0", "synth.signal_lift = 1000")],
+         None, "unreachable"),
+    ], ids=["vocab-embeddings", "vocab-classifier", "split-classifier", "split-sweep",
+            "one-class-baseline", "synth-lift"])
+    def test_data_error_exit_two(self, tmp_path, capsys, command, edits, docs, message):
+        out = tmp_path / "out"
+        out.mkdir()
+        text = SMALL_SYNTH
+        for old, new in edits:
+            text = text.replace(old, new)
+        cfg = write_cfg(tmp_path, out, text)
+        docs = docs or "".join(f"u{i}\t{i % 2}\talpha beta gamma\n" for i in range(10))
+        for name in ("source_documents.tsv", "target_documents.tsv"):
+            (out / name).write_text(docs, encoding="utf-8")
+        assert run(command, cfg) == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and message in errors[0]
+        assert "Traceback" not in err
+        assert not (out / "manifest.tsv").exists()
+
     def test_tfidf_baseline_with_empty_document(self, tmp_path):
         out = tmp_path / "out"
         out.mkdir()

@@ -49,6 +49,13 @@ class TestValidation:
             validate_config(write_config(tmp_path, "embedding.dim = -1\n"))
         assert any("embedding.dim" in e for e in err.value.errors)
 
+    def test_label_noise_range_matches_synth(self, tmp_path):
+        # SyntheticConfig accepts [0, 0.5); above that the labels invert
+        validate_config(write_config(tmp_path, "synth.label_noise = 0.49\n"))
+        with pytest.raises(ConfigError) as err:
+            validate_config(write_config(tmp_path, "synth.label_noise = 0.6\n"))
+        assert any("synth.label_noise" in e for e in err.value.errors)
+
     def test_unknown_key_listed(self, tmp_path):
         # workers was a key once; training now has a single path
         for key, line in (("embedding.dmi", "embedding.dmi = 100\n"), ("workers", "workers = 2\n")):

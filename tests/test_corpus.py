@@ -210,6 +210,13 @@ class TestFiles:
         with pytest.raises(FormatError, match=r"docs\.tsv:2: invalid UTF-8"):
             read_documents(path)
 
+    def test_documents_repeated_account(self, tmp_path):
+        # one document per account, as aggregate_by_account writes them
+        path = tmp_path / "docs.tsv"
+        path.write_bytes(b"a1\t0\thello\nb\t1\tthere\na1\t1\tagain\n")
+        with pytest.raises(FormatError, match=r"docs\.tsv:3: duplicate account id 'a1'"):
+            read_documents(path)
+
     def test_status_file(self, tmp_path):
         path = tmp_path / "statuses.tsv"
         path.write_text("u1\tsuspended\nu2\tactive\n", encoding="utf-8")
