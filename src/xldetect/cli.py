@@ -23,7 +23,7 @@ from . import external as ext
 from . import report as rp
 from . import synth as sy
 from .config import PipelineConfig, validate_config
-from .errors import ConfigError, DependencyError, XLDetectError
+from .errors import ConfigError, DataError, DependencyError, XLDetectError
 from .vocab import SubwordIndex
 
 logger = logging.getLogger(__name__)
@@ -329,6 +329,8 @@ def cmd_export_vectors(cfg: PipelineConfig) -> tuple[list[Path], list[Path]]:
     docs_path = _require_file(_require_key(cfg, "export.docs"), "ingest or synth")
     model = clf.load_classifier(model_path)
     documents = cp.read_documents(docs_path)
+    if not documents:
+        raise DataError(f"{docs_path}: no documents to export")
     ids = [d.account_id for d in documents]
     matrix = np.stack(
         [clf.doc_embedding(cp.tokenize(d.text), model).astype(np.float64) for d in documents]

@@ -1,9 +1,12 @@
 """Skipgram word embeddings with negative sampling.
 
 Each word's vector is the mean of its own input row and the hashed rows
-of its character n-grams; training performs one SGD step per retained
-(center, context) pair against noise words drawn from the unigram^0.75
-distribution. Training is bit-reproducible for a fixed seed.
+of its character n-grams. Training takes one SGD step per sentence: after
+subsampling and the window-radius draw, every (center, context) pair of
+the sentence is scored against noise words drawn from the unigram^0.75
+distribution, all reads see the pre-step parameters, and the step is
+-lr times the gradient of the sentence's summed pair loss. Training is
+bit-reproducible for a fixed seed.
 """
 
 from __future__ import annotations
@@ -153,10 +156,29 @@ def negative_table(vocab: Vocabulary, power: float = 0.75) -> AliasSampler:
     return AliasSampler(vocab.counts.astype(np.float64) ** power)
 
 
-def _row_index(vocab: Vocabulary, subwords: SubwordIndex | None) -> list[np.ndarray]:
-    return [
-        np.asarray(input_ids(w, vocab, subwords), dtype=np.int64) for w in vocab.words
-    ]
+def _word_rows(
+    vocab: Vocabulary, subwords: SubwordIndex | None
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """CSR (indptr, flat row ids) of each word's input rows; None when every
+    word is its own single row."""
+    if subwords is None:
+        return None
+    rows = [np.asarray(input_ids(w, vocab, subwords), dtype=np.int64) for w in vocab.words]
+    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum([len(r) for r in rows], out=indptr[1:])
+    return indptr, np.concatenate(rows)
+
+
+def _keep_probs(vocab: Vocabulary, t: float) -> np.ndarray:
+    """Subsampling keep probability per word: 1 at or below frequency t,
+    sqrt(t / frequency) above it."""
+    freqs = vocab.counts / vocab.total_tokens
+    return np.where(freqs <= t, 1.0, np.sqrt(t / freqs))
+
+
+def _learning_rate(initial_lr: float, progress: int, total: int) -> float:
+    """Linear decay from initial_lr to 0 over the scheduled tokens."""
+    return initial_lr * max(0.0, 1.0 - progress / total)
 
 
 def train_skipgram(corpus: Iterable[list[str]], config: SkipgramConfig) -> EmbeddingMatrix:
@@ -173,7 +195,7 @@ def train_skipgram(corpus: Iterable[list[str]], config: SkipgramConfig) -> Embed
     if config.epochs == 0:
         return model
 
-    word_rows = _row_index(vocab, config.subwords)
+    word_rows = _word_rows(vocab, config.subwords)
     sentences = []
     for tokens in sentences_tok:
         ids = [vocab.word_to_id[t] for t in tokens if t in vocab.word_to_id]
@@ -182,13 +204,13 @@ def train_skipgram(corpus: Iterable[list[str]], config: SkipgramConfig) -> Embed
     if not sentences:
         raise TrainingError("no in-vocabulary tokens to train on")
 
-    freqs = vocab.counts / vocab.total_tokens
-    keep_prob = np.where(
-        freqs <= config.subsample_t, 1.0, np.sqrt(config.subsample_t / freqs)
-    )
+    keep_prob = _keep_probs(vocab, config.subsample_t)
     sampler = negative_table(vocab)
     in_vocab_tokens = sum(len(s) for s in sentences)
     total_scheduled = config.epochs * in_vocab_tokens
+    offsets = np.concatenate(
+        (np.arange(-config.window, 0), np.arange(1, config.window + 1))
+    )
     logger.info(
         "skipgram: %d words, %d in-vocabulary tokens, %d epochs",
         len(vocab), in_vocab_tokens, config.epochs,
@@ -197,42 +219,92 @@ def train_skipgram(corpus: Iterable[list[str]], config: SkipgramConfig) -> Embed
     rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(1)[0])
     progress = 0
     for epoch in range(config.epochs):
+        loss = 0.0
+        pairs = kept_tokens = 0
         for sent in sentences:
             progress += len(sent)
-            lr = config.initial_lr * max(0.0, 1.0 - progress / total_scheduled)
+            lr = _learning_rate(config.initial_lr, progress, total_scheduled)
             kept = sent[rng.random(len(sent)) < keep_prob[sent]]
             n = len(kept)
+            kept_tokens += n
             if n < 2:
                 continue
             radii = rng.integers(1, config.window + 1, size=n)
-            for i in range(n):
-                b = radii[i]
-                ctx = np.concatenate((kept[max(0, i - b) : i], kept[i + 1 : i + b + 1]))
-                negs = sampler.sample(rng, (len(ctx), config.negatives))
-                _center_step(input_rows, context_rows, word_rows[kept[i]], ctx, negs, lr)
+            # every (center, context) pair of the sentence, center-major
+            ctx_pos = np.arange(n)[:, None] + offsets
+            live = (np.abs(offsets) <= radii[:, None]) & (ctx_pos >= 0) & (ctx_pos < n)
+            centers = np.broadcast_to(kept[:, None], live.shape)[live]
+            contexts = kept[ctx_pos[live]]
+            negatives = sampler.sample(rng, (len(centers), config.negatives))
+            loss += _sentence_step(
+                input_rows, context_rows, word_rows, centers, contexts, negatives, lr
+            )
+            pairs += len(centers)
         _epoch_guard(input_rows, epoch)
+        logger.info(
+            "skipgram epoch %d/%d: mean loss %.6f over %d pairs, kept %.4f of tokens",
+            epoch + 1, config.epochs, loss / max(pairs, 1), pairs,
+            kept_tokens / in_vocab_tokens,
+        )
 
     _check_finite(input_rows, "input rows")
     _check_finite(context_rows, "context rows")
     return model
 
 
-def _center_step(input_rows, context_rows, rows, ctx_ids, neg_ids, lr):
-    emb = input_rows[rows]
-    h = emb.mean(axis=0)
-    k = len(ctx_ids)
-    targets = np.concatenate((ctx_ids, neg_ids.ravel()))
+def _segment_sum(segments: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """Sum the rows of values that share a segment id in [0, n)."""
+    d = values.shape[1]
+    flat = (segments[:, None] * d + np.arange(d)).ravel()
+    return np.bincount(flat, weights=values.ravel(), minlength=n * d).reshape(n, d)
+
+
+def _sentence_step(input_rows, context_rows, word_rows, centers, contexts, negatives, lr):
+    """One SGD step on the summed negative-sampling loss of a sentence's
+    (center, context) pairs, each with its row of noise words.
+
+    Every read sees the pre-step parameters, so the update is exactly -lr
+    times the gradient of that sum. word_rows is the CSR of each word's
+    input rows, or None when a word is its own row. Returns the summed
+    loss at the pre-step parameters.
+    """
+    words, center_of = np.unique(centers, return_inverse=True)
+    if word_rows is None:
+        h_words = input_rows[words]
+    else:
+        indptr, flat = word_rows
+        counts = indptr[words + 1] - indptr[words]
+        row_word = np.repeat(np.arange(len(words)), counts)
+        starts = np.repeat(indptr[words] - (np.cumsum(counts) - counts), counts)
+        rows = flat[np.arange(len(row_word)) + starts]
+        h_words = _segment_sum(row_word, input_rows[rows], len(words)) / counts[:, None]
+        h_words = h_words.astype(input_rows.dtype, copy=False)
+    h = h_words[center_of]
+    targets = np.concatenate((contexts[:, None], negatives), axis=1)
     u = context_rows[targets]
-    scores = u @ h
+    scores = np.einsum("pkd,pd->pk", u, h)
     np.clip(scores, -_SCORE_CLIP, _SCORE_CLIP, out=scores)
+    # -log s(x) for the context, -log s(-x) for each noise word
+    losses = np.logaddexp(0.0, scores)
+    losses[:, 0] -= scores[:, 0]
     g = 1.0 / (1.0 + np.exp(-scores))
-    g[:k] -= 1.0
+    g[:, 0] -= 1.0
     # a noise draw that hits its own positive context contributes nothing
-    g[k:][(neg_ids == ctx_ids[:, None]).ravel()] = 0.0
-    g *= np.float32(lr)
-    grad_h = u.T @ g
-    np.add.at(context_rows, targets, -np.outer(g, h))
-    np.add.at(input_rows, rows, -(grad_h / np.float32(len(rows))))
+    own = negatives == contexts[:, None]
+    g[:, 1:][own] = 0.0
+    losses[:, 1:][own] = 0.0
+    g *= lr
+    grad_h = _segment_sum(center_of, np.einsum("pk,pkd->pd", g, u), len(words))
+    ids, target_of = np.unique(targets, return_inverse=True)
+    context_rows[ids] -= _segment_sum(
+        target_of.ravel(), (g[:, :, None] * h[:, None, :]).reshape(-1, h.shape[1]), len(ids)
+    )
+    if word_rows is None:
+        input_rows[words] -= grad_h
+    else:
+        ids, row_of = np.unique(rows, return_inverse=True)
+        input_rows[ids] -= _segment_sum(row_of, (grad_h / counts[:, None])[row_word], len(ids))
+    return float(losses.sum(dtype=np.float64))
 
 
 def _epoch_guard(matrix: np.ndarray, epoch: int) -> None:

@@ -32,8 +32,8 @@ from xldetect.corpus import SplitSpec, split, subsample_train, tokenize
 from xldetect.curves import fraction_means, learning_curve
 from xldetect.embedding import (
     SkipgramConfig,
-    _center_step,
     VectorTable,
+    _sentence_step,
     load_checkpoint,
     load_vectors,
     save_checkpoint,
@@ -152,25 +152,39 @@ def _classifier_grad_error(rng) -> float:
 
 def _skipgram_grad_error(rng) -> float:
     dim = int(rng.integers(3, 7))
-    input_rows = rng.standard_normal((5, dim)) * 0.5
+    input_rows = rng.standard_normal((7, dim)) * 0.5
     context_rows = rng.standard_normal((4, dim)) * 0.5
-    rows = rng.integers(0, len(input_rows), size=3)
-    rows[-1] = rows[0]  # a repeated input row
-    ctx = rng.integers(0, len(context_rows), size=3)
-    negs = rng.integers(0, len(context_rows), size=(3, 4))
-    negs[0, 0] = ctx[0]  # a noise draw equal to its own context
+    # word w owns row w and rows 4-6 are subword buckets: row 4 repeats
+    # within word 0 and is shared with word 1
+    rows = [
+        [0, 4, 4],
+        [1, 4, *rng.integers(5, 7, size=int(rng.integers(0, 3)))],
+        [2, int(rng.integers(4, 7))],
+        [3],
+    ]
+    if rng.random() < 0.5:
+        rows = [[w] for w in range(4)]
+        word_rows = None
+    else:
+        indptr = np.cumsum([0] + [len(r) for r in rows])
+        word_rows = (indptr, np.concatenate(rows))
+    centers = np.array([0, 0, 1, int(rng.integers(0, 4))])  # word 0 centers two pairs
+    contexts = rng.integers(0, 4, size=4)
+    contexts[2] = contexts[0]  # a context shared by two centers
+    negatives = rng.integers(0, 4, size=(4, 3))
+    negatives[0, 0] = contexts[0]  # a noise draw equal to its own context
 
     def loss():
-        h = input_rows[rows].mean(axis=0)
         total = 0.0
-        for c, noise in zip(ctx, negs):
-            total += np.logaddexp(0.0, -(context_rows[c] @ h))
-            total += sum(np.logaddexp(0.0, context_rows[n] @ h) for n in noise if n != c)
+        for c, t, noise in zip(centers, contexts, negatives):
+            h = input_rows[rows[c]].mean(axis=0)
+            total += np.logaddexp(0.0, -(context_rows[t] @ h))
+            total += sum(np.logaddexp(0.0, context_rows[n] @ h) for n in noise if n != t)
         return float(total)
 
     return _step_grad_error(
         loss, [input_rows, context_rows],
-        lambda i, c, lr: _center_step(i, c, rows, ctx, negs, lr),
+        lambda i, c, lr: _sentence_step(i, c, word_rows, centers, contexts, negatives, lr),
     )
 
 

@@ -237,8 +237,11 @@ class TestPipeline:
         ("synth", [("synth.signal_words = 20", "synth.signal_words = 100"),
                    ("synth.signal_lift = 12.0", "synth.signal_lift = 1000")],
          None, "unreachable"),
+        ("export-vectors",
+         [("export.docs = {out}/target_documents.tsv", "export.docs = {out}/empty.tsv")],
+         None, "no documents to export"),
     ], ids=["vocab-embeddings", "vocab-classifier", "split-classifier", "split-sweep",
-            "one-class-baseline", "synth-lift"])
+            "one-class-baseline", "synth-lift", "empty-export"])
     def test_data_error_exit_two(self, tmp_path, capsys, command, edits, docs, message):
         out = tmp_path / "out"
         out.mkdir()
@@ -249,6 +252,11 @@ class TestPipeline:
         docs = docs or "".join(f"u{i}\t{i % 2}\talpha beta gamma\n" for i in range(10))
         for name in ("source_documents.tsv", "target_documents.tsv"):
             (out / name).write_text(docs, encoding="utf-8")
+        if command == "export-vectors":
+            # a trained model, then a documents file that holds none
+            assert run("train-classifier", cfg) == 0
+            (out / "manifest.tsv").unlink()
+            (out / "empty.tsv").write_text("", encoding="utf-8")
         assert run(command, cfg) == 2
         err = capsys.readouterr().err
         errors = [line for line in err.splitlines() if line.startswith("error:")]

@@ -1,3 +1,6 @@
+import logging
+import re
+
 import numpy as np
 import pytest
 
@@ -8,7 +11,10 @@ from xldetect.embedding import (
     VectorTable,
     load_checkpoint,
     load_vectors,
-    _center_step,
+    _keep_probs,
+    _learning_rate,
+    _sentence_step,
+    _word_rows,
     negative_table,
     save_checkpoint,
     save_vectors,
@@ -146,15 +152,37 @@ class TestTrainSkipgram:
         cfg = SkipgramConfig(dim=4, epochs=1, min_count=1, subwords=None)
         total = 100
         for t in range(total + 1):
-            assert cfg.initial_lr * max(0.0, 1.0 - t / total) >= 0.0
+            assert _learning_rate(cfg.initial_lr, t, total) >= 0.0
 
     def test_subsample_keep_rule(self):
-        # words at or below the threshold frequency are never discarded
-        t = 1e-4
-        freqs = np.array([t / 2, t, t * 4])
-        keep = np.where(freqs <= t, 1.0, np.sqrt(t / freqs))
-        assert keep[0] == 1.0 and keep[1] == 1.0
-        assert keep[2] == pytest.approx(0.5)
+        # words at or below the threshold frequency are never discarded;
+        # counts 1, 2, 8 of 11 are frequencies t/2, t and 4t for t = 2/11
+        vocab = build_vocab([["a"] + ["b"] * 2 + ["c"] * 8], min_count=1)
+        t = 2 / 11
+        keep = dict(zip(vocab.words, _keep_probs(vocab, t)))
+        assert keep["a"] == 1.0 and keep["b"] == 1.0
+        assert keep["c"] == pytest.approx(0.5)
+
+    def test_logged_loss_falls_over_epochs(self, caplog):
+        caplog.set_level(logging.INFO, logger="xldetect.embedding")
+        train_skipgram(cluster_corpus(), small_config(epochs=5, seed=3))
+        losses = [
+            float(m.group(1))
+            for m in (re.search(r"epoch \d+/5: mean loss ([0-9.]+)", r.getMessage())
+                      for r in caplog.records)
+            if m
+        ]
+        assert len(losses) == 5
+        assert all(b < a for a, b in zip(losses, losses[1:]))
+
+    def test_word_rows_csr_matches_input_ids(self):
+        corpus = [["hello", "world", "hello"], ["subword", "hello", "world"]]
+        vocab = build_vocab(corpus, min_count=1)
+        idx = SubwordIndex(3, 4, 50)
+        indptr, flat = _word_rows(vocab, idx)
+        for w, word in enumerate(vocab.words):
+            assert flat[indptr[w] : indptr[w + 1]].tolist() == input_ids(word, vocab, idx)
+        assert _word_rows(vocab, None) is None
 
     def test_divergence_guards(self):
         from xldetect.embedding import _check_finite, _epoch_guard
@@ -167,12 +195,13 @@ class TestTrainSkipgram:
         _epoch_guard(np.array([[1.0]], dtype=np.float32), epoch=0)  # no raise
 
 
-def negative_sampling_loss(input_rows, context_rows, rows, ctx_ids, neg_ids):
-    """Reference objective of one center, term by term: a noise draw equal
-    to its own context word is left out."""
-    h = input_rows[rows].mean(axis=0)
+def negative_sampling_loss(input_rows, context_rows, rows, centers, contexts, negatives):
+    """Reference objective of a sentence, pair by pair and term by term: h
+    is the mean of the center word's rows, and a noise draw equal to its
+    own context word is left out."""
     loss = 0.0
-    for c, negs in zip(ctx_ids, neg_ids):
+    for center, c, negs in zip(centers, contexts, negatives):
+        h = input_rows[rows[center]].mean(axis=0)
         loss += np.logaddexp(0.0, -(context_rows[c] @ h))
         for n in negs:
             if n != c:
@@ -181,21 +210,31 @@ def negative_sampling_loss(input_rows, context_rows, rows, ctx_ids, neg_ids):
 
 
 class TestPairGradients:
+    # word 0 repeats subword row 4, which word 1 shares; word 0 is the
+    # center of two pairs, context 2 is shared by centers 0 and 1
+    ROWS = [[0, 4, 4], [1, 4, 5], [2, 5], [3]]
+    CENTERS = np.array([0, 0, 1])
+    CONTEXTS = np.array([1, 2, 2])
+
     def test_matches_finite_differences(self):
         # the step is linear in lr at the pre-step parameters, so on 64-bit
         # tables -delta/lr is the analytic gradient
         rng = np.random.default_rng(21)
         lr, eps = 0.5, 1e-6
-        for _ in range(20):
+        indptr = np.cumsum([0] + [len(r) for r in self.ROWS])
+        csr = (indptr, np.concatenate(self.ROWS))
+        for trial in range(20):
+            rows, word_rows = (self.ROWS, csr) if trial % 2 else ([[0], [1], [2], [3]], None)
             d = 5
             input_rows = rng.standard_normal((6, d)) * 0.5
             context_rows = rng.standard_normal((4, d)) * 0.5
-            rows = np.array([0, 4, 4])  # a repeated subword row
-            ctx = np.array([1, 2, 1])
+            ctx = self.CONTEXTS
             negs = rng.integers(0, 4, size=(3, 3))
             negs[0, 0] = ctx[0]  # a noise draw equal to its own context
+            args = (rows, self.CENTERS, ctx, negs)
             new_in, new_ctx = input_rows.copy(), context_rows.copy()
-            _center_step(new_in, new_ctx, rows, ctx, negs, lr)
+            loss = _sentence_step(new_in, new_ctx, word_rows, self.CENTERS, ctx, negs, lr)
+            assert loss == pytest.approx(negative_sampling_loss(input_rows, context_rows, *args))
             for params, analytic in (
                 (input_rows, (input_rows - new_in) / lr),
                 (context_rows, (context_rows - new_ctx) / lr),
@@ -203,9 +242,9 @@ class TestPairGradients:
                 for idx in np.ndindex(params.shape):
                     saved = params[idx]
                     params[idx] = saved + eps
-                    lp = negative_sampling_loss(input_rows, context_rows, rows, ctx, negs)
+                    lp = negative_sampling_loss(input_rows, context_rows, *args)
                     params[idx] = saved - eps
-                    lm = negative_sampling_loss(input_rows, context_rows, rows, ctx, negs)
+                    lm = negative_sampling_loss(input_rows, context_rows, *args)
                     params[idx] = saved
                     fd = (lp - lm) / (2 * eps)
                     assert abs(fd - analytic[idx]) <= 1e-4 * max(1.0, abs(fd))
