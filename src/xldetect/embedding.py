@@ -5,8 +5,10 @@ of its character n-grams. Training takes one SGD step per sentence: after
 subsampling and the window-radius draw, every (center, context) pair of
 the sentence is scored against noise words drawn from the unigram^0.75
 distribution, all reads see the pre-step parameters, and the step is
--lr times the gradient of the sentence's summed pair loss. Training is
-bit-reproducible for a fixed seed.
+-lr times the gradient of the sentence's summed pair loss. A sentence of
+more than _STEP_CENTERS kept tokens takes one such step per run of that
+many centers, so a step's memory does not grow with the document.
+Training is bit-reproducible for a fixed seed.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ logger = logging.getLogger(__name__)
 _MAGIC_CHECKPOINT = b"XLEMB1"
 _PARAM_LIMIT = 1e8  # divergence guard on parameter magnitude
 _SCORE_CLIP = 30.0
+_STEP_CENTERS = 256  # bounds a step's memory on long documents
 
 
 @dataclass
@@ -158,11 +161,9 @@ def negative_table(vocab: Vocabulary, power: float = 0.75) -> AliasSampler:
 
 def _word_rows(
     vocab: Vocabulary, subwords: SubwordIndex | None
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """CSR (indptr, flat row ids) of each word's input rows; None when every
-    word is its own single row."""
-    if subwords is None:
-        return None
+) -> tuple[np.ndarray, np.ndarray]:
+    """CSR (indptr, flat row ids) of each word's input rows; without
+    subwords every word is its own single row."""
     rows = [np.asarray(input_ids(w, vocab, subwords), dtype=np.int64) for w in vocab.words]
     indptr = np.zeros(len(rows) + 1, dtype=np.int64)
     np.cumsum([len(r) for r in rows], out=indptr[1:])
@@ -230,16 +231,19 @@ def train_skipgram(corpus: Iterable[list[str]], config: SkipgramConfig) -> Embed
             if n < 2:
                 continue
             radii = rng.integers(1, config.window + 1, size=n)
-            # every (center, context) pair of the sentence, center-major
-            ctx_pos = np.arange(n)[:, None] + offsets
-            live = (np.abs(offsets) <= radii[:, None]) & (ctx_pos >= 0) & (ctx_pos < n)
-            centers = np.broadcast_to(kept[:, None], live.shape)[live]
-            contexts = kept[ctx_pos[live]]
-            negatives = sampler.sample(rng, (len(centers), config.negatives))
-            loss += _sentence_step(
-                input_rows, context_rows, word_rows, centers, contexts, negatives, lr
-            )
-            pairs += len(centers)
+            # every (center, context) pair, center-major; a sentence longer
+            # than _STEP_CENTERS takes one step per run of that many centers
+            for start in range(0, n, _STEP_CENTERS):
+                span = slice(start, start + _STEP_CENTERS)
+                ctx_pos = np.arange(start, min(start + _STEP_CENTERS, n))[:, None] + offsets
+                live = (np.abs(offsets) <= radii[span, None]) & (ctx_pos >= 0) & (ctx_pos < n)
+                centers = np.broadcast_to(kept[span, None], live.shape)[live]
+                contexts = kept[ctx_pos[live]]
+                negatives = sampler.sample(rng, (len(centers), config.negatives))
+                loss += _sentence_step(
+                    input_rows, context_rows, word_rows, centers, contexts, negatives, lr
+                )
+                pairs += len(centers)
         _epoch_guard(input_rows, epoch)
         logger.info(
             "skipgram epoch %d/%d: mean loss %.6f over %d pairs, kept %.4f of tokens",
@@ -260,26 +264,22 @@ def _segment_sum(segments: np.ndarray, values: np.ndarray, n: int) -> np.ndarray
 
 
 def _sentence_step(input_rows, context_rows, word_rows, centers, contexts, negatives, lr):
-    """One SGD step on the summed negative-sampling loss of a sentence's
-    (center, context) pairs, each with its row of noise words.
+    """One SGD step on the summed negative-sampling loss of (center, context)
+    pairs from one sentence, each with its row of noise words.
 
     Every read sees the pre-step parameters, so the update is exactly -lr
     times the gradient of that sum. word_rows is the CSR of each word's
-    input rows, or None when a word is its own row. Returns the summed
-    loss at the pre-step parameters.
+    input rows (_word_rows). Returns the summed loss at the pre-step
+    parameters.
     """
     words, center_of = np.unique(centers, return_inverse=True)
-    if word_rows is None:
-        h_words = input_rows[words]
-    else:
-        indptr, flat = word_rows
-        counts = indptr[words + 1] - indptr[words]
-        row_word = np.repeat(np.arange(len(words)), counts)
-        starts = np.repeat(indptr[words] - (np.cumsum(counts) - counts), counts)
-        rows = flat[np.arange(len(row_word)) + starts]
-        h_words = _segment_sum(row_word, input_rows[rows], len(words)) / counts[:, None]
-        h_words = h_words.astype(input_rows.dtype, copy=False)
-    h = h_words[center_of]
+    indptr, flat = word_rows
+    counts = indptr[words + 1] - indptr[words]
+    row_word = np.repeat(np.arange(len(words)), counts)
+    starts = np.repeat(indptr[words] - (np.cumsum(counts) - counts), counts)
+    rows = flat[np.arange(len(row_word)) + starts]
+    h_words = _segment_sum(row_word, input_rows[rows], len(words)) / counts[:, None]
+    h = h_words.astype(input_rows.dtype, copy=False)[center_of]
     targets = np.concatenate((contexts[:, None], negatives), axis=1)
     u = context_rows[targets]
     scores = np.einsum("pkd,pd->pk", u, h)
@@ -299,11 +299,8 @@ def _sentence_step(input_rows, context_rows, word_rows, centers, contexts, negat
     context_rows[ids] -= _segment_sum(
         target_of.ravel(), (g[:, :, None] * h[:, None, :]).reshape(-1, h.shape[1]), len(ids)
     )
-    if word_rows is None:
-        input_rows[words] -= grad_h
-    else:
-        ids, row_of = np.unique(rows, return_inverse=True)
-        input_rows[ids] -= _segment_sum(row_of, (grad_h / counts[:, None])[row_word], len(ids))
+    ids, row_of = np.unique(rows, return_inverse=True)
+    input_rows[ids] -= _segment_sum(row_of, (grad_h / counts[:, None])[row_word], len(ids))
     return float(losses.sum(dtype=np.float64))
 
 

@@ -164,10 +164,7 @@ def _skipgram_grad_error(rng) -> float:
     ]
     if rng.random() < 0.5:
         rows = [[w] for w in range(4)]
-        word_rows = None
-    else:
-        indptr = np.cumsum([0] + [len(r) for r in rows])
-        word_rows = (indptr, np.concatenate(rows))
+    word_rows = (np.cumsum([0] + [len(r) for r in rows]), np.concatenate(rows))
     centers = np.array([0, 0, 1, int(rng.integers(0, 4))])  # word 0 centers two pairs
     contexts = rng.integers(0, 4, size=4)
     contexts[2] = contexts[0]  # a context shared by two centers

@@ -175,14 +175,32 @@ class TestTrainSkipgram:
         assert len(losses) == 5
         assert all(b < a for a, b in zip(losses, losses[1:]))
 
+    def test_long_sentence_steps_are_bounded(self, monkeypatch):
+        # a step's memory grows with its pairs, so a long document takes
+        # one step per run of at most _STEP_CENTERS centers
+        import xldetect.embedding as emb
+
+        real, steps = emb._sentence_step, []
+
+        def spy(input_rows, context_rows, word_rows, centers, *rest):
+            steps.append(len(centers))
+            return real(input_rows, context_rows, word_rows, centers, *rest)
+
+        monkeypatch.setattr(emb, "_sentence_step", spy)
+        words = [f"w{i % 7}" for i in range(3 * emb._STEP_CENTERS + 10)]
+        cfg = small_config(epochs=1, window=2, subsample_t=1.0)
+        train_skipgram([words[: emb._STEP_CENTERS], words], cfg)
+        assert len(steps) == 1 + 4
+        assert max(steps) <= emb._STEP_CENTERS * 2 * cfg.window
+
     def test_word_rows_csr_matches_input_ids(self):
         corpus = [["hello", "world", "hello"], ["subword", "hello", "world"]]
         vocab = build_vocab(corpus, min_count=1)
         idx = SubwordIndex(3, 4, 50)
-        indptr, flat = _word_rows(vocab, idx)
-        for w, word in enumerate(vocab.words):
-            assert flat[indptr[w] : indptr[w + 1]].tolist() == input_ids(word, vocab, idx)
-        assert _word_rows(vocab, None) is None
+        for index in (idx, None):
+            indptr, flat = _word_rows(vocab, index)
+            for w, word in enumerate(vocab.words):
+                assert flat[indptr[w] : indptr[w + 1]].tolist() == input_ids(word, vocab, index)
 
     def test_divergence_guards(self):
         from xldetect.embedding import _check_finite, _epoch_guard
@@ -221,10 +239,9 @@ class TestPairGradients:
         # tables -delta/lr is the analytic gradient
         rng = np.random.default_rng(21)
         lr, eps = 0.5, 1e-6
-        indptr = np.cumsum([0] + [len(r) for r in self.ROWS])
-        csr = (indptr, np.concatenate(self.ROWS))
         for trial in range(20):
-            rows, word_rows = (self.ROWS, csr) if trial % 2 else ([[0], [1], [2], [3]], None)
+            rows = self.ROWS if trial % 2 else [[0], [1], [2], [3]]
+            word_rows = (np.cumsum([0] + [len(r) for r in rows]), np.concatenate(rows))
             d = 5
             input_rows = rng.standard_normal((6, d)) * 0.5
             context_rows = rng.standard_normal((4, d)) * 0.5
