@@ -11,15 +11,24 @@ from __future__ import annotations
 import logging
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from .corpus import AccountDocument, LABEL_NAMES, tokenize
 from . import formats
-from .embedding import VectorTable
+from .embedding import VectorTable, _check_finite
 from .errors import FormatError, TrainingError
-from .vocab import SubwordIndex, Vocabulary, build_vocab, hash_subword, init_input_rows, input_ids
+from .vocab import (
+    SubwordIndex,
+    Vocabulary,
+    build_vocab,
+    hash_subword,
+    init_input_rows,
+    input_ids,
+    word_rows_csr,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -88,20 +97,36 @@ class TextClassifier:
     def dim(self) -> int:
         return self.input_rows.shape[1]
 
+    @cached_property
+    def word_rows(self) -> list[np.ndarray]:
+        """Each vocabulary word's input_ids, as views into one CSR
+        (vocab.word_rows_csr) built on first use."""
+        indptr, flat = word_rows_csr(self.vocab, self.subwords)
+        return [flat[a:b] for a, b in zip(indptr[:-1].tolist(), indptr[1:].tolist())]
+
     def doc_rows(self, tokens: list[str]) -> tuple[np.ndarray, np.ndarray]:
-        """Unique contributing row ids and their multiplicities."""
+        """Unique contributing row ids, ascending, and their multiplicities.
+
+        In-vocabulary tokens take their rows from word_rows; only
+        out-of-vocabulary tokens and word n-grams are hashed per call.
+        """
+        word_to_id, word_rows = self.vocab.word_to_id, self.word_rows
+        parts: list[np.ndarray] = []
         ids: list[int] = []
         for tok in tokens:
-            ids.extend(input_ids(tok, self.vocab, self.subwords))
+            wid = word_to_id.get(tok)
+            if wid is None:
+                ids.extend(input_ids(tok, self.vocab, self.subwords))
+            else:
+                parts.append(word_rows[wid])
         if self.word_ngrams > 1:
             offset = len(self.vocab)
             buckets = self.subwords.buckets
             for n in range(2, self.word_ngrams + 1):
                 for i in range(len(tokens) - n + 1):
                     ids.append(offset + hash_subword(" ".join(tokens[i : i + n]), buckets))
-        if not ids:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float32)
-        uniq, counts = np.unique(np.asarray(ids, dtype=np.int64), return_counts=True)
+        parts.append(np.asarray(ids, dtype=np.int64))
+        uniq, counts = np.unique(np.concatenate(parts), return_counts=True)
         return uniq, counts.astype(np.float32)
 
 
@@ -146,9 +171,14 @@ def train_supervised(
             logger.warning("training data has no documents of class %s", LABEL_NAMES[cls])
 
     vocab = build_vocab(token_docs, min_count=config.min_count)
-    input_rows = init_input_rows(vocab, config.subwords, config.dim, config.seed)
-    if config.pretrained is not None:
-        input_rows[len(vocab):] = 0.0
+    if config.pretrained is None:
+        input_rows = init_input_rows(vocab, config.subwords, config.dim, config.seed)
+    else:
+        # bucket rows start at zero; a (|V|, d) draw is the prefix of the
+        # (|V|+B, d) one, so the word rows need no bucket rows drawn
+        buckets = config.subwords.buckets if config.subwords is not None else 0
+        input_rows = np.zeros((len(vocab) + buckets, config.dim), dtype=np.float32)
+        input_rows[: len(vocab)] = init_input_rows(vocab, None, config.dim, config.seed)
         hits = 0
         for i, word in enumerate(vocab.words):
             vec = config.pretrained.get(word)
@@ -181,8 +211,8 @@ def train_supervised(
         if not np.isfinite(peak) or peak > _PARAM_LIMIT:
             raise TrainingError(f"training diverged after epoch {epoch}")
         model.loss_history.append(_mean_loss(model, docs_rows, labels))
-    if not np.isfinite(model.input_rows).all() or not np.isfinite(model.output_weights).all():
-        raise TrainingError("non-finite parameters after training")
+    _check_finite(model.input_rows, "input rows")
+    _check_finite(model.output_weights, "output weights")
     return model
 
 
@@ -201,7 +231,12 @@ def _doc_step(input_rows, output_weights, ids, counts, label, lr, trainable_inpu
     hidden_grad = output_weights.T @ g
     output_weights -= np.outer(g, h)
     if trainable_input:
-        np.add.at(input_rows, ids, np.outer(counts, -hidden_grad / total))
+        if (ids[1:] <= ids[:-1]).any():
+            # a fancy-index add keeps one update per index, so merge
+            # repeated ids first; doc_rows yields strictly increasing ids
+            ids, at = np.unique(ids, return_inverse=True)
+            counts = np.bincount(at, counts).astype(counts.dtype)
+        input_rows[ids] += np.outer(counts, -hidden_grad / total)
 
 
 def _mean_loss(model, docs_rows, labels) -> float:

@@ -22,7 +22,14 @@ import numpy as np
 
 from . import formats
 from .errors import FormatError, TrainingError
-from .vocab import SubwordIndex, Vocabulary, build_vocab, init_input_rows, input_ids
+from .vocab import (
+    SubwordIndex,
+    Vocabulary,
+    build_vocab,
+    init_input_rows,
+    input_ids,
+    word_rows_csr,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -30,6 +37,7 @@ _MAGIC_CHECKPOINT = b"XLEMB1"
 _PARAM_LIMIT = 1e8  # divergence guard on parameter magnitude
 _SCORE_CLIP = 30.0
 _STEP_CENTERS = 256  # bounds a step's memory on long documents
+_CHECK_ROWS = 65536  # rows per slice of the finite check
 
 
 @dataclass
@@ -159,17 +167,6 @@ def negative_table(vocab: Vocabulary, power: float = 0.75) -> AliasSampler:
     return AliasSampler(vocab.counts.astype(np.float64) ** power)
 
 
-def _word_rows(
-    vocab: Vocabulary, subwords: SubwordIndex | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """CSR (indptr, flat row ids) of each word's input rows; without
-    subwords every word is its own single row."""
-    rows = [np.asarray(input_ids(w, vocab, subwords), dtype=np.int64) for w in vocab.words]
-    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-    np.cumsum([len(r) for r in rows], out=indptr[1:])
-    return indptr, np.concatenate(rows)
-
-
 def _keep_probs(vocab: Vocabulary, t: float) -> np.ndarray:
     """Subsampling keep probability per word: 1 at or below frequency t,
     sqrt(t / frequency) above it."""
@@ -196,7 +193,7 @@ def train_skipgram(corpus: Iterable[list[str]], config: SkipgramConfig) -> Embed
     if config.epochs == 0:
         return model
 
-    word_rows = _word_rows(vocab, config.subwords)
+    word_rows = word_rows_csr(vocab, config.subwords)
     sentences = []
     for tokens in sentences_tok:
         ids = [vocab.word_to_id[t] for t in tokens if t in vocab.word_to_id]
@@ -269,7 +266,7 @@ def _sentence_step(input_rows, context_rows, word_rows, centers, contexts, negat
 
     Every read sees the pre-step parameters, so the update is exactly -lr
     times the gradient of that sum. word_rows is the CSR of each word's
-    input rows (_word_rows). Returns the summed loss at the pre-step
+    input rows (vocab.word_rows_csr). Returns the summed loss at the pre-step
     parameters.
     """
     words, center_of = np.unique(centers, return_inverse=True)
@@ -313,8 +310,11 @@ def _epoch_guard(matrix: np.ndarray, epoch: int) -> None:
 
 
 def _check_finite(matrix: np.ndarray, name: str) -> None:
-    if not np.isfinite(matrix).all():
-        raise TrainingError(f"non-finite values in {name} after training")
+    """Raise unless every row is finite; checks _CHECK_ROWS rows at a time,
+    so a 2M-row table needs no table-sized boolean mask."""
+    for start in range(0, len(matrix), _CHECK_ROWS):
+        if not np.isfinite(matrix[start : start + _CHECK_ROWS]).all():
+            raise TrainingError(f"non-finite values in {name} after training")
 
 
 def word_vector(word: str, model: EmbeddingMatrix) -> np.ndarray:

@@ -7,6 +7,7 @@ so that out-of-vocabulary words still compose a vector.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -131,13 +132,28 @@ def input_ids(word: str, vocab: Vocabulary, index: SubwordIndex | None) -> list[
     return ids
 
 
+def word_rows_csr(
+    vocab: Vocabulary, index: SubwordIndex | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """CSR (indptr, flat row ids) of each word's input_ids, in id order;
+    without subwords every word is its own single row."""
+    flat, indptr = array("q"), array("q", [0])
+    for word in vocab.words:
+        flat.extend(input_ids(word, vocab, index))
+        indptr.append(len(flat))
+    return np.array(indptr, dtype=np.int64), np.array(flat, dtype=np.int64)
+
+
 def init_input_rows(
     vocab: Vocabulary, index: SubwordIndex | None, dim: int, seed: int
 ) -> np.ndarray:
     """The |V| word rows then the bucket rows that input_ids indexes,
-    drawn uniformly from [-1/dim, 1/dim) in float32."""
+    drawn uniformly from [-1/dim, 1/dim) in float32, scaled in place so
+    that the table is never held twice."""
     buckets = index.buckets if index is not None else 0
     rng = np.random.default_rng(seed)
-    rows = rng.random((len(vocab) + buckets, dim), dtype=np.float32) * 2.0 - 1.0
+    rows = rng.random((len(vocab) + buckets, dim), dtype=np.float32)
+    rows *= np.float32(2.0)
+    rows -= np.float32(1.0)
     rows *= np.float32(1.0 / dim)
     return rows

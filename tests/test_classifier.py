@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -17,7 +18,7 @@ from xldetect.classifier import (
 from xldetect.corpus import AccountDocument
 from xldetect.embedding import VectorTable
 from xldetect.errors import FormatError
-from xldetect.vocab import SubwordIndex, build_vocab
+from xldetect.vocab import SubwordIndex, build_vocab, hash_subword, init_input_rows, input_ids
 
 
 def toy_docs(n_per_class=20):
@@ -73,6 +74,57 @@ class TestDocEmbedding:
         assert np.allclose(vec, [2.0, 1.0])
 
 
+def doc_rows_reference(tokens, model):
+    """Every token's input_ids and every hashed word n-gram, merged by
+    np.unique: the rows doc_rows must yield without its word-row CSR."""
+    ids = [i for tok in tokens for i in input_ids(tok, model.vocab, model.subwords)]
+    for n in range(2, model.word_ngrams + 1):
+        for i in range(len(tokens) - n + 1):
+            gram = " ".join(tokens[i : i + n])
+            ids.append(len(model.vocab) + hash_subword(gram, model.subwords.buckets))
+    uniq, counts = np.unique(np.asarray(ids, dtype=np.int64), return_counts=True)
+    return uniq, counts.astype(np.float32)
+
+
+class TestDocRows:
+    DOCS = (
+        [],
+        ["aaa"],
+        ["aaa", "aaa", "bbb"],  # repeated in-vocabulary token
+        ["zzz"],  # out of vocabulary
+        ["zzz", "aaa", "zzz", "q", "ccc", "bbb", "aaa", "ccc"],
+    )
+
+    def check(self, model):
+        for tokens in self.DOCS:
+            ids, counts = model.doc_rows(tokens)
+            ref_ids, ref_counts = doc_rows_reference(tokens, model)
+            assert ids.dtype == np.int64 and counts.dtype == np.float32
+            assert ids.tolist() == ref_ids.tolist()
+            assert counts.tolist() == ref_counts.tolist()
+            assert (np.diff(ids) > 0).all()
+
+    def test_matches_per_token_reference(self):
+        # 16 buckets, so n-grams of different words collide
+        for subwords, word_ngrams in (
+            (SubwordIndex(2, 4, 16), 1),
+            (SubwordIndex(2, 4, 16), 2),
+            (SubwordIndex(3, 6, 1009), 3),
+            (None, 1),
+        ):
+            buckets = subwords.buckets if subwords is not None else 0
+            model = manual_model(
+                np.zeros((3 + buckets, 2)), np.zeros((2, 2)),
+                words=("aaa", "bbb", "ccc"), subwords=subwords,
+            )
+            model.word_ngrams = word_ngrams
+            self.check(model)
+
+    def test_trained_model(self):
+        cfg = small_config(subwords=SubwordIndex(2, 3, 40), word_ngrams=2, epochs=1)
+        self.check(train_supervised(toy_docs(3), cfg))
+
+
 class TestPredict:
     def test_zero_weights_tie_goes_negative(self):
         model = manual_model(np.eye(2), np.zeros((2, 2)))
@@ -112,6 +164,21 @@ def doc_loss(input_rows, weights, ids, counts, label):
     return np.logaddexp.reduce(z) - z[label]
 
 
+def doc_step_add_at(input_rows, output_weights, ids, counts, label, lr):
+    """_doc_step with its input-row update scattered by np.add.at."""
+    total = counts.sum()
+    h = (counts @ input_rows[ids]) / total
+    z = output_weights @ h
+    z = z - z.max()
+    e = np.exp(z)
+    g = e / e.sum()
+    g[label] -= 1.0
+    g *= lr
+    hidden_grad = output_weights.T @ g
+    output_weights -= np.outer(g, h)
+    np.add.at(input_rows, ids, np.outer(counts, -hidden_grad / total))
+
+
 class TestLossAndGrad:
     """The SGD step the trainer runs and the loss it records."""
 
@@ -122,6 +189,33 @@ class TestLossAndGrad:
         _doc_step(model.input_rows, model.output_weights, ids, counts, 1, np.float32(1.0), True)
         assert (model.input_rows == rows).all()
         assert (model.output_weights == weights).all()
+
+    def test_unique_ids_match_add_at_bit_for_bit(self):
+        rng = np.random.default_rng(4)
+        for trial in range(20):
+            rows = rng.standard_normal((60, 7)).astype(np.float32)
+            weights = rng.standard_normal((2, 7)).astype(np.float32)
+            ids = np.sort(rng.choice(60, size=int(rng.integers(1, 40)), replace=False))
+            counts = rng.integers(1, 5, size=len(ids)).astype(np.float32)
+            lr, label = np.float32(rng.random()), trial % 2
+            ref_rows, ref_weights = rows.copy(), weights.copy()
+            doc_step_add_at(ref_rows, ref_weights, ids, counts, label, lr)
+            _doc_step(rows, weights, ids, counts, label, lr, True)
+            assert rows.tobytes() == ref_rows.tobytes()
+            assert weights.tobytes() == ref_weights.tobytes()
+
+    def test_repeated_ids_match_add_at(self):
+        rng = np.random.default_rng(5)
+        counts = np.array([1.0, 2.0, 1.0, 3.0, 1.0, 2.0])
+        for ids, label in itertools.product(
+            (np.array([3, 0, 3, 1, 0, 3]), np.array([0, 1, 1, 2, 3, 3])), (0, 1)
+        ):
+            rows, weights = rng.standard_normal((4, 5)), rng.standard_normal((2, 5))
+            ref_rows, ref_weights = rows.copy(), weights.copy()
+            doc_step_add_at(ref_rows, ref_weights, ids, counts, label, 0.5)
+            _doc_step(rows, weights, ids, counts, label, 0.5, True)
+            assert np.allclose(rows, ref_rows, rtol=1e-13, atol=1e-15)
+            assert (weights == ref_weights).all()
 
     def test_uniform_loss_is_ln2(self):
         # output weights start at zero, so every class has probability 1/2
@@ -188,6 +282,18 @@ class TestTrainSupervised:
         assert np.allclose(doc_embedding(["aaa"], model), [1.0, 2.0])
         bbb = doc_embedding(["bbb"], model)
         assert not np.allclose(bbb, 0.0)  # scratch init, not zeroed
+
+    def test_pretrained_init_matches_full_draw(self):
+        # word rows: the prefix of the (|V|+B, d) draw, then the pretrained
+        # vectors; bucket rows: zero
+        index = SubwordIndex(2, 3, 40)
+        table = VectorTable(["aaa"], np.array([[1.0, 2.0, 3.0]]))
+        cfg = small_config(dim=3, epochs=0, pretrained=table, subwords=index, seed=3)
+        model = train_supervised(toy_docs(), cfg)
+        expected = init_input_rows(model.vocab, index, 3, 3)
+        expected[len(model.vocab) :] = 0.0
+        expected[model.vocab.word_to_id["aaa"]] = [1.0, 2.0, 3.0]
+        assert model.input_rows.tobytes() == expected.tobytes()
 
     def test_frozen_pretrained_rows_do_not_move(self):
         table = VectorTable(["aaa", "bbb"], np.array([[1.0, 2.0], [3.0, 4.0]]))

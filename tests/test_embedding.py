@@ -14,7 +14,6 @@ from xldetect.embedding import (
     _keep_probs,
     _learning_rate,
     _sentence_step,
-    _word_rows,
     negative_table,
     save_checkpoint,
     save_vectors,
@@ -22,7 +21,7 @@ from xldetect.embedding import (
     word_vector,
 )
 from xldetect.errors import FormatError
-from xldetect.vocab import SubwordIndex, build_vocab, input_ids
+from xldetect.vocab import SubwordIndex, build_vocab, input_ids, word_rows_csr
 
 
 def cluster_corpus(reps=30):
@@ -198,9 +197,23 @@ class TestTrainSkipgram:
         vocab = build_vocab(corpus, min_count=1)
         idx = SubwordIndex(3, 4, 50)
         for index in (idx, None):
-            indptr, flat = _word_rows(vocab, index)
+            indptr, flat = word_rows_csr(vocab, index)
             for w, word in enumerate(vocab.words):
                 assert flat[indptr[w] : indptr[w + 1]].tolist() == input_ids(word, vocab, index)
+
+    def test_check_finite_scans_every_block(self):
+        from xldetect.embedding import _CHECK_ROWS, _check_finite
+        from xldetect.errors import TrainingError
+
+        table = np.zeros((_CHECK_ROWS + 3, 2), dtype=np.float32)
+        _check_finite(table, "input rows")  # no raise
+        # the last row, and the rows on either side of the block boundary
+        for row in (len(table) - 1, _CHECK_ROWS - 1, _CHECK_ROWS):
+            for bad in (np.nan, np.inf):
+                table[row, 1] = bad
+                with pytest.raises(TrainingError, match="input rows"):
+                    _check_finite(table, "input rows")
+            table[row, 1] = 0.0
 
     def test_divergence_guards(self):
         from xldetect.embedding import _check_finite, _epoch_guard

@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from xldetect.vocab import (
@@ -7,6 +8,7 @@ from xldetect.vocab import (
     build_vocab,
     fnv1a_32,
     hash_subword,
+    init_input_rows,
     input_ids,
     subwords,
 )
@@ -152,3 +154,22 @@ class TestInputIds:
             seen[h] = g
         assert collision is not None
 
+
+class TestInitInputRows:
+    def test_matches_out_of_place_draw(self):
+        # the in-place scaling rounds exactly like the expression it replaced
+        vocab = build_vocab([["a", "b", "c"]], min_count=1)
+        for dim, seed, index in ((1, 0, None), (7, 3, SubwordIndex(2, 3, 50)), (100, 13, None)):
+            buckets = index.buckets if index is not None else 0
+            rng = np.random.default_rng(seed)
+            old = rng.random((len(vocab) + buckets, dim), dtype=np.float32) * 2.0 - 1.0
+            old *= np.float32(1.0 / dim)
+            rows = init_input_rows(vocab, index, dim, seed)
+            assert rows.dtype == np.float32
+            assert rows.tobytes() == old.tobytes()
+
+    def test_word_rows_are_prefix_of_full_draw(self):
+        vocab = build_vocab([["a", "b", "c", "d"]], min_count=1)
+        full = init_input_rows(vocab, SubwordIndex(2, 3, 1000), 9, 4)
+        words_only = init_input_rows(vocab, None, 9, 4)
+        assert words_only.tobytes() == full[: len(vocab)].tobytes()
