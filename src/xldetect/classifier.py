@@ -4,6 +4,12 @@ A document's vector is the mean of every input row its tokens contribute
 (word rows, hashed subword rows, optional hashed word n-grams). Training
 is per-document SGD on softmax cross-entropy; with pretrained vectors the
 word rows start from the given table and keep training unless frozen.
+
+loss_history[0] is the mean cross-entropy of the untrained model over the
+training documents. loss_history[e] is the mean loss over epoch e: each
+document's cross-entropy at the parameters its SGD step started from, an
+empty document (which takes no step) counting log 2, the running epoch
+loss fastText reports.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from .vocab import (
     build_vocab,
     hash_subword,
     init_input_rows,
-    input_ids,
+    subword_ids_csr,
     word_rows_csr,
 )
 
@@ -35,6 +41,8 @@ logger = logging.getLogger(__name__)
 _MAGIC_MODEL = b"XLCLF1"
 _N_CLASSES = 2
 _PARAM_LIMIT = 1e8
+# an empty document takes no step; its distribution is uniform
+_EMPTY_DOC_LOSS = float(np.log(_N_CLASSES))
 
 
 @dataclass
@@ -108,17 +116,21 @@ class TextClassifier:
         """Unique contributing row ids, ascending, and their multiplicities.
 
         In-vocabulary tokens take their rows from word_rows; only
-        out-of-vocabulary tokens and word n-grams are hashed per call.
+        out-of-vocabulary tokens, in one subword_ids_csr call, and word
+        n-grams are hashed per call.
         """
         word_to_id, word_rows = self.vocab.word_to_id, self.word_rows
         parts: list[np.ndarray] = []
-        ids: list[int] = []
+        oov: list[str] = []
         for tok in tokens:
             wid = word_to_id.get(tok)
             if wid is None:
-                ids.extend(input_ids(tok, self.vocab, self.subwords))
+                oov.append(tok)
             else:
                 parts.append(word_rows[wid])
+        if oov and self.subwords is not None:
+            parts.append(subword_ids_csr(oov, self.subwords, len(self.vocab))[1])
+        ids: list[int] = []
         if self.word_ngrams > 1:
             offset = len(self.vocab)
             buckets = self.subwords.buckets
@@ -199,33 +211,39 @@ def train_supervised(
     step = 0
     for epoch in range(config.epochs):
         order = np.random.default_rng((config.seed, epoch)).permutation(len(train_docs))
+        loss = 0.0
         for di in order:
             step += 1
             ids, counts = docs_rows[di]
             if len(ids) == 0:
+                loss += _EMPTY_DOC_LOSS
                 continue
             lr = np.float32(config.initial_lr * max(0.0, 1.0 - step / total_steps))
-            _doc_step(model.input_rows, model.output_weights, ids, counts, labels[di], lr,
-                      trainable_input)
+            loss += _doc_step(model.input_rows, model.output_weights, ids, counts, labels[di],
+                              lr, trainable_input)
         peak = np.abs(model.output_weights).max()
         if not np.isfinite(peak) or peak > _PARAM_LIMIT:
             raise TrainingError(f"training diverged after epoch {epoch}")
-        model.loss_history.append(_mean_loss(model, docs_rows, labels))
+        model.loss_history.append(loss / len(train_docs))
     _check_finite(model.input_rows, "input rows")
     _check_finite(model.output_weights, "output weights")
     return model
 
 
-def _doc_step(input_rows, output_weights, ids, counts, label, lr, trainable_input):
-    """One SGD step on the softmax cross-entropy of one document, in place."""
+def _doc_step(input_rows, output_weights, ids, counts, label, lr, trainable_input) -> float:
+    """One SGD step on the softmax cross-entropy of one document, in place.
+    Returns that cross-entropy at the pre-step parameters."""
     total = counts.sum()
     h = (counts @ input_rows[ids]) / total
     z = output_weights @ h
     z = z - z.max()
     e = np.exp(z)
-    g = e / e.sum()
+    e_sum = e.sum()
+    g = e / e_sum
     if not np.isfinite(g).all():
         raise TrainingError("non-finite class probabilities in an SGD step")
+    # -log g[label], finite even where g[label] underflows
+    loss = float(np.log(e_sum) - z[label])
     g[label] -= 1.0
     g *= lr
     hidden_grad = output_weights.T @ g
@@ -237,6 +255,7 @@ def _doc_step(input_rows, output_weights, ids, counts, label, lr, trainable_inpu
             ids, at = np.unique(ids, return_inverse=True)
             counts = np.bincount(at, counts).astype(counts.dtype)
         input_rows[ids] += np.outer(counts, -hidden_grad / total)
+    return loss
 
 
 def _mean_loss(model, docs_rows, labels) -> float:

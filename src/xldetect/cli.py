@@ -200,7 +200,7 @@ def cmd_train_classifier(cfg: PipelineConfig) -> tuple[list[Path], list[Path]]:
     out_model = _out_path(cfg, "classifier.out_model")
     clf.save_classifier(model, out_model)
     logger.info(
-        "trained classifier on %d documents; final mean loss %.4f",
+        "trained classifier on %d documents; mean loss over the last epoch %.4f",
         len(train_docs), model.loss_history[-1],
     )
     return inputs, [out_model]

@@ -302,11 +302,14 @@ def _sentence_step(input_rows, context_rows, word_rows, centers, contexts, negat
 
 
 def _epoch_guard(matrix: np.ndarray, epoch: int) -> None:
-    peak = np.abs(matrix).max()
-    if not np.isfinite(peak) or peak > _PARAM_LIMIT:
-        raise TrainingError(
-            f"training diverged after epoch {epoch}: parameter magnitude {peak!r}"
-        )
+    """Raise when a parameter is non-finite or above _PARAM_LIMIT; checks
+    _CHECK_ROWS rows at a time, so no table-sized copy is made."""
+    for start in range(0, len(matrix), _CHECK_ROWS):
+        peak = np.abs(matrix[start : start + _CHECK_ROWS]).max()
+        if not np.isfinite(peak) or peak > _PARAM_LIMIT:
+            raise TrainingError(
+                f"training diverged after epoch {epoch}: parameter magnitude {peak!r}"
+            )
 
 
 def _check_finite(matrix: np.ndarray, name: str) -> None:

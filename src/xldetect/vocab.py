@@ -7,7 +7,6 @@ so that out-of-vocabulary words still compose a vector.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -18,6 +17,7 @@ from .errors import DataError
 FNV_OFFSET_BASIS = 2166136261
 FNV_PRIME = 16777619
 _U32 = 0xFFFFFFFF
+_BLOCK_CHARS = 1 << 15  # wrapped characters per block of subword_ids_csr
 
 
 def fnv1a_32(data: bytes) -> int:
@@ -132,16 +132,98 @@ def input_ids(word: str, vocab: Vocabulary, index: SubwordIndex | None) -> list[
     return ids
 
 
+def subword_ids_csr(
+    words: list[str], index: SubwordIndex, offset: int, first: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """CSR (indptr, ids) of every word's bucket rows: word w's row holds
+    offset + hash_subword(g, index.buckets) for g in subwords(w, index), in
+    that order, bit for bit. With first given, each row starts with
+    first[w] (word_rows_csr puts the word's own row there).
+
+    No n-gram string is built. FNV-1a streams left to right, so the hash
+    of w[i:i+n+1] is one step on from that of w[i:i+n]: one state per
+    (word, start character) advances over the UTF-8 bytes of one more
+    character for each n. Words are hashed in blocks of about _BLOCK_CHARS
+    characters into one preallocated array, which bounds the memory the
+    states take.
+    """
+    lengths = np.fromiter(map(len, words), dtype=np.int64, count=len(words)) + 2
+    if (lengths == 2).any():
+        raise ValueError("cannot decompose an empty word")
+    lead = 0 if first is None else 1
+    # sum over n of max(0, L - n + 1): m terms falling by one from L - n_min + 1
+    top = lengths - index.n_min + 1
+    m = np.clip(top, 0, index.n_max - index.n_min + 1)
+    indptr = np.zeros(len(words) + 1, dtype=np.int64)
+    np.cumsum(m * top - m * (m - 1) // 2 + lead, out=indptr[1:])
+    ids = np.empty(indptr[-1], dtype=np.int64)
+    ends = np.cumsum(lengths)
+    start = 0
+    while start < len(words):
+        limit = (ends[start - 1] if start else 0) + _BLOCK_CHARS
+        stop = max(start + 1, int(np.searchsorted(ends, limit, side="right")))
+        _hash_block(words[start:stop], lengths[start:stop], index, ids, indptr[start:stop] + lead)
+        start = stop
+    ids += offset
+    if first is not None:
+        ids[indptr[:-1]] = first
+    return indptr, ids
+
+
+def _hash_block(words, lengths, index, out, starts) -> None:
+    """Write the bucket ids (no offset) of words, whose wrapped forms have
+    lengths characters, to out in subwords() order, word w's from
+    out[starts[w]] on."""
+    text = "".join("<" + w.replace("<", "_").replace(">", "_") + ">" for w in words)
+    buf = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
+    # byte offset and byte count of every character
+    first_byte = np.flatnonzero((buf & 0xC0) != 0x80)
+    nbytes = np.diff(first_byte, append=len(buf))
+    # one state per (word, start character), ordered so that the states
+    # still live at step n (at least n characters left) are a prefix
+    word_of = np.repeat(np.arange(len(words)), lengths)
+    word_start = np.cumsum(lengths) - lengths
+    left = np.minimum((lengths + word_start)[word_of] - np.arange(len(text)), index.n_max)
+    order = np.argsort(index.n_max - left, kind="stable")
+    live = np.cumsum(np.bincount(left, minlength=index.n_max + 1)[::-1])
+    word_of = word_of[order]
+    # a state's id slot at n = n_min: its word's start plus its start character
+    dest = (starts - word_start)[word_of] + order
+    span = lengths[word_of] + 1
+    h = np.full(len(text), FNV_OFFSET_BASIS, dtype=np.uint64)
+    buckets = np.uint64(index.buckets)
+    for n in range(1, index.n_max + 1):
+        k = live[index.n_max - n]
+        if k == 0:
+            break
+        hv, c = h[:k], order[:k] + (n - 1)
+        at, width = first_byte[c], nbytes[c]
+        _fnv_step(hv, buf[at])
+        for j in range(1, int(width.max())):  # continuation bytes
+            sel = np.flatnonzero(width > j)
+            hv[sel] = _fnv_step(hv[sel], buf[at[sel] + j])
+        if n >= index.n_min:
+            out[dest[:k]] = hv % buckets
+            dest[:k] += span[:k] - n
+
+
+def _fnv_step(h: np.ndarray, byte: np.ndarray) -> np.ndarray:
+    """One FNV-1a byte step on uint64 states, in place. h ^ byte < 2^32 and
+    FNV_PRIME < 2^25, so the product is exact in uint64 before the mask."""
+    h ^= byte
+    h *= np.uint64(FNV_PRIME)
+    h &= np.uint64(_U32)
+    return h
+
+
 def word_rows_csr(
     vocab: Vocabulary, index: SubwordIndex | None
 ) -> tuple[np.ndarray, np.ndarray]:
     """CSR (indptr, flat row ids) of each word's input_ids, in id order;
     without subwords every word is its own single row."""
-    flat, indptr = array("q"), array("q", [0])
-    for word in vocab.words:
-        flat.extend(input_ids(word, vocab, index))
-        indptr.append(len(flat))
-    return np.array(indptr, dtype=np.int64), np.array(flat, dtype=np.int64)
+    if index is None:
+        return np.arange(len(vocab) + 1, dtype=np.int64), np.arange(len(vocab), dtype=np.int64)
+    return subword_ids_csr(vocab.words, index, len(vocab), first=np.arange(len(vocab)))
 
 
 def init_input_rows(

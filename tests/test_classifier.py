@@ -7,6 +7,7 @@ import pytest
 from xldetect.classifier import (
     SupervisedConfig,
     TextClassifier,
+    _class_probs,
     _doc_step,
     _mean_loss,
     doc_embedding,
@@ -217,6 +218,25 @@ class TestLossAndGrad:
             assert np.allclose(rows, ref_rows, rtol=1e-13, atol=1e-15)
             assert (weights == ref_weights).all()
 
+    def test_returned_loss_is_pre_step_cross_entropy(self):
+        rng = np.random.default_rng(6)
+        words = [f"w{i}" for i in range(60)]
+        for trial in range(20):
+            # the last trials are confident enough that float32 g[label]
+            # underflows to 0 while the loss stays finite
+            scale = 3.0 if trial < 16 else 400.0
+            model = manual_model(
+                rng.standard_normal((60, 7)), scale * rng.standard_normal((2, 7)), words=words
+            )
+            ids = np.sort(rng.choice(60, size=int(rng.integers(1, 40)), replace=False))
+            counts = rng.integers(1, 5, size=len(ids)).astype(np.float32)
+            label = trial % 2
+            expected = -math.log(_class_probs(model, ids, counts)[label])
+            loss = _doc_step(model.input_rows, model.output_weights, ids, counts, label,
+                             np.float32(0.5), True)
+            assert math.isfinite(loss)
+            assert loss == pytest.approx(expected, rel=1e-6, abs=1e-6)
+
     def test_uniform_loss_is_ln2(self):
         # output weights start at zero, so every class has probability 1/2
         model = train_supervised(toy_docs(), small_config(epochs=0))
@@ -263,6 +283,34 @@ class TestTrainSupervised:
         model = train_supervised(docs, small_config(epochs=100, initial_lr=1.0))
         correct = sum(predict(d.text.split(), model)[0] == d.label for d in docs)
         assert correct == len(docs)
+
+    def test_loss_history_is_running_epoch_loss(self, monkeypatch):
+        import xldetect.classifier as clf_module
+
+        steps, mean_loss_calls = [], []
+        doc_step, mean_loss = clf_module._doc_step, clf_module._mean_loss
+
+        def spy_step(*args):
+            steps.append(doc_step(*args))
+            return steps[-1]
+
+        def spy_mean_loss(*args):
+            mean_loss_calls.append(mean_loss(*args))
+            return mean_loss_calls[-1]
+
+        monkeypatch.setattr(clf_module, "_doc_step", spy_step)
+        monkeypatch.setattr(clf_module, "_mean_loss", spy_mean_loss)
+        docs = toy_docs(5) + [AccountDocument("e0", "", 0), AccountDocument("e1", " ", 1)]
+        model = train_supervised(docs, small_config(epochs=3))
+        assert len(model.loss_history) == 4
+        assert model.loss_history[0] == pytest.approx(math.log(2.0), abs=1e-12)
+        assert len(mean_loss_calls) == 1
+        per_epoch = len(docs) - 2  # the empty documents take no step
+        assert len(steps) == 3 * per_epoch
+        for epoch in range(3):
+            epoch_steps = steps[epoch * per_epoch : (epoch + 1) * per_epoch]
+            expected = (sum(epoch_steps) + 2 * math.log(2.0)) / len(docs)
+            assert model.loss_history[epoch + 1] == pytest.approx(expected, rel=1e-12)
 
     def test_loss_decreases_after_first_epoch(self):
         model = train_supervised(toy_docs(), small_config(epochs=3))

@@ -202,17 +202,22 @@ class TestTrainSkipgram:
                 assert flat[indptr[w] : indptr[w + 1]].tolist() == input_ids(word, vocab, index)
 
     def test_check_finite_scans_every_block(self):
-        from xldetect.embedding import _CHECK_ROWS, _check_finite
+        from xldetect.embedding import _CHECK_ROWS, _check_finite, _epoch_guard
         from xldetect.errors import TrainingError
 
         table = np.zeros((_CHECK_ROWS + 3, 2), dtype=np.float32)
         _check_finite(table, "input rows")  # no raise
+        _epoch_guard(table, epoch=0)
         # the last row, and the rows on either side of the block boundary
         for row in (len(table) - 1, _CHECK_ROWS - 1, _CHECK_ROWS):
             for bad in (np.nan, np.inf):
                 table[row, 1] = bad
                 with pytest.raises(TrainingError, match="input rows"):
                     _check_finite(table, "input rows")
+            for bad in (np.nan, np.inf, -np.inf, 2e8):
+                table[row, 1] = bad
+                with pytest.raises(TrainingError, match="epoch 2: parameter magnitude"):
+                    _epoch_guard(table, epoch=2)
             table[row, 1] = 0.0
 
     def test_divergence_guards(self):

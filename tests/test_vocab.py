@@ -3,6 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
+from xldetect import vocab as vocab_module
+
 from xldetect.vocab import (
     SubwordIndex,
     build_vocab,
@@ -10,7 +12,9 @@ from xldetect.vocab import (
     hash_subword,
     init_input_rows,
     input_ids,
+    subword_ids_csr,
     subwords,
+    word_rows_csr,
 )
 
 
@@ -153,6 +157,61 @@ class TestInputIds:
                 break
             seen[h] = g
         assert collision is not None
+
+
+def subword_ids_reference(words, index, offset):
+    """CSR of every word's hash_subword ids, one n-gram string at a time."""
+    indptr, ids = [0], []
+    for word in words:
+        ids.extend(offset + hash_subword(g, index.buckets) for g in subwords(word, index))
+        indptr.append(len(ids))
+    return indptr, ids
+
+
+class TestSubwordIdsCsr:
+    WORDS = [
+        "where", "hello", "x", "ab",  # ASCII; 1- and 2-character words
+        "ñandú", "日本", "😀", "a😀ñ日z",  # 2-, 3- and 4-byte UTF-8 characters
+        "a<b", "<>", ">x<",  # reserved markers inside words
+        "supercalifragilistic",  # longer than n_max
+    ]
+
+    def check(self, words, index, offset):
+        indptr, ids = subword_ids_csr(words, index, offset)
+        ref_indptr, ref_ids = subword_ids_reference(words, index, offset)
+        assert indptr.dtype == np.int64 and ids.dtype == np.int64
+        assert indptr.tolist() == ref_indptr
+        assert ids.tolist() == ref_ids
+
+    def test_matches_per_ngram_reference(self):
+        for index in (
+            SubwordIndex(3, 6, 2_000_000),
+            SubwordIndex(3, 6, 16),  # colliding buckets
+            SubwordIndex(4, 4, 1009),  # n_min == n_max
+            SubwordIndex(1, 2, 97),  # n_min = 1
+            SubwordIndex(1, 8, 1),  # one bucket
+            SubwordIndex(6, 8, 101),  # n_min above short words' wrapped length
+        ):
+            for offset in (0, 7):
+                self.check(self.WORDS, index, offset)
+                for word in self.WORDS:
+                    self.check([word], index, offset)
+                self.check([], index, offset)
+
+    def test_words_span_many_blocks(self, monkeypatch):
+        monkeypatch.setattr(vocab_module, "_BLOCK_CHARS", 8)
+        index = SubwordIndex(2, 5, 1000)
+        self.check(self.WORDS * 3, index, 3)
+        # word_rows_csr: each word's own row, then its bucket rows
+        vocab = build_vocab([self.WORDS], min_count=1)
+        indptr, flat = word_rows_csr(vocab, index)
+        for w, word in enumerate(vocab.words):
+            assert flat[indptr[w] : indptr[w + 1]].tolist() == input_ids(word, vocab, index)
+
+    def test_empty_word_rejected(self):
+        for words in ([""], ["abc", ""]):
+            with pytest.raises(ValueError):
+                subword_ids_csr(words, SubwordIndex(3, 6, 10), 0)
 
 
 class TestInitInputRows:
