@@ -1,8 +1,9 @@
 """Linear softmax text classification over averaged embeddings.
 
 A document's vector is the mean of every input row its tokens contribute
-(word rows, hashed subword rows, optional hashed word n-grams). Training
-is per-document SGD on softmax cross-entropy; with pretrained vectors the
+(word rows and hashed subword rows, their ids from vocab.word_rows_csr and
+vocab.subword_ids_csr; there are no word n-grams). Training is
+per-document SGD on softmax cross-entropy; with pretrained vectors the
 word rows start from the given table and keep training unless frozen.
 
 loss_history[0] is the mean cross-entropy of the untrained model over the
@@ -30,7 +31,6 @@ from .vocab import (
     SubwordIndex,
     Vocabulary,
     build_vocab,
-    hash_subword,
     init_input_rows,
     subword_ids_csr,
     word_rows_csr,
@@ -43,6 +43,8 @@ _N_CLASSES = 2
 _PARAM_LIMIT = 1e8
 # an empty document takes no step; its distribution is uniform
 _EMPTY_DOC_LOSS = float(np.log(_N_CLASSES))
+# the XLCLF1 word n-gram order field: no word n-grams, so always 1
+_WORD_NGRAMS = 1
 
 
 @dataclass
@@ -51,7 +53,7 @@ class SupervisedConfig:
     epochs: int = 100
     initial_lr: float = 1.0
     min_count: int = 1
-    word_ngrams: int = 1
+    word_ngrams: int = 1  # only 1: there are no word n-gram features
     subwords: SubwordIndex | None = field(default_factory=SubwordIndex)
     pretrained: VectorTable | None = None
     freeze_pretrained: bool = False
@@ -64,10 +66,9 @@ class SupervisedConfig:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if self.initial_lr <= 0:
             raise ValueError(f"initial_lr must be > 0, got {self.initial_lr}")
-        if self.word_ngrams < 1:
-            raise ValueError(f"word_ngrams must be >= 1, got {self.word_ngrams}")
-        if self.word_ngrams > 1 and self.subwords is None:
-            raise ValueError("word_ngrams > 1 needs a bucket table (subwords)")
+        if self.word_ngrams != 1:
+            raise ValueError(f"word n-grams are not supported: word_ngrams must be 1, "
+                             f"got {self.word_ngrams}")
         if self.pretrained is not None and self.pretrained.dim != self.dim:
             raise ValueError(
                 f"pretrained vectors have dim {self.pretrained.dim}, config says {self.dim}"
@@ -84,7 +85,6 @@ class TextClassifier:
         self,
         vocab: Vocabulary,
         subwords: SubwordIndex | None,
-        word_ngrams: int,
         input_rows: np.ndarray,
         output_weights: np.ndarray,
     ):
@@ -95,7 +95,6 @@ class TextClassifier:
             raise ValueError("output weights must be 2 x dim")
         self.vocab = vocab
         self.subwords = subwords
-        self.word_ngrams = word_ngrams
         self.input_rows = input_rows
         self.output_weights = output_weights
         self.label_names = LABEL_NAMES
@@ -116,8 +115,7 @@ class TextClassifier:
         """Unique contributing row ids, ascending, and their multiplicities.
 
         In-vocabulary tokens take their rows from word_rows; only
-        out-of-vocabulary tokens, in one subword_ids_csr call, and word
-        n-grams are hashed per call.
+        out-of-vocabulary tokens are hashed, in one subword_ids_csr call.
         """
         word_to_id, word_rows = self.vocab.word_to_id, self.word_rows
         parts: list[np.ndarray] = []
@@ -130,15 +128,8 @@ class TextClassifier:
                 parts.append(word_rows[wid])
         if oov and self.subwords is not None:
             parts.append(subword_ids_csr(oov, self.subwords, len(self.vocab))[1])
-        ids: list[int] = []
-        if self.word_ngrams > 1:
-            offset = len(self.vocab)
-            buckets = self.subwords.buckets
-            for n in range(2, self.word_ngrams + 1):
-                for i in range(len(tokens) - n + 1):
-                    ids.append(offset + hash_subword(" ".join(tokens[i : i + n]), buckets))
-        parts.append(np.asarray(ids, dtype=np.int64))
-        uniq, counts = np.unique(np.concatenate(parts), return_counts=True)
+        ids = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+        uniq, counts = np.unique(ids, return_counts=True)
         return uniq, counts.astype(np.float32)
 
 
@@ -199,7 +190,7 @@ def train_supervised(
                 hits += 1
         logger.info("pretrained init: %d/%d vocabulary words covered", hits, len(vocab))
     output_weights = np.zeros((_N_CLASSES, config.dim), dtype=np.float32)
-    model = TextClassifier(vocab, config.subwords, config.word_ngrams, input_rows, output_weights)
+    model = TextClassifier(vocab, config.subwords, input_rows, output_weights)
 
     docs_rows = [model.doc_rows(toks) for toks in token_docs]
     model.loss_history.append(_mean_loss(model, docs_rows, labels))
@@ -275,7 +266,7 @@ def save_classifier(model: TextClassifier, path: str | Path) -> None:
         for name in model.label_names:
             data = name.encode("utf-8")
             fh.write(struct.pack("<H", len(data)) + data)
-        fh.write(struct.pack("<I", model.word_ngrams))
+        fh.write(struct.pack("<I", _WORD_NGRAMS))
         formats.write_vocab_block(fh, model.vocab)
         formats.write_floats(fh, model.input_rows, model.output_weights)
 
@@ -288,8 +279,11 @@ def load_classifier(path: str | Path) -> TextClassifier:
         if names != LABEL_NAMES:
             raise FormatError(f"{path}: unexpected label names {list(names)}")
         (word_ngrams,) = reader.unpack("<I")
+        if word_ngrams != _WORD_NGRAMS:
+            raise FormatError(f"{path}: word n-gram order {word_ngrams} is not supported "
+                              f"(must be {_WORD_NGRAMS})")
         vocab = formats.read_vocab_block(reader, nwords)
         input_rows = reader.floats(nwords + (sub.buckets if sub else 0), dim)
         output_weights = reader.floats(_N_CLASSES, dim)
         reader.end()
-    return TextClassifier(vocab, sub, word_ngrams, input_rows, output_weights)
+    return TextClassifier(vocab, sub, input_rows, output_weights)

@@ -116,7 +116,6 @@ def _supervised_config(cfg: PipelineConfig, pretrained) -> clf.SupervisedConfig:
         epochs=cfg["classifier.epochs"],
         initial_lr=cfg["classifier.lr"],
         min_count=cfg["classifier.min_count"],
-        word_ngrams=cfg["classifier.word_ngrams"],
         subwords=_subword_index(cfg, "classifier"),
         pretrained=pretrained,
         freeze_pretrained=cfg["classifier.freeze_pretrained"],

@@ -85,7 +85,8 @@ SCHEMA: dict[str, tuple] = {
     "classifier.epochs": ("int", 100, _nonneg("classifier.epochs")),
     "classifier.lr": ("float", 1.0, _positive("classifier.lr")),
     "classifier.min_count": ("int", 1, _at_least("classifier.min_count", 1)),
-    "classifier.word_ngrams": ("int", 1, _at_least("classifier.word_ngrams", 1)),
+    "classifier.word_ngrams": ("int", 1, (lambda v: v == 1, "classifier.word_ngrams must be 1: "
+                                         "word n-grams are not supported")),
     "classifier.subwords": ("bool", True, None),
     "classifier.n_min": ("int", 3, _at_least("classifier.n_min", 1)),
     "classifier.n_max": ("int", 6, _at_least("classifier.n_max", 1)),
@@ -218,8 +219,6 @@ def _cross_checks(values: dict) -> list[str]:
     for kind in values["sweep.kinds"]:
         if kind not in _SWEEP_KINDS:
             errors.append(f"sweep.kinds entries must be one of {', '.join(_SWEEP_KINDS)}")
-    if values["classifier.word_ngrams"] > 1 and not values["classifier.subwords"]:
-        errors.append("classifier.word_ngrams > 1 requires classifier.subwords=true")
     return errors
 
 

@@ -100,10 +100,12 @@ class EmbeddingMatrix:
         return self.input_rows.shape[1]
 
     def to_table(self) -> "VectorTable":
-        """Composed per-word vectors, in vocabulary (frequency) order."""
+        """Composed per-word vectors, in vocabulary (frequency) order; row
+        i is word_vector(vocab.words[i]) bit for bit, from one word_rows_csr."""
+        indptr, flat = word_rows_csr(self.vocab, self.subwords)
         vectors = np.empty((len(self.vocab), self.dim), dtype=np.float64)
-        for i, word in enumerate(self.vocab.words):
-            vectors[i] = word_vector(word, self)
+        for i, (a, b) in enumerate(zip(indptr[:-1].tolist(), indptr[1:].tolist())):
+            vectors[i] = self.input_rows[flat[a:b]].mean(axis=0)
         return VectorTable(list(self.vocab.words), vectors)
 
 

@@ -2,7 +2,9 @@
 
 A word owns a dense vocabulary row; its character n-grams (over the
 boundary-wrapped form "<word>") are hashed into a fixed table of buckets
-so that out-of-vocabulary words still compose a vector.
+so that out-of-vocabulary words still compose a vector. subwords,
+hash_subword and input_ids, one n-gram string at a time, are the spec;
+pipeline stages take the same ids from subword_ids_csr, which builds none.
 """
 
 from __future__ import annotations
@@ -117,7 +119,8 @@ def input_ids(word: str, vocab: Vocabulary, index: SubwordIndex | None) -> list[
 
     In-vocabulary words contribute their word row plus hashed subword
     rows (offset by |V|); out-of-vocabulary words contribute bucket rows
-    only. Hash collisions are kept, so a bucket can contribute multiply.
+    only, and none when the wrapped word is shorter than n_min. Hash
+    collisions are kept, so a bucket can contribute multiply.
     """
     ids: list[int] = []
     wid = vocab.word_to_id.get(word)
@@ -126,9 +129,6 @@ def input_ids(word: str, vocab: Vocabulary, index: SubwordIndex | None) -> list[
     if index is not None:
         offset = len(vocab)
         ids.extend(offset + hash_subword(g, index.buckets) for g in subwords(word, index))
-        if wid is None and len(ids) == 0:
-            # unreachable with n_min <= 3 since the wrapped form has length >= 3
-            raise ValueError(f"no input rows for out-of-vocabulary word {word!r}")
     return ids
 
 

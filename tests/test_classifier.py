@@ -1,5 +1,6 @@
 import itertools
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -16,10 +17,10 @@ from xldetect.classifier import (
     save_classifier,
     train_supervised,
 )
-from xldetect.corpus import AccountDocument
+from xldetect.corpus import LABEL_NAMES, AccountDocument
 from xldetect.embedding import VectorTable
 from xldetect.errors import FormatError
-from xldetect.vocab import SubwordIndex, build_vocab, hash_subword, init_input_rows, input_ids
+from xldetect.vocab import SubwordIndex, build_vocab, init_input_rows, input_ids
 
 
 def toy_docs(n_per_class=20):
@@ -39,7 +40,7 @@ def small_config(**kw):
 def manual_model(input_rows, output_weights, words=("aaa", "bbb"), subwords=None):
     vocab = build_vocab([list(words)], min_count=1)
     return TextClassifier(
-        vocab, subwords, 1,
+        vocab, subwords,
         np.asarray(input_rows, dtype=np.float32),
         np.asarray(output_weights, dtype=np.float32),
     )
@@ -76,13 +77,9 @@ class TestDocEmbedding:
 
 
 def doc_rows_reference(tokens, model):
-    """Every token's input_ids and every hashed word n-gram, merged by
-    np.unique: the rows doc_rows must yield without its word-row CSR."""
+    """Every token's input_ids, merged by np.unique: the rows doc_rows
+    must yield without its word-row CSR."""
     ids = [i for tok in tokens for i in input_ids(tok, model.vocab, model.subwords)]
-    for n in range(2, model.word_ngrams + 1):
-        for i in range(len(tokens) - n + 1):
-            gram = " ".join(tokens[i : i + n])
-            ids.append(len(model.vocab) + hash_subword(gram, model.subwords.buckets))
     uniq, counts = np.unique(np.asarray(ids, dtype=np.int64), return_counts=True)
     return uniq, counts.astype(np.float32)
 
@@ -94,6 +91,8 @@ class TestDocRows:
         ["aaa", "aaa", "bbb"],  # repeated in-vocabulary token
         ["zzz"],  # out of vocabulary
         ["zzz", "aaa", "zzz", "q", "ccc", "bbb", "aaa", "ccc"],
+        ["ñandú", "aaa", "日本"],  # multi-byte out-of-vocabulary tokens
+        ["q", "ñ"],  # no n-gram of length >= 5 in "<q>" or "<ñ>"
     )
 
     def check(self, model):
@@ -107,22 +106,21 @@ class TestDocRows:
 
     def test_matches_per_token_reference(self):
         # 16 buckets, so n-grams of different words collide
-        for subwords, word_ngrams in (
-            (SubwordIndex(2, 4, 16), 1),
-            (SubwordIndex(2, 4, 16), 2),
-            (SubwordIndex(3, 6, 1009), 3),
-            (None, 1),
+        for subwords in (
+            SubwordIndex(2, 4, 16),
+            SubwordIndex(3, 6, 1009),
+            SubwordIndex(5, 6, 16),  # short tokens have no n-gram
+            None,
         ):
             buckets = subwords.buckets if subwords is not None else 0
             model = manual_model(
                 np.zeros((3 + buckets, 2)), np.zeros((2, 2)),
                 words=("aaa", "bbb", "ccc"), subwords=subwords,
             )
-            model.word_ngrams = word_ngrams
             self.check(model)
 
     def test_trained_model(self):
-        cfg = small_config(subwords=SubwordIndex(2, 3, 40), word_ngrams=2, epochs=1)
+        cfg = small_config(subwords=SubwordIndex(2, 3, 40), epochs=1)
         self.check(train_supervised(toy_docs(3), cfg))
 
 
@@ -373,17 +371,11 @@ class TestTrainSupervised:
         correct = sum(predict(d.text.split(), model)[0] == d.label for d in docs)
         assert correct == len(docs)
 
-    def test_word_ngrams_contribute(self):
-        cfg = small_config(subwords=SubwordIndex(2, 3, 40), word_ngrams=2)
-        docs = [
-            AccountDocument("a", "x y x y", 0),
-            AccountDocument("b", "y x y x", 1),
-        ] * 5
-        model = train_supervised(docs, cfg)
-        ids_1, _ = model.doc_rows(["x", "y"])
-        model.word_ngrams = 1
-        ids_0, _ = model.doc_rows(["x", "y"])
-        assert len(ids_1) > len(ids_0)  # bigram bucket included
+    def test_word_ngrams_rejected(self):
+        for word_ngrams in (0, 2, 3):
+            for subwords in (None, SubwordIndex(2, 3, 40)):
+                with pytest.raises(ValueError, match="word n-grams are not supported"):
+                    small_config(word_ngrams=word_ngrams, subwords=subwords)
 
 
 class TestPersistence:
@@ -398,7 +390,6 @@ class TestPersistence:
         assert (loaded.input_rows == model.input_rows).all()
         assert (loaded.output_weights == model.output_weights).all()
         assert loaded.subwords == model.subwords
-        assert loaded.word_ngrams == model.word_ngrams
 
     def test_predictions_survive_round_trip(self, tmp_path):
         model = train_supervised(toy_docs(), small_config(epochs=10))
@@ -430,3 +421,17 @@ class TestPersistence:
         damaged.write_bytes(data + b"\0")
         with pytest.raises(FormatError, match=f"trailing bytes after offset {len(data)}"):
             load_classifier(damaged)
+
+    def test_word_ngram_field_other_than_one_rejected(self, tmp_path):
+        model = train_supervised(toy_docs(2), small_config(dim=2, epochs=1))
+        path = tmp_path / "clf.bin"
+        save_classifier(model, path)
+        data = path.read_bytes()
+        last_name = LABEL_NAMES[-1].encode("utf-8")
+        at = data.index(struct.pack("<H", len(last_name)) + last_name) + 2 + len(last_name)
+        assert data[at : at + 4] == struct.pack("<I", 1)
+        damaged = tmp_path / "damaged.bin"
+        for value in (0, 2):
+            damaged.write_bytes(data[:at] + struct.pack("<I", value) + data[at + 4 :])
+            with pytest.raises(FormatError, match=f"damaged.bin: word n-gram order {value}"):
+                load_classifier(damaged)

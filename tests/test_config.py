@@ -40,7 +40,6 @@ class TestDefaults:
         assert SCHEMA["classifier.epochs"][1] == c.epochs
         assert SCHEMA["classifier.lr"][1] == c.initial_lr
         assert SCHEMA["classifier.min_count"][1] == c.min_count
-        assert SCHEMA["classifier.word_ngrams"][1] == c.word_ngrams
 
 
 class TestValidation:
@@ -64,13 +63,15 @@ class TestValidation:
             assert any(repr(key) in e for e in err.value.errors)
 
     def test_all_violations_reported(self, tmp_path):
-        text = "embedding.dim = -1\nclassifier.lr = 0\nnot.a.key = 3\n"
+        text = ("embedding.dim = -1\nclassifier.lr = 0\nnot.a.key = 3\n"
+                "classifier.word_ngrams = 2\n")
         with pytest.raises(ConfigError) as err:
             validate_config(write_config(tmp_path, text))
         joined = "\n".join(err.value.errors)
         assert "embedding.dim" in joined
         assert "classifier.lr" in joined
         assert "not.a.key" in joined
+        assert "classifier.word_ngrams must be 1: word n-grams are not supported" in joined
 
     def test_type_error_reported(self, tmp_path):
         with pytest.raises(ConfigError) as err:

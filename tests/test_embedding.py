@@ -304,9 +304,13 @@ class TestWordVector:
 
     def test_oov_without_subwords_is_zero(self):
         vocab = build_vocab([["w", "w"]], min_count=1)
-        rows = np.ones((1, 3), dtype=np.float32)
-        model = EmbeddingMatrix(vocab, None, rows, np.zeros((1, 3), dtype=np.float32))
-        assert (word_vector("other", model) == 0).all()
+        # no bucket table, or no n-gram: "<ab>" is shorter than n_min = 5
+        for idx, word in ((None, "other"), (SubwordIndex(5, 6, 10), "ab")):
+            buckets = idx.buckets if idx is not None else 0
+            rows = np.ones((1 + buckets, 3), dtype=np.float32)
+            model = EmbeddingMatrix(vocab, idx, rows, np.zeros((1, 3), dtype=np.float32))
+            assert input_ids(word, vocab, idx) == []
+            assert (word_vector(word, model) == 0).all()
 
 
 class TestVectorIO:
@@ -407,8 +411,11 @@ class TestCheckpoint:
             load_checkpoint(damaged)
 
     def test_composed_table_matches_word_vector(self):
-        corpus = [["aa", "bb", "cc"], ["bb", "cc", "aa"]] * 10
-        model = train_skipgram(corpus, small_config(epochs=1, subwords=SubwordIndex(2, 3, 20)))
-        table = model.to_table()
-        for word in model.vocab.words:
-            assert (table.get(word) == word_vector(word, model).astype(np.float64)).all()
+        # short and multi-byte words; at n_min = 5 the shortest have no n-gram
+        corpus = [["aa", "bb", "cc", "ñandú", "日本", "x"], ["bb", "cc", "aa", "😀z"]] * 10
+        for subwords in (SubwordIndex(2, 3, 20), SubwordIndex(5, 6, 20), None):
+            model = train_skipgram(corpus, small_config(epochs=1, subwords=subwords))
+            table = model.to_table()
+            assert table.words == model.vocab.words
+            for word in model.vocab.words:
+                assert (table.get(word) == word_vector(word, model).astype(np.float64)).all()
