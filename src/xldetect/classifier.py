@@ -5,6 +5,9 @@ A document's vector is the mean of every input row its tokens contribute
 vocab.subword_ids_csr; there are no word n-grams). Training is
 per-document SGD on softmax cross-entropy; with pretrained vectors the
 word rows start from the given table and keep training unless frozen.
+The model stores the bucket rows of its training documents only (their
+out-of-vocabulary tokens included); any other bucket reads its initial
+value (vocab.InputTable).
 
 loss_history[0] is the mean cross-entropy of the untrained model over the
 training documents. loss_history[e] is the mean loss over epoch e: each
@@ -28,6 +31,7 @@ from . import formats
 from .embedding import VectorTable, _check_finite
 from .errors import FormatError, TrainingError
 from .vocab import (
+    InputTable,
     SubwordIndex,
     Vocabulary,
     build_vocab,
@@ -38,12 +42,12 @@ from .vocab import (
 
 logger = logging.getLogger(__name__)
 
-_MAGIC_MODEL = b"XLCLF1"
+_MAGIC_MODEL = b"XLCLF2"
 _N_CLASSES = 2
 _PARAM_LIMIT = 1e8
 # an empty document takes no step; its distribution is uniform
 _EMPTY_DOC_LOSS = float(np.log(_N_CLASSES))
-# the XLCLF1 word n-gram order field: no word n-grams, so always 1
+# the XLCLF2 word n-gram order field: no word n-grams, so always 1
 _WORD_NGRAMS = 1
 
 
@@ -75,8 +79,8 @@ class SupervisedConfig:
             )
 
 
-class TextClassifier:
-    """Input embedding table plus a 2 x d softmax head.
+class TextClassifier(InputTable):
+    """Input embedding table (vocab.InputTable) plus a 2 x d softmax head.
 
     Label index 1 is always the positive "Suspended" class.
     """
@@ -87,22 +91,15 @@ class TextClassifier:
         subwords: SubwordIndex | None,
         input_rows: np.ndarray,
         output_weights: np.ndarray,
+        bucket_ids: np.ndarray | None = None,
+        bucket_seed: int | None = None,
     ):
-        buckets = subwords.buckets if subwords is not None else 0
-        if input_rows.shape[0] != len(vocab) + buckets:
-            raise ValueError("input table size inconsistent with vocab and buckets")
+        super().__init__(vocab, subwords, input_rows, bucket_ids, bucket_seed)
         if output_weights.shape != (_N_CLASSES, input_rows.shape[1]):
             raise ValueError("output weights must be 2 x dim")
-        self.vocab = vocab
-        self.subwords = subwords
-        self.input_rows = input_rows
         self.output_weights = output_weights
         self.label_names = LABEL_NAMES
         self.loss_history: list[float] = []
-
-    @property
-    def dim(self) -> int:
-        return self.input_rows.shape[1]
 
     @cached_property
     def word_rows(self) -> list[np.ndarray]:
@@ -112,7 +109,7 @@ class TextClassifier:
         return [flat[a:b] for a, b in zip(indptr[:-1].tolist(), indptr[1:].tolist())]
 
     def doc_rows(self, tokens: list[str]) -> tuple[np.ndarray, np.ndarray]:
-        """Unique contributing row ids, ascending, and their multiplicities.
+        """Unique contributing input ids, ascending, and their multiplicities.
 
         In-vocabulary tokens take their rows from word_rows; only
         out-of-vocabulary tokens are hashed, in one subword_ids_csr call.
@@ -141,7 +138,7 @@ def doc_embedding(tokens: list[str], model: TextClassifier) -> np.ndarray:
 def _mean_row(model: TextClassifier, ids: np.ndarray, counts: np.ndarray) -> np.ndarray:
     if len(ids) == 0:
         return np.zeros(model.dim, dtype=np.float32)
-    return (counts @ model.input_rows[ids]) / counts.sum()
+    return (counts @ model.rows(ids)) / counts.sum()
 
 
 def _class_probs(model: TextClassifier, ids: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -174,14 +171,8 @@ def train_supervised(
             logger.warning("training data has no documents of class %s", LABEL_NAMES[cls])
 
     vocab = build_vocab(token_docs, min_count=config.min_count)
-    if config.pretrained is None:
-        input_rows = init_input_rows(vocab, config.subwords, config.dim, config.seed)
-    else:
-        # bucket rows start at zero; a (|V|, d) draw is the prefix of the
-        # (|V|+B, d) one, so the word rows need no bucket rows drawn
-        buckets = config.subwords.buckets if config.subwords is not None else 0
-        input_rows = np.zeros((len(vocab) + buckets, config.dim), dtype=np.float32)
-        input_rows[: len(vocab)] = init_input_rows(vocab, None, config.dim, config.seed)
+    input_rows = init_input_rows(vocab, config.dim, config.seed)
+    if config.pretrained is not None:
         hits = 0
         for i, word in enumerate(vocab.words):
             vec = config.pretrained.get(word)
@@ -189,13 +180,21 @@ def train_supervised(
                 input_rows[i] = vec.astype(np.float32)
                 hits += 1
         logger.info("pretrained init: %d/%d vocabulary words covered", hits, len(vocab))
+    # bucket rows start at zero under pretrained vectors
+    uniform = config.subwords is not None and config.pretrained is None
     output_weights = np.zeros((_N_CLASSES, config.dim), dtype=np.float32)
-    model = TextClassifier(vocab, config.subwords, input_rows, output_weights)
+    model = TextClassifier(vocab, config.subwords, input_rows, output_weights,
+                           bucket_seed=config.seed if uniform else None)
 
     docs_rows = [model.doc_rows(toks) for toks in token_docs]
+    nwords = len(vocab)
+    model.store_buckets(np.unique(np.concatenate([ids[ids >= nwords] for ids, _ in docs_rows]))
+                        - nwords)
     model.loss_history.append(_mean_loss(model, docs_rows, labels))
     if config.epochs == 0:
         return model
+    # the steps index input_rows directly; the map keeps ids ascending
+    docs_rows = [(model.row_slots[ids].astype(np.int64), counts) for ids, counts in docs_rows]
 
     trainable_input = not (config.pretrained is not None and config.freeze_pretrained)
     total_steps = config.epochs * len(train_docs)
@@ -268,6 +267,7 @@ def save_classifier(model: TextClassifier, path: str | Path) -> None:
             fh.write(struct.pack("<H", len(data)) + data)
         fh.write(struct.pack("<I", _WORD_NGRAMS))
         formats.write_vocab_block(fh, model.vocab)
+        formats.write_bucket_block(fh, model.bucket_ids, model.bucket_seed)
         formats.write_floats(fh, model.input_rows, model.output_weights)
 
 
@@ -283,7 +283,8 @@ def load_classifier(path: str | Path) -> TextClassifier:
             raise FormatError(f"{path}: word n-gram order {word_ngrams} is not supported "
                               f"(must be {_WORD_NGRAMS})")
         vocab = formats.read_vocab_block(reader, nwords)
-        input_rows = reader.floats(nwords + (sub.buckets if sub else 0), dim)
+        bucket_ids, bucket_seed = formats.read_bucket_block(reader, sub)
+        input_rows = reader.floats(nwords + len(bucket_ids), dim)
         output_weights = reader.floats(_N_CLASSES, dim)
         reader.end()
-    return TextClassifier(vocab, sub, input_rows, output_weights)
+    return TextClassifier(vocab, sub, input_rows, output_weights, bucket_ids, bucket_seed)

@@ -1,7 +1,9 @@
 """Skipgram word embeddings with negative sampling.
 
 Each word's vector is the mean of its own input row and the hashed rows
-of its character n-grams. Training takes one SGD step per sentence: after
+of its character n-grams. The model stores the bucket rows of its
+vocabulary words only; any other bucket reads its initial value
+(vocab.InputTable). Training takes one SGD step per sentence: after
 subsampling and the window-radius draw, every (center, context) pair of
 the sentence is scored against noise words drawn from the unigram^0.75
 distribution, all reads see the pre-step parameters, and the step is
@@ -23,6 +25,7 @@ import numpy as np
 from . import formats
 from .errors import FormatError, TrainingError
 from .vocab import (
+    InputTable,
     SubwordIndex,
     Vocabulary,
     build_vocab,
@@ -33,7 +36,7 @@ from .vocab import (
 
 logger = logging.getLogger(__name__)
 
-_MAGIC_CHECKPOINT = b"XLEMB1"
+_MAGIC_CHECKPOINT = b"XLEMB2"
 _PARAM_LIMIT = 1e8  # divergence guard on parameter magnitude
 _SCORE_CLIP = 30.0
 _STEP_CENTERS = 256  # bounds a step's memory on long documents
@@ -67,12 +70,12 @@ class SkipgramConfig:
             raise ValueError(f"subsample_t must be > 0, got {self.subsample_t}")
 
 
-class EmbeddingMatrix:
+class EmbeddingMatrix(InputTable):
     """Trained (or initialized) embedding parameters.
 
-    input_rows holds |V| word rows followed by B hashed subword bucket
-    rows; context_rows holds the |V| output-side rows used only during
-    training.
+    The input side is a vocab.InputTable: the |V| word rows, then the
+    stored bucket rows. context_rows holds the |V| output-side rows used
+    only during training.
     """
 
     def __init__(
@@ -81,31 +84,23 @@ class EmbeddingMatrix:
         subwords: SubwordIndex | None,
         input_rows: np.ndarray,
         context_rows: np.ndarray,
+        bucket_ids: np.ndarray | None = None,
+        bucket_seed: int | None = None,
     ):
-        buckets = subwords.buckets if subwords is not None else 0
-        if input_rows.shape[0] != len(vocab) + buckets:
-            raise ValueError(
-                f"input_rows has {input_rows.shape[0]} rows, "
-                f"expected |V|+B = {len(vocab) + buckets}"
-            )
+        super().__init__(vocab, subwords, input_rows, bucket_ids, bucket_seed)
         if context_rows.shape != (len(vocab), input_rows.shape[1]):
             raise ValueError("context_rows shape inconsistent with vocab and dim")
-        self.vocab = vocab
-        self.subwords = subwords
-        self.input_rows = input_rows
         self.context_rows = context_rows
-
-    @property
-    def dim(self) -> int:
-        return self.input_rows.shape[1]
 
     def to_table(self) -> "VectorTable":
         """Composed per-word vectors, in vocabulary (frequency) order; row
         i is word_vector(vocab.words[i]) bit for bit, from one word_rows_csr."""
         indptr, flat = word_rows_csr(self.vocab, self.subwords)
+        ids, at = np.unique(flat, return_inverse=True)
+        rows = self.rows(ids)
         vectors = np.empty((len(self.vocab), self.dim), dtype=np.float64)
         for i, (a, b) in enumerate(zip(indptr[:-1].tolist(), indptr[1:].tolist())):
-            vectors[i] = self.input_rows[flat[a:b]].mean(axis=0)
+            vectors[i] = rows[at[a:b]].mean(axis=0)
         return VectorTable(list(self.vocab.words), vectors)
 
 
@@ -189,13 +184,19 @@ def train_skipgram(corpus: Iterable[list[str]], config: SkipgramConfig) -> Embed
     """
     sentences_tok = [s for s in corpus]
     vocab = build_vocab(sentences_tok, min_count=config.min_count)
-    input_rows = init_input_rows(vocab, config.subwords, config.dim, config.seed)
     context_rows = np.zeros((len(vocab), config.dim), dtype=np.float32)
-    model = EmbeddingMatrix(vocab, config.subwords, input_rows, context_rows)
+    model = EmbeddingMatrix(
+        vocab, config.subwords, init_input_rows(vocab, config.dim, config.seed), context_rows,
+        bucket_seed=config.seed if config.subwords is not None else None,
+    )
+    indptr, flat = word_rows_csr(vocab, config.subwords)
+    model.store_buckets(np.unique(flat[flat >= len(vocab)]) - len(vocab))
     if config.epochs == 0:
         return model
 
-    word_rows = word_rows_csr(vocab, config.subwords)
+    input_rows = model.input_rows
+    # the steps index input_rows directly; every row of the CSR is stored
+    word_rows = (indptr, model.row_slots[flat].astype(np.int64))
     sentences = []
     for tokens in sentences_tok:
         ids = [vocab.word_to_id[t] for t in tokens if t in vocab.word_to_id]
@@ -327,7 +328,7 @@ def word_vector(word: str, model: EmbeddingMatrix) -> np.ndarray:
     ids = input_ids(word, model.vocab, model.subwords)
     if not ids:
         return np.zeros(model.dim, dtype=np.float32)
-    return model.input_rows[np.asarray(ids, dtype=np.int64)].mean(axis=0)
+    return model.rows(np.asarray(ids, dtype=np.int64)).mean(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -348,10 +349,12 @@ def load_vectors(path: str | Path, expect_dim: int | None = None) -> VectorTable
 
 
 def save_checkpoint(model: EmbeddingMatrix, path: str | Path) -> None:
-    """Binary checkpoint: raw float32 parameter rows in id order."""
+    """Binary checkpoint: the stored bucket ids, then raw float32 parameter
+    rows in storage order."""
     with open(path, "wb") as fh:
         formats.write_model_head(fh, _MAGIC_CHECKPOINT, model.dim, model.vocab, model.subwords)
         formats.write_vocab_block(fh, model.vocab)
+        formats.write_bucket_block(fh, model.bucket_ids, model.bucket_seed)
         formats.write_floats(fh, model.input_rows, model.context_rows)
 
 
@@ -362,7 +365,8 @@ def load_checkpoint(path: str | Path) -> EmbeddingMatrix:
             reader, _MAGIC_CHECKPOINT, "an embedding checkpoint"
         )
         vocab = formats.read_vocab_block(reader, nwords)
-        input_rows = reader.floats(nwords + (sub.buckets if sub else 0), dim)
+        bucket_ids, bucket_seed = formats.read_bucket_block(reader, sub)
+        input_rows = reader.floats(nwords + len(bucket_ids), dim)
         context_rows = reader.floats(nwords, dim)
         reader.end()
-    return EmbeddingMatrix(vocab, sub, input_rows, context_rows)
+    return EmbeddingMatrix(vocab, sub, input_rows, context_rows, bucket_ids, bucket_seed)

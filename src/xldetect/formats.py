@@ -1,10 +1,11 @@
 """Artifact codecs: every file one stage hands to the next is written and
 read here. Text artifacts are UTF-8 lines, a header and then one record
 per line (blank lines are skipped); vectors, external document features
-and the orthogonal map share one text-matrix layout. The binary XLEMB1
-and XLCLF1 files share a model head, one vocabulary block and float32
-rows. Readers raise FormatError naming the path and the line or byte
-offset of the damage, so a stage exits 2 with one error line."""
+and the orthogonal map share one text-matrix layout. The binary XLEMB2
+and XLCLF2 files share a model head, one vocabulary block, one block of
+stored bucket ids with the rule that gives every other bucket its value,
+and float32 rows. Readers raise FormatError naming the path and the line
+or byte offset of the damage, so a stage exits 2 with one error line."""
 
 from __future__ import annotations
 
@@ -21,6 +22,8 @@ _INT64_LIMIT = 2**63
 _MODEL_HEAD = "<IIQII"  # dim, |V|, subword buckets, n_min, n_max
 _VOCAB_HEAD = "<IQ"  # min_count, total_tokens
 _WORD_HEAD = "<HQ"  # UTF-8 byte length, count
+_BUCKET_HEAD = "<BQQ"  # bucket init (0 zeros, 1 uniform), its seed, stored bucket count
+_BUCKET_ID = np.dtype("<u8")
 
 
 def format_float(x: float) -> str:
@@ -199,3 +202,26 @@ def read_vocab_block(reader: ArtifactReader, nwords: int) -> Vocabulary:
         words.append(reader.text(wlen))
         counts.append(count)
     return Vocabulary(words, counts, min_count, total_tokens)
+
+
+def write_bucket_block(fh, bucket_ids: np.ndarray, seed: int | None) -> None:
+    """The init rule of vocab.init_bucket_rows (seed, or zeros for None),
+    then the stored bucket ids."""
+    uniform = seed is not None
+    fh.write(struct.pack(_BUCKET_HEAD, uniform, seed if uniform else 0, len(bucket_ids)))
+    fh.write(np.asarray(bucket_ids, dtype=_BUCKET_ID).data)
+
+
+def read_bucket_block(reader: ArtifactReader, sub: SubwordIndex | None):
+    """(stored bucket ids, init seed or None): the ids must be strictly
+    increasing and below the bucket count."""
+    at = reader.offset
+    uniform, seed, count = reader.unpack(_BUCKET_HEAD)
+    if uniform > 1 or (not uniform and seed):
+        raise FormatError(f"{reader.path}: bad bucket init rule at byte {at}")
+    ids = np.frombuffer(reader.take(count * _BUCKET_ID.itemsize), dtype=_BUCKET_ID)
+    buckets = sub.buckets if sub is not None else 0
+    if count and ((ids[1:] <= ids[:-1]).any() or ids[-1] >= buckets):
+        raise FormatError(f"{reader.path}: stored bucket ids are not strictly increasing "
+                          f"below {buckets} at byte {at}")
+    return ids.astype(np.int64), (seed if uniform else None)

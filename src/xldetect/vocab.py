@@ -1,15 +1,21 @@
-"""Word vocabularies and hashed character n-gram decomposition.
+"""Word vocabularies, hashed character n-gram decomposition and the input
+table both trainers share.
 
 A word owns a dense vocabulary row; its character n-grams (over the
 boundary-wrapped form "<word>") are hashed into a fixed table of buckets
 so that out-of-vocabulary words still compose a vector. subwords,
 hash_subword and input_ids, one n-gram string at a time, are the spec;
 pipeline stages take the same ids from subword_ids_csr, which builds none.
+
+A bucket row's initial value is a pure function of (seed, bucket), so an
+InputTable stores only the bucket rows training can touch and derives any
+other from that rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Iterable
 
 import numpy as np
@@ -20,6 +26,12 @@ FNV_OFFSET_BASIS = 2166136261
 FNV_PRIME = 16777619
 _U32 = 0xFFFFFFFF
 _BLOCK_CHARS = 1 << 15  # wrapped characters per block of subword_ids_csr
+# splitmix64 (Steele et al. 2014): the stream increment and the two mix multipliers
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+_U64 = (1 << 64) - 1
+_INIT_WORDS = 1 << 18  # 64-bit outputs per block of init_bucket_rows
 
 
 def fnv1a_32(data: bytes) -> int:
@@ -226,16 +238,141 @@ def word_rows_csr(
     return subword_ids_csr(vocab.words, index, len(vocab), first=np.arange(len(vocab)))
 
 
-def init_input_rows(
-    vocab: Vocabulary, index: SubwordIndex | None, dim: int, seed: int
-) -> np.ndarray:
-    """The |V| word rows then the bucket rows that input_ids indexes,
-    drawn uniformly from [-1/dim, 1/dim) in float32, scaled in place so
-    that the table is never held twice."""
-    buckets = index.buckets if index is not None else 0
-    rng = np.random.default_rng(seed)
-    rows = rng.random((len(vocab) + buckets, dim), dtype=np.float32)
+def init_input_rows(vocab: Vocabulary, dim: int, seed: int) -> np.ndarray:
+    """The |V| word rows, drawn uniformly from [-1/dim, 1/dim) in float32
+    by default_rng(seed) and scaled in place. Bucket rows come from
+    init_bucket_rows, through InputTable.store_buckets."""
+    rows = np.random.default_rng(seed).random((len(vocab), dim), dtype=np.float32)
     rows *= np.float32(2.0)
     rows -= np.float32(1.0)
     rows *= np.float32(1.0 / dim)
     return rows
+
+
+def _splitmix64(z: np.ndarray) -> np.ndarray:
+    """splitmix64's output mix of uint64 states, in place."""
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(_MIX1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_MIX2)
+    z ^= z >> np.uint64(31)
+    return z
+
+
+@lru_cache(maxsize=16)
+def _init_stream(seed: int, dim: int) -> tuple[np.ndarray, np.uint64, np.float32]:
+    """(state of output j of every bucket's row less its bucket term, the
+    state step per bucket, the value scale) of init_bucket_rows; cached,
+    since scoring asks for a few rows per document under one rule."""
+    if not 0 <= seed <= _U64:
+        raise ValueError(f"seed must be in [0, 2^64), got {seed}")
+    half = (dim + 1) // 2
+    key = _splitmix64(np.array([(seed + _GAMMA) & _U64], dtype=np.uint64))
+    offsets = np.arange(1, half + 1, dtype=np.uint64) * np.uint64(_GAMMA) + key
+    offsets.flags.writeable = False
+    return offsets, np.uint64(half * _GAMMA & _U64), np.float32(2.0**-23) * np.float32(1.0 / dim)
+
+
+def init_bucket_rows(
+    buckets: np.ndarray, dim: int, seed: int | None, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Initial float32 rows of the given buckets: zeros when seed is None,
+    else uniform over [-1/dim, 1/dim), a pure function of (seed, bucket, dim).
+
+    Value 2j of bucket b's row comes from the low 32-bit half, and value
+    2j+1 (when 2j+1 < dim) from the high half, of output c = b*ceil(dim/2) + j
+    of splitmix64 started from key, the first output of splitmix64 seeded
+    with seed: mix(key + (c + 1) * gamma). The top 24 bits u of a half map
+    to (u - 2^23) * (2^-23 * float32(1/dim)), rounded once, so no row
+    depends on which other rows are asked for, or in what order.
+    """
+    buckets = np.asarray(buckets, dtype=np.int64)
+    if out is None:
+        out = np.empty((len(buckets), dim), dtype=np.float32)
+    if seed is None:
+        out[...] = 0.0
+        return out
+    offsets, stride, scale = _init_stream(seed, dim)
+    step = max(1, _INIT_WORDS // len(offsets))
+    for start in range(0, len(buckets), step):
+        z = buckets[start : start + step, None].astype(np.uint64) * stride + offsets
+        # little-endian: each output's low half, then its high half
+        halves = _splitmix64(z).astype("<u8", copy=False).view("<u4")
+        halves >>= np.uint32(8)
+        block = out[start : start + step]
+        np.subtract(halves[:, :dim], np.float32(2.0**23), out=block, dtype=np.float32,
+                    casting="unsafe")
+        block *= scale
+    return out
+
+
+class InputTable:
+    """The input rows of a subword model, as both trainers build them.
+
+    input_rows holds the |V| word rows, then one row per stored bucket in
+    bucket_ids order (strictly increasing). Input id |V| + b names bucket b
+    whether it is stored or not: a bucket that is not stored holds its
+    initial value, init_bucket_rows(b, dim, bucket_seed), so the table
+    reads as the dense (|V| + B, d) one would.
+    """
+
+    def __init__(
+        self,
+        vocab: Vocabulary,
+        subwords: SubwordIndex | None,
+        input_rows: np.ndarray,
+        bucket_ids: np.ndarray | None = None,
+        bucket_seed: int | None = None,
+    ):
+        bucket_ids = np.zeros(0, dtype=np.int64) if bucket_ids is None else bucket_ids
+        if input_rows.ndim != 2 or input_rows.shape[0] != len(vocab) + len(bucket_ids):
+            raise ValueError(
+                f"input_rows has shape {input_rows.shape}, expected |V| + stored buckets "
+                f"= {len(vocab) + len(bucket_ids)} rows"
+            )
+        self.vocab = vocab
+        self.subwords = subwords
+        self.input_rows = input_rows
+        self.bucket_ids = np.asarray(bucket_ids, dtype=np.int64)
+        self.bucket_seed = bucket_seed
+
+    @property
+    def dim(self) -> int:
+        return self.input_rows.shape[1]
+
+    @cached_property
+    def row_slots(self) -> np.ndarray:
+        """The position in input_rows of every input id up to the last
+        stored bucket, -1 for a bucket not stored, then one -1 for every
+        later id: one int32 per id, built on first use. Its size follows
+        the stored ids, not the bucket count a file's head claims."""
+        nwords = len(self.vocab)
+        top = int(self.bucket_ids[-1]) + 1 if len(self.bucket_ids) else 0
+        slots = np.full(nwords + top + 1, -1, dtype=np.int32)
+        slots[:nwords] = np.arange(nwords)
+        slots[nwords + self.bucket_ids] = np.arange(nwords, len(self.input_rows))
+        return slots
+
+    def rows(self, ids: np.ndarray) -> np.ndarray:
+        """The float32 rows of input ids, in the order given; a bucket not
+        stored reads its initial value."""
+        at = self.row_slots[np.minimum(ids, len(self.row_slots) - 1)]
+        out = self.input_rows.take(at, axis=0)  # faster than input_rows[at]
+        missing = np.flatnonzero(at < 0)
+        if len(missing):
+            out[missing] = init_bucket_rows(
+                ids[missing] - len(self.vocab), self.dim, self.bucket_seed
+            )
+        return out
+
+    def store_buckets(self, bucket_ids: np.ndarray) -> None:
+        """Store the initial rows of bucket_ids (strictly increasing) after
+        the word rows, so that training can update them in place. Called
+        once, while no bucket is stored."""
+        nwords = len(self.vocab)
+        rows = np.empty((nwords + len(bucket_ids), self.dim), dtype=np.float32)
+        rows[:nwords] = self.input_rows
+        init_bucket_rows(bucket_ids, self.dim, self.bucket_seed, out=rows[nwords:])
+        self.input_rows = rows
+        self.bucket_ids = np.asarray(bucket_ids, dtype=np.int64)
+        self.__dict__.pop("row_slots", None)

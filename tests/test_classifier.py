@@ -20,7 +20,7 @@ from xldetect.classifier import (
 from xldetect.corpus import LABEL_NAMES, AccountDocument
 from xldetect.embedding import VectorTable
 from xldetect.errors import FormatError
-from xldetect.vocab import SubwordIndex, build_vocab, init_input_rows, input_ids
+from xldetect.vocab import SubwordIndex, build_vocab, input_ids
 
 
 def toy_docs(n_per_class=20):
@@ -112,10 +112,8 @@ class TestDocRows:
             SubwordIndex(5, 6, 16),  # short tokens have no n-gram
             None,
         ):
-            buckets = subwords.buckets if subwords is not None else 0
             model = manual_model(
-                np.zeros((3 + buckets, 2)), np.zeros((2, 2)),
-                words=("aaa", "bbb", "ccc"), subwords=subwords,
+                np.zeros((3, 2)), np.zeros((2, 2)), words=("aaa", "bbb", "ccc"), subwords=subwords
             )
             self.check(model)
 
@@ -331,15 +329,19 @@ class TestTrainSupervised:
 
     def test_pretrained_init_matches_full_draw(self):
         # word rows: the prefix of the (|V|+B, d) draw, then the pretrained
-        # vectors; bucket rows: zero
+        # vectors; bucket rows, stored or not: zero
         index = SubwordIndex(2, 3, 40)
         table = VectorTable(["aaa"], np.array([[1.0, 2.0, 3.0]]))
         cfg = small_config(dim=3, epochs=0, pretrained=table, subwords=index, seed=3)
         model = train_supervised(toy_docs(), cfg)
-        expected = init_input_rows(model.vocab, index, 3, 3)
-        expected[len(model.vocab) :] = 0.0
+        nwords = len(model.vocab)
+        full = np.random.default_rng(3).random((nwords + index.buckets, 3), dtype=np.float32)
+        expected = (full[:nwords] * np.float32(2.0) - np.float32(1.0)) * np.float32(1.0 / 3)
         expected[model.vocab.word_to_id["aaa"]] = [1.0, 2.0, 3.0]
-        assert model.input_rows.tobytes() == expected.tobytes()
+        assert model.input_rows[:nwords].tobytes() == expected.tobytes()
+        assert model.bucket_seed is None and len(model.bucket_ids) > 0
+        assert not model.input_rows[nwords:].any()
+        assert not model.rows(nwords + np.arange(index.buckets)).any()
 
     def test_frozen_pretrained_rows_do_not_move(self):
         table = VectorTable(["aaa", "bbb"], np.array([[1.0, 2.0], [3.0, 4.0]]))

@@ -290,14 +290,14 @@ class TestWordVector:
         vocab = build_vocab([["w", "w"]], min_count=1)
         idx = SubwordIndex(3, 3, 5)
         rows = np.zeros((len(vocab) + 5, 4), dtype=np.float32)
-        model = EmbeddingMatrix(vocab, idx, rows, np.zeros((1, 4), dtype=np.float32))
+        model = EmbeddingMatrix(vocab, idx, rows, np.zeros((1, 4), dtype=np.float32), np.arange(5))
         assert (word_vector("w", model) == 0).all()
 
     def test_oov_is_bucket_mean(self):
         vocab = build_vocab([["w", "w"]], min_count=1)
         idx = SubwordIndex(3, 3, 5)
         rows = np.arange((1 + 5) * 2, dtype=np.float32).reshape(6, 2)
-        model = EmbeddingMatrix(vocab, idx, rows, np.zeros((1, 2), dtype=np.float32))
+        model = EmbeddingMatrix(vocab, idx, rows, np.zeros((1, 2), dtype=np.float32), np.arange(5))
         ids = input_ids("xy", vocab, idx)
         expected = rows[ids].mean(axis=0)
         assert np.allclose(word_vector("xy", model), expected)
@@ -308,7 +308,8 @@ class TestWordVector:
         for idx, word in ((None, "other"), (SubwordIndex(5, 6, 10), "ab")):
             buckets = idx.buckets if idx is not None else 0
             rows = np.ones((1 + buckets, 3), dtype=np.float32)
-            model = EmbeddingMatrix(vocab, idx, rows, np.zeros((1, 3), dtype=np.float32))
+            model = EmbeddingMatrix(vocab, idx, rows, np.zeros((1, 3), dtype=np.float32),
+                                    np.arange(buckets))
             assert input_ids(word, vocab, idx) == []
             assert (word_vector(word, model) == 0).all()
 

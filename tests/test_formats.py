@@ -3,6 +3,7 @@ load or raise an XLDetectError that names the file, so a stage fed a
 damaged artifact exits 2 with one error line."""
 
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -41,18 +42,20 @@ def write_feats(path, rng):
     bl.save_feature_vocab(vocab, path)
 
 
+# more buckets than training touches, so that some are not stored and the
+# stored-id block holds several ids
 def write_checkpoint(path, rng):
     corpus = [["ab", "cd", "ef"], ["cd", "ab"]] * 3
     config = emb.SkipgramConfig(
         dim=2, epochs=1, min_count=1, subsample_t=1.0, window=1, negatives=1,
-        subwords=SubwordIndex(2, 3, 3),
+        subwords=SubwordIndex(2, 3, 50),
     )
     emb.save_checkpoint(emb.train_skipgram(corpus, config), path)
 
 
 def write_classifier(path, rng):
     docs = [AccountDocument(f"a{i}", "xy zz" if i % 2 else "qq", i % 2) for i in range(4)]
-    config = clf.SupervisedConfig(dim=2, epochs=1, subwords=SubwordIndex(2, 3, 3))
+    config = clf.SupervisedConfig(dim=2, epochs=1, subwords=SubwordIndex(2, 3, 50))
     clf.save_classifier(clf.train_supervised(docs, config), path)
 
 
@@ -62,8 +65,12 @@ FORMATS = [
     ("features", write_features, ext.import_external_features, (FormatError,), r":\d+: "),
     ("map", write_map, al.load_map, (FormatError, AlignmentError), r":\d+: "),
     ("feats", write_feats, bl.load_feature_vocab, (FormatError,), r":\d+: "),
-    ("xlemb1", write_checkpoint, emb.load_checkpoint, (FormatError,), r": "),
-    ("xlclf1", write_classifier, clf.load_classifier, (FormatError,), r": "),
+    ("xlemb2", write_checkpoint, emb.load_checkpoint, (FormatError,), r": "),
+    ("xlclf2", write_classifier, clf.load_classifier, (FormatError,), r": "),
+]
+MODELS = [
+    ("xlemb2", write_checkpoint, emb.load_checkpoint, emb.save_checkpoint),
+    ("xlclf2", write_classifier, clf.load_classifier, clf.save_classifier),
 ]
 
 
@@ -90,3 +97,42 @@ def test_every_bit_flip_loads_or_raises_format_error(tmp_path, name, write, load
         except Exception as exc:  # any other type escapes the CLI's handler
             leaks.append((bit, f"{type(exc).__name__}: {exc}"))
     assert not leaks, f"{len(leaks)}/{8 * len(data)} flips leaked, first: {leaks[:3]}"
+
+
+@pytest.mark.parametrize("name,write,load,save", MODELS, ids=[row[0] for row in MODELS])
+def test_model_save_load_is_byte_exact(tmp_path, name, write, load, save):
+    first, second = tmp_path / "first", tmp_path / "second"
+    write(first, np.random.default_rng(7))
+    model = load(first)
+    assert 0 < len(model.bucket_ids) < model.subwords.buckets
+    save(model, second)
+    assert first.read_bytes() == second.read_bytes()
+
+
+@pytest.mark.parametrize("name,write,load,save", MODELS, ids=[row[0] for row in MODELS])
+def test_bad_stored_bucket_ids_rejected(tmp_path, name, write, load, save):
+    path, damaged = tmp_path / "model", tmp_path / "damaged"
+    write(path, np.random.default_rng(7))
+    model = load(path)
+    ids, seed, buckets = model.bucket_ids.tolist(), model.bucket_seed, model.subwords.buckets
+    data = path.read_bytes()
+
+    def block(rule, ids):
+        return struct.pack("<BQQ", *rule, len(ids)) + np.asarray(ids, dtype="<u8").tobytes()
+
+    at = data.index(block((1, seed), ids))
+    rest = data[at + len(block((1, seed), ids)) :]
+    damages = {
+        "not strictly increasing": block((1, seed), [ids[1], ids[0]] + ids[2:]),
+        "repeated": block((1, seed), ids[:1] + ids[:-1]),
+        "at the bucket count": block((1, seed), ids[:-1] + [buckets]),
+        "far out of range": block((1, seed), ids[:-1] + [2**64 - 1]),
+        "one id fewer than rows": block((1, seed), ids[:-1]),
+        "one id more than rows": block((1, seed), ids + [buckets - 1]),
+        "unknown init rule": block((2, seed), ids),
+        "zero init with a seed": block((0, seed or 1), ids),
+    }
+    for what, bad in damages.items():
+        damaged.write_bytes(data[:at] + bad + rest)
+        with pytest.raises(FormatError, match=re.escape(str(damaged)) + ": "):
+            load(damaged)

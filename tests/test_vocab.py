@@ -10,6 +10,7 @@ from xldetect.vocab import (
     build_vocab,
     fnv1a_32,
     hash_subword,
+    init_bucket_rows,
     init_input_rows,
     input_ids,
     subword_ids_csr,
@@ -218,17 +219,87 @@ class TestInitInputRows:
     def test_matches_out_of_place_draw(self):
         # the in-place scaling rounds exactly like the expression it replaced
         vocab = build_vocab([["a", "b", "c"]], min_count=1)
-        for dim, seed, index in ((1, 0, None), (7, 3, SubwordIndex(2, 3, 50)), (100, 13, None)):
-            buckets = index.buckets if index is not None else 0
+        for dim, seed in ((1, 0), (7, 3), (100, 13)):
             rng = np.random.default_rng(seed)
-            old = rng.random((len(vocab) + buckets, dim), dtype=np.float32) * 2.0 - 1.0
+            old = rng.random((len(vocab), dim), dtype=np.float32) * 2.0 - 1.0
             old *= np.float32(1.0 / dim)
-            rows = init_input_rows(vocab, index, dim, seed)
+            rows = init_input_rows(vocab, dim, seed)
             assert rows.dtype == np.float32
             assert rows.tobytes() == old.tobytes()
 
     def test_word_rows_are_prefix_of_full_draw(self):
+        # the word rows are the stream every model drew before bucket rows
+        # came from init_bucket_rows: the prefix of one (|V| + B, d) draw
         vocab = build_vocab([["a", "b", "c", "d"]], min_count=1)
-        full = init_input_rows(vocab, SubwordIndex(2, 3, 1000), 9, 4)
-        words_only = init_input_rows(vocab, None, 9, 4)
-        assert words_only.tobytes() == full[: len(vocab)].tobytes()
+        full = np.random.default_rng(4).random((len(vocab) + 1000, 9), dtype=np.float32)
+        full = (full * np.float32(2.0) - np.float32(1.0)) * np.float32(1.0 / 9)
+        assert init_input_rows(vocab, 9, 4).tobytes() == full[: len(vocab)].tobytes()
+
+
+def splitmix64_row(seed, bucket, dim):
+    """init_bucket_rows' rule, one Python int at a time: the reference."""
+    mask, gamma = (1 << 64) - 1, 0x9E3779B97F4A7C15
+
+    def mix(z):
+        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & mask
+        z = (z ^ (z >> 27)) * 0x94D049BB133111EB & mask
+        return z ^ (z >> 31)
+
+    key, half, values = mix((seed + gamma) & mask), (dim + 1) // 2, []
+    for j in range(half):
+        z = mix((key + (bucket * half + j + 1) * gamma) & mask)
+        for u in ((z & 0xFFFFFFFF) >> 8, z >> 40):
+            values.append((np.float32(u) * np.float32(2.0**-23) - np.float32(1.0))
+                          * np.float32(1.0 / dim))
+    return np.asarray(values[:dim], dtype=np.float32)
+
+
+class TestInitBucketRows:
+    BUCKETS = np.array([0, 1, 7, 1_999_999, 123_456, 42, 2**40])
+
+    def test_row_depends_on_nothing_else_requested(self):
+        rng = np.random.default_rng(0)
+        for dim in (1, 4, 7):
+            full = init_bucket_rows(self.BUCKETS, dim, 5)
+            for trial in range(5):
+                pick = rng.choice(len(self.BUCKETS), size=int(rng.integers(1, 10)))
+                got = init_bucket_rows(self.BUCKETS[pick], dim, 5)
+                assert got.tobytes() == full[pick].tobytes()
+            for b, row in zip(self.BUCKETS, full):
+                assert row.tobytes() == splitmix64_row(5, int(b), dim).tobytes()
+
+    def test_rows_span_blocks(self, monkeypatch):
+        full = init_bucket_rows(np.arange(50), 9, 3)
+        monkeypatch.setattr(vocab_module, "_INIT_WORDS", 7)
+        assert init_bucket_rows(np.arange(50), 9, 3).tobytes() == full.tobytes()
+
+    def test_range_and_seeds(self):
+        buckets = np.arange(4000)
+        for dim in (1, 2, 5, 100):
+            bound = np.float32(1.0 / dim)
+            rows = init_bucket_rows(buckets, dim, 11)
+            assert rows.dtype == np.float32 and rows.shape == (4000, dim)
+            assert rows.min() >= -bound and rows.max() < bound
+            # uniform: both ends reached, mean near 0
+            assert rows.min() < -0.99 * bound and rows.max() > 0.99 * bound
+            assert abs(rows.mean()) < 0.05 * bound
+            assert (rows != init_bucket_rows(buckets, dim, 12)).mean() > 0.99
+        assert init_bucket_rows(np.array([3]), 1, 2**64 - 1).shape == (1, 1)
+        for seed in (-1, 2**64):
+            with pytest.raises(ValueError, match="seed"):
+                init_bucket_rows(np.array([3]), 4, seed)
+
+    def test_no_seed_is_zeros(self):
+        rows = init_bucket_rows(self.BUCKETS, 6, None)
+        assert rows.shape == (len(self.BUCKETS), 6) and not rows.any()
+
+    def test_golden_values(self):
+        # pinned, so that the stream cannot drift without a test failing
+        golden = {
+            (0, 0, 1): "089acbbe",
+            (1, 5, 4): "4e3263be50006b3df0bd2cbe780b5b3e",
+            (13, 1_999_999, 3): "cb4602bd2b0d4cbe9bf180bd",
+            (11, 123_456, 8): "508c563d24a7303d3ed2babdc6bcb8bd10e5e23d684cacbd0001e13a90e239bc",
+        }
+        for (seed, bucket, dim), hex_bytes in golden.items():
+            assert init_bucket_rows(np.array([bucket]), dim, seed).tobytes().hex() == hex_bytes
