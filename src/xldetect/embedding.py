@@ -7,9 +7,12 @@ vocabulary words only; any other bucket reads its initial value
 subsampling and the window-radius draw, every (center, context) pair of
 the sentence is scored against noise words drawn from the unigram^0.75
 distribution, all reads see the pre-step parameters, and the step is
--lr times the gradient of the sentence's summed pair loss. A sentence of
-more than _STEP_CENTERS kept tokens takes one such step per run of that
-many centers, so a step's memory does not grow with the document.
+-lr times the gradient of the sentence's summed pair loss. The step's
+context side is two small products over (unique targets x unique
+centers): no row is gathered or scattered per (pair, target). A sentence
+of more than _STEP_CENTERS kept tokens takes one such step per run of
+that many centers, so a step's memory does not grow with the document.
+When no word's frequency exceeds subsample_t, subsampling draws nothing.
 Training is bit-reproducible for a fixed seed.
 """
 
@@ -206,6 +209,8 @@ def train_skipgram(corpus: Iterable[list[str]], config: SkipgramConfig) -> Embed
         raise TrainingError("no in-vocabulary tokens to train on")
 
     keep_prob = _keep_probs(vocab, config.subsample_t)
+    # with every keep probability 1 the draw discards nothing, so skip it
+    subsample = not (keep_prob >= 1.0).all()
     sampler = negative_table(vocab)
     in_vocab_tokens = sum(len(s) for s in sentences)
     total_scheduled = config.epochs * in_vocab_tokens
@@ -225,7 +230,7 @@ def train_skipgram(corpus: Iterable[list[str]], config: SkipgramConfig) -> Embed
         for sent in sentences:
             progress += len(sent)
             lr = _learning_rate(config.initial_lr, progress, total_scheduled)
-            kept = sent[rng.random(len(sent)) < keep_prob[sent]]
+            kept = sent[rng.random(len(sent)) < keep_prob[sent]] if subsample else sent
             n = len(kept)
             kept_tokens += n
             if n < 2:
@@ -257,7 +262,8 @@ def train_skipgram(corpus: Iterable[list[str]], config: SkipgramConfig) -> Embed
 
 
 def _segment_sum(segments: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
-    """Sum the rows of values that share a segment id in [0, n)."""
+    """Sum the rows of values that share a segment id in [0, n); the input
+    side of a step sums the rows of its center words and their updates."""
     d = values.shape[1]
     flat = (segments[:, None] * d + np.arange(d)).ravel()
     return np.bincount(flat, weights=values.ravel(), minlength=n * d).reshape(n, d)
@@ -269,8 +275,12 @@ def _sentence_step(input_rows, context_rows, word_rows, centers, contexts, negat
 
     Every read sees the pre-step parameters, so the update is exactly -lr
     times the gradient of that sum. word_rows is the CSR of each word's
-    input rows (vocab.word_rows_csr). Returns the summed loss at the pre-step
-    parameters.
+    input rows (vocab.word_rows_csr). The context side works on the T unique
+    targets (contexts and noise words) and the W unique centers: the scores
+    are cells of one (T x W) product, the per-cell gradient coefficients
+    are summed into a (T x W) matrix s, and s @ h and s.T @ c are the
+    context-row update and the centers' gradient, both in the table's
+    dtype. Returns the summed loss at the pre-step parameters.
     """
     words, center_of = np.unique(centers, return_inverse=True)
     indptr, flat = word_rows
@@ -278,11 +288,14 @@ def _sentence_step(input_rows, context_rows, word_rows, centers, contexts, negat
     row_word = np.repeat(np.arange(len(words)), counts)
     starts = np.repeat(indptr[words] - (np.cumsum(counts) - counts), counts)
     rows = flat[np.arange(len(row_word)) + starts]
-    h_words = _segment_sum(row_word, input_rows[rows], len(words)) / counts[:, None]
-    h = h_words.astype(input_rows.dtype, copy=False)[center_of]
+    h = _segment_sum(row_word, input_rows[rows], len(words)) / counts[:, None]
+    h = h.astype(input_rows.dtype, copy=False)
     targets = np.concatenate((contexts[:, None], negatives), axis=1)
-    u = context_rows[targets]
-    scores = np.einsum("pkd,pd->pk", u, h)
+    tids, target_of = np.unique(targets, return_inverse=True)
+    c = context_rows[tids]
+    # each (pair, target) scores one (target, center) cell of c @ h.T
+    cells = target_of.reshape(targets.shape) * len(words) + center_of[:, None]
+    scores = (c @ h.T).ravel()[cells]
     np.clip(scores, -_SCORE_CLIP, _SCORE_CLIP, out=scores)
     # -log s(x) for the context, -log s(-x) for each noise word
     losses = np.logaddexp(0.0, scores)
@@ -294,11 +307,10 @@ def _sentence_step(input_rows, context_rows, word_rows, centers, contexts, negat
     g[:, 1:][own] = 0.0
     losses[:, 1:][own] = 0.0
     g *= lr
-    grad_h = _segment_sum(center_of, np.einsum("pk,pkd->pd", g, u), len(words))
-    ids, target_of = np.unique(targets, return_inverse=True)
-    context_rows[ids] -= _segment_sum(
-        target_of.ravel(), (g[:, :, None] * h[:, None, :]).reshape(-1, h.shape[1]), len(ids)
-    )
+    s = np.bincount(cells.ravel(), weights=g.ravel(), minlength=len(tids) * len(words))
+    s = s.reshape(len(tids), len(words)).astype(context_rows.dtype, copy=False)
+    grad_h = s.T @ c
+    context_rows[tids] -= s @ h
     ids, row_of = np.unique(rows, return_inverse=True)
     input_rows[ids] -= _segment_sum(row_of, (grad_h / counts[:, None])[row_word], len(ids))
     return float(losses.sum(dtype=np.float64))

@@ -13,7 +13,9 @@ from xldetect.embedding import (
     load_vectors,
     _keep_probs,
     _learning_rate,
+    _segment_sum,
     _sentence_step,
+    _STEP_CENTERS,
     negative_table,
     save_checkpoint,
     save_vectors,
@@ -283,6 +285,117 @@ class TestPairGradients:
                     params[idx] = saved
                     fd = (lp - lm) / (2 * eps)
                     assert abs(fd - analytic[idx]) <= 1e-4 * max(1.0, abs(fd))
+
+
+def reference_sentence_step(input_rows, context_rows, word_rows, centers, contexts, negatives, lr):
+    """_sentence_step with one gathered context row per (pair, target): the
+    scores are an einsum over a P x (K+1) x d gather, and every (pair,
+    target) row of the context update is summed by its target."""
+    words, center_of = np.unique(centers, return_inverse=True)
+    indptr, flat = word_rows
+    counts = indptr[words + 1] - indptr[words]
+    row_word = np.repeat(np.arange(len(words)), counts)
+    starts = np.repeat(indptr[words] - (np.cumsum(counts) - counts), counts)
+    rows = flat[np.arange(len(row_word)) + starts]
+    h_words = _segment_sum(row_word, input_rows[rows], len(words)) / counts[:, None]
+    h = h_words.astype(input_rows.dtype, copy=False)[center_of]
+    targets = np.concatenate((contexts[:, None], negatives), axis=1)
+    u = context_rows[targets]
+    scores = np.einsum("pkd,pd->pk", u, h)
+    np.clip(scores, -30.0, 30.0, out=scores)
+    losses = np.logaddexp(0.0, scores)
+    losses[:, 0] -= scores[:, 0]
+    g = 1.0 / (1.0 + np.exp(-scores))
+    g[:, 0] -= 1.0
+    own = negatives == contexts[:, None]
+    g[:, 1:][own] = 0.0
+    losses[:, 1:][own] = 0.0
+    g *= lr
+    grad_h = _segment_sum(center_of, np.einsum("pk,pkd->pd", g, u), len(words))
+    ids, target_of = np.unique(targets, return_inverse=True)
+    context_rows[ids] -= _segment_sum(
+        target_of.ravel(), (g[:, :, None] * h[:, None, :]).reshape(-1, h.shape[1]), len(ids)
+    )
+    ids, row_of = np.unique(rows, return_inverse=True)
+    input_rows[ids] -= _segment_sum(row_of, (grad_h / counts[:, None])[row_word], len(ids))
+    return float(losses.sum(dtype=np.float64))
+
+
+def random_step_case(rng, n_centers, buckets, n_words=12, d=8, window=3, k=4):
+    """Tables and the pairs of one random sentence, built as train_skipgram
+    builds them. With buckets, word 0 holds bucket row 0 twice and word 1
+    holds it too; other words draw up to three bucket rows."""
+    rows = [[w] for w in range(n_words)]
+    if buckets:
+        for word in rows:
+            word += (n_words + rng.integers(0, buckets, size=rng.integers(0, 4))).tolist()
+        rows[0] += [n_words, n_words]
+        rows[1] += [n_words]
+    word_rows = (np.cumsum([0] + [len(r) for r in rows]), np.concatenate(rows).astype(np.int64))
+    sent = rng.integers(0, n_words, size=n_centers)  # centers repeat, contexts are shared
+    offsets = np.concatenate((np.arange(-window, 0), np.arange(1, window + 1)))
+    pos = np.arange(n_centers)[:, None] + offsets
+    live = (pos >= 0) & (pos < n_centers)
+    centers = np.broadcast_to(sent[:, None], live.shape)[live]
+    contexts = sent[pos[live]]
+    negatives = rng.integers(0, n_words, size=(len(centers), k))
+    negatives[0, 1] = contexts[0]  # a noise draw equal to its own context
+    input_rows = rng.standard_normal((n_words + buckets, d)) * 0.5
+    context_rows = rng.standard_normal((n_words, d)) * 0.5
+    return input_rows, context_rows, word_rows, centers, contexts, negatives
+
+
+class TestSentenceStep:
+    CASES = [(n, buckets) for n in (6, 40, _STEP_CENTERS + 20) for buckets in (0, 7)]
+
+    def test_matches_reference(self):
+        rng = np.random.default_rng(4)
+        for n_centers, buckets in self.CASES * 3:
+            input_rows, context_rows, *pairs = random_step_case(rng, n_centers, buckets)
+            want_in, want_ctx = input_rows.copy(), context_rows.copy()
+            want = reference_sentence_step(want_in, want_ctx, *pairs, 0.3)
+            loss = _sentence_step(input_rows, context_rows, *pairs, 0.3)
+            assert abs(loss - want) <= 1e-12 * max(1.0, abs(want))
+            assert np.abs(input_rows - want_in).max() <= 1e-12
+            assert np.abs(context_rows - want_ctx).max() <= 1e-12
+
+    def test_updates_in_table_dtype(self):
+        # float32 tables are updated in place and stay float32; the float64
+        # step of the same case is the reference, up to float32 rounding
+        rng = np.random.default_rng(8)
+        for n_centers, buckets in self.CASES:
+            input64, context64, *pairs = random_step_case(rng, n_centers, buckets)
+            input_rows, context_rows = input64.astype(np.float32), context64.astype(np.float32)
+            before_in, before_ctx = input_rows.copy(), context_rows.copy()
+            loss = _sentence_step(input_rows, context_rows, *pairs, 0.3)
+            want = _sentence_step(input64, context64, *pairs, 0.3)
+            assert input_rows.dtype == np.float32 and context_rows.dtype == np.float32
+            assert (input_rows != before_in).any() and (context_rows != before_ctx).any()
+            assert np.abs(input_rows - input64).max() <= 1e-4
+            assert np.abs(context_rows - context64).max() <= 1e-4
+            assert loss == pytest.approx(want, rel=1e-5)
+
+    def test_long_document_memory(self):
+        # one 20k-token document at the 256-center cap: the step holds a
+        # (T x W) coefficient matrix, not P x (K+1) x d gathered rows
+        import tracemalloc
+
+        rng = np.random.default_rng(3)
+        letters = np.array(list("abcdefghijklmnopqrstuvwxyz"))
+        words = ["".join(rng.choice(letters, size=rng.integers(3, 9))) for _ in range(2000)]
+        zipf = 1.0 / np.arange(1, len(words) + 1)
+        doc = [words[i] for i in rng.choice(len(words), size=20000, p=zipf / zipf.sum())]
+        cfg = SkipgramConfig(
+            dim=100, window=5, epochs=1, subsample_t=1.0, min_count=1,
+            subwords=SubwordIndex(3, 6, 20000),
+        )
+        tracemalloc.start()
+        try:
+            train_skipgram([doc], cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 28e6
 
 
 class TestWordVector:
