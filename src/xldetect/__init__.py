@@ -20,7 +20,7 @@ from .baselines import (
     FeatureVocabulary,
     LogRegConfig,
     LogRegModel,
-    SparseVector,
+    SparseRows,
     count_features,
     extract_ngrams,
     predict_logreg,

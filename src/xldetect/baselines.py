@@ -7,7 +7,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -16,17 +15,30 @@ from .errors import DataError, FormatError, TrainingError
 
 
 @dataclass(frozen=True)
-class SparseVector:
-    """Sorted (feature id, value) pairs; ids strictly increasing."""
+class SparseRows:
+    """A CSR matrix: row r holds ids[indptr[r]:indptr[r+1]] with their
+    values; ids lie in [0, n_features) and strictly increase within a row."""
 
+    indptr: np.ndarray
     ids: np.ndarray
     values: np.ndarray
+    n_features: int
 
     def __post_init__(self):
+        indptr = self.indptr
+        if (len(indptr) == 0 or indptr[0] != 0 or indptr[-1] != len(self.ids)
+                or (np.diff(indptr) < 0).any()):
+            raise ValueError("indptr must rise monotonically from 0 to len(ids)")
         if len(self.ids) != len(self.values):
             raise ValueError("ids/values length mismatch")
-        if len(self.ids) > 1 and not (np.diff(self.ids) > 0).all():
-            raise ValueError("feature ids must be strictly increasing")
+        if len(self.ids) and not 0 <= self.ids.min() <= self.ids.max() < self.n_features:
+            raise ValueError(f"feature id outside [0, {self.n_features})")
+        # an id may fall only where a row starts
+        if not np.isin(np.flatnonzero(np.diff(self.ids) <= 0) + 1, indptr).all():
+            raise ValueError("feature ids must be strictly increasing within a row")
+
+    def __len__(self) -> int:
+        return len(self.indptr) - 1
 
 
 class FeatureVocabulary:
@@ -58,19 +70,17 @@ def extract_ngrams(tokens: list[str], n_lo: int = 1, n_hi: int = 5) -> list[str]
     return out
 
 
-def bow_extractor(tokens: list[str]) -> list[str]:
-    return list(tokens)
-
-
 def count_features(
     token_docs: list[list[str]],
-    extractor: Callable[[list[str]], list[str]],
+    n_lo: int,
+    n_hi: int,
     max_features: int = 35000,
-) -> tuple[FeatureVocabulary, list[SparseVector]]:
-    """Build the capped feature vocabulary and per-document count vectors."""
+) -> tuple[FeatureVocabulary, SparseRows]:
+    """Build the capped feature vocabulary over the documents' n_lo..n_hi
+    token n-grams, and their count rows; bag-of-words is the range 1..1."""
     if not token_docs:
         raise ValueError("empty corpus")
-    doc_features = [extractor(toks) for toks in token_docs]
+    doc_features = [extract_ngrams(toks, n_lo, n_hi) for toks in token_docs]
     df: dict[str, int] = {}
     for feats in doc_features:
         for f in set(feats):
@@ -79,42 +89,45 @@ def count_features(
     vocab = FeatureVocabulary(
         [f for f, _ in ranked], [c for _, c in ranked], max_features, len(token_docs)
     )
-    return vocab, [_count_vector(vocab, feats) for feats in doc_features]
+    return vocab, _count_rows(vocab, doc_features)
 
 
 def vectorize(
-    vocab: FeatureVocabulary,
-    extractor: Callable[[list[str]], list[str]],
-    token_docs: list[list[str]],
-) -> list[SparseVector]:
-    """Per-document count vectors over a fixed vocabulary; features outside
-    it are dropped."""
-    return [_count_vector(vocab, extractor(toks)) for toks in token_docs]
+    vocab: FeatureVocabulary, token_docs: list[list[str]], n_lo: int, n_hi: int
+) -> SparseRows:
+    """Count rows over a fixed vocabulary; features outside it are dropped."""
+    return _count_rows(vocab, [extract_ngrams(toks, n_lo, n_hi) for toks in token_docs])
 
 
-def _count_vector(vocab: FeatureVocabulary, features: list[str]) -> SparseVector:
-    counts: dict[int, int] = {}
-    for f in features:
-        fid = vocab.feature_to_id.get(f)
-        if fid is not None:
-            counts[fid] = counts.get(fid, 0) + 1
-    ids = np.asarray(sorted(counts), dtype=np.int64)
-    vals = np.asarray([counts[i] for i in ids], dtype=np.float64)
-    return SparseVector(ids, vals)
+def _count_rows(vocab: FeatureVocabulary, doc_features: list[list[str]]) -> SparseRows:
+    """One np.unique over row * |F| + feature id counts every document."""
+    n_docs, n_features = len(doc_features), len(vocab)
+    lookup = vocab.feature_to_id.get
+    fids = np.fromiter((lookup(f, -1) for feats in doc_features for f in feats), np.int64)
+    doc_of = np.repeat(np.arange(n_docs, dtype=np.int64), [len(f) for f in doc_features])
+    known = fids >= 0
+    keys, counts = np.unique(doc_of[known] * n_features + fids[known], return_counts=True)
+    doc_of, ids = np.divmod(keys, n_features)
+    indptr = np.zeros(n_docs + 1, dtype=np.int64)
+    np.cumsum(np.bincount(doc_of, minlength=n_docs), out=indptr[1:])
+    return SparseRows(indptr, ids, counts.astype(np.float64), n_features)
 
 
 def tfidf_transform(
-    count_vectors: list[SparseVector],
+    counts: SparseRows,
     doc_lengths: list[int],
     vocab: FeatureVocabulary,
-) -> list[SparseVector]:
+) -> SparseRows:
     """tfidf(w, doc) = (count / doc token count) * ln(N / df(w)).
 
     doc_lengths are full token counts (before any feature capping).
     Features present in every document get value 0 and are dropped.
     """
-    if len(count_vectors) != len(doc_lengths):
-        raise ValueError("one document length per count vector required")
+    lengths = np.asarray(doc_lengths)
+    if len(counts) != len(lengths):
+        raise ValueError("one document length per count row required")
+    if (lengths <= 0).any():
+        raise ValueError("document length must be positive")
     n_docs = vocab.n_docs
     idf = np.empty(len(vocab))
     for fid in range(len(vocab)):
@@ -122,14 +135,12 @@ def tfidf_transform(
         if df == 0:
             raise FormatError(f"feature {vocab.features[fid]!r} has document frequency 0")
         idf[fid] = math.log(n_docs / df)
-    out = []
-    for vec, length in zip(count_vectors, doc_lengths):
-        if length <= 0:
-            raise ValueError("document length must be positive")
-        values = (vec.values / length) * idf[vec.ids]
-        keep = values != 0.0
-        out.append(SparseVector(vec.ids[keep], values[keep]))
-    return out
+    row_lengths = np.repeat(lengths, np.diff(counts.indptr))
+    values = (counts.values / row_lengths) * idf[counts.ids]
+    keep = values != 0.0
+    kept_before = np.concatenate(([0], np.cumsum(keep)))
+    return SparseRows(kept_before[counts.indptr], counts.ids[keep], values[keep],
+                      counts.n_features)
 
 
 @dataclass
@@ -155,17 +166,6 @@ class LogRegModel:
     loss_history: list[float]
 
 
-def _csr(vectors: list[SparseVector], n_features: int):
-    indptr = np.zeros(len(vectors) + 1, dtype=np.int64)
-    for i, v in enumerate(vectors):
-        indptr[i + 1] = indptr[i] + len(v.ids)
-    indices = np.concatenate([v.ids for v in vectors]) if vectors else np.empty(0, np.int64)
-    data = np.concatenate([v.values for v in vectors]) if vectors else np.empty(0)
-    if len(indices) and indices.max() >= n_features:
-        raise ValueError("feature id out of range")
-    return indptr, indices, data
-
-
 def _scores(w, b, indptr, indices, data):
     prods = w[indices] * data
     # segment sums; reduceat misbehaves on empty segments, handle via cumsum
@@ -183,21 +183,21 @@ def _sigmoid(z):
 
 
 def train_logreg(
-    vectors: list[SparseVector],
+    rows: SparseRows,
     labels,
-    n_features: int,
     config: LogRegConfig = LogRegConfig(),
 ) -> LogRegModel:
     """Full-batch gradient descent on mean logistic loss plus
     (l2_lambda/2)*||w||^2; the bias is unregularized."""
     labels = np.asarray(labels, dtype=np.float64)
-    if len(vectors) != len(labels):
+    if len(rows) != len(labels):
         raise ValueError("one label per document required")
     if not ((labels == 1).any() and (labels == 0).any()):
         raise DataError("both classes must be present in the training data")
-    n_docs = len(vectors)
-    indptr, indices, data = _csr(vectors, n_features)
-    w = np.zeros(n_features)
+    n_docs = len(rows)
+    indptr, indices, data = rows.indptr, rows.ids, rows.values
+    row_sizes = np.diff(indptr)
+    w = np.zeros(rows.n_features)
     b = 0.0
     history = []
     for epoch in range(config.epochs + 1):
@@ -212,8 +212,8 @@ def train_logreg(
         if epoch == config.epochs:
             break
         resid = p - labels
-        grad_w = np.zeros(n_features)
-        np.add.at(grad_w, indices, np.repeat(resid, np.diff(indptr)) * data)
+        grad_w = np.bincount(indices, weights=np.repeat(resid, row_sizes) * data,
+                             minlength=rows.n_features)
         grad_w /= n_docs
         grad_w += config.l2_lambda * w
         w -= config.lr * grad_w
@@ -221,11 +221,15 @@ def train_logreg(
     return LogRegModel(weights=w, bias=b, config=config, loss_history=history)
 
 
-def predict_logreg(model: LogRegModel, vector: SparseVector) -> tuple[int, float]:
-    """p = sigma(w.x + b); positive iff p > 0.5 (a tie never flags)."""
-    z = float(model.weights[vector.ids] @ vector.values) + model.bias
-    p = float(_sigmoid(np.asarray([z]))[0])
-    return (1 if p > 0.5 else 0), p
+def predict_logreg(model: LogRegModel, rows: SparseRows) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, p = sigma(w.x + b) and a label that is positive iff
+    p > 0.5 (a tie never flags)."""
+    if rows.n_features != len(model.weights):
+        raise ValueError(
+            f"rows have {rows.n_features} features, the model {len(model.weights)}"
+        )
+    p = _sigmoid(_scores(model.weights, model.bias, rows.indptr, rows.ids, rows.values))
+    return (p > 0.5).astype(np.int64), p
 
 
 def save_feature_vocab(vocab: FeatureVocabulary, path: str | Path) -> None:

@@ -28,7 +28,7 @@ import numpy as np
 
 from .corpus import AccountDocument, LABEL_NAMES, tokenize
 from . import formats
-from .embedding import VectorTable, _check_finite
+from .embedding import VectorTable, _check_finite, _epoch_guard
 from .errors import FormatError, TrainingError
 from .vocab import (
     InputTable,
@@ -44,7 +44,6 @@ logger = logging.getLogger(__name__)
 
 _MAGIC_MODEL = b"XLCLF2"
 _N_CLASSES = 2
-_PARAM_LIMIT = 1e8
 # an empty document takes no step; its distribution is uniform
 _EMPTY_DOC_LOSS = float(np.log(_N_CLASSES))
 # the XLCLF2 word n-gram order field: no word n-grams, so always 1
@@ -211,9 +210,7 @@ def train_supervised(
             lr = np.float32(config.initial_lr * max(0.0, 1.0 - step / total_steps))
             loss += _doc_step(model.input_rows, model.output_weights, ids, counts, labels[di],
                               lr, trainable_input)
-        peak = np.abs(model.output_weights).max()
-        if not np.isfinite(peak) or peak > _PARAM_LIMIT:
-            raise TrainingError(f"training diverged after epoch {epoch}")
+        _epoch_guard(model.output_weights, epoch)
         model.loss_history.append(loss / len(train_docs))
     _check_finite(model.input_rows, "input rows")
     _check_finite(model.output_weights, "output weights")

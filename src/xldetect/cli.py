@@ -237,14 +237,12 @@ def cmd_baseline(cfg: PipelineConfig) -> tuple[list[Path], list[Path]]:
     train_docs, test_docs = _split_docs(cfg, documents)
     train_tokens = [cp.tokenize(d.text) for d in train_docs]
     kind = cfg["baseline.kind"]
-    n_lo, n_hi = cfg["baseline.ngram_min"], cfg["baseline.ngram_max"]
-    extractor = (bl.bow_extractor if kind.startswith("bow")
-                 else lambda toks: bl.extract_ngrams(toks, n_lo, n_hi))
-    vocab, counts = bl.count_features(train_tokens, extractor, cfg["baseline.max_features"])
+    n_lo, n_hi = ((1, 1) if kind.startswith("bow")
+                  else (cfg["baseline.ngram_min"], cfg["baseline.ngram_max"]))
+    vocab, counts = bl.count_features(train_tokens, n_lo, n_hi, cfg["baseline.max_features"])
     model = bl.train_logreg(
         _baseline_weights(kind, vocab, counts, train_tokens),
         [d.label for d in train_docs],
-        n_features=len(vocab),
         config=bl.LogRegConfig(
             l2_lambda=cfg["baseline.l2_lambda"],
             epochs=cfg["baseline.epochs"],
@@ -252,9 +250,8 @@ def cmd_baseline(cfg: PipelineConfig) -> tuple[list[Path], list[Path]]:
         ),
     )
     test_tokens = [cp.tokenize(d.text) for d in test_docs]
-    test_counts = bl.vectorize(vocab, extractor, test_tokens)
-    test_vectors = _baseline_weights(kind, vocab, test_counts, test_tokens)
-    preds = [bl.predict_logreg(model, v)[0] for v in test_vectors]
+    test_counts = bl.vectorize(vocab, test_tokens, n_lo, n_hi)
+    preds, _ = bl.predict_logreg(model, _baseline_weights(kind, vocab, test_counts, test_tokens))
     metrics_report = cv.binary_metrics(
         cv.confusion(preds, [d.label for d in test_docs])
     )

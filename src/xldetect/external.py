@@ -3,8 +3,8 @@
 `export-vectors` writes the classifier's document vectors in this format,
 and features computed by an external encoder can be read back from it.
 Imported rows need no trainer of their own: a linear head over frozen
-features is `baselines.train_logreg` on the rows, each passed as a
-`SparseVector` over all of its columns.
+features is `baselines.train_logreg` on the matrix passed as a
+`baselines.SparseRows` that holds every column of every row.
 """
 
 from __future__ import annotations

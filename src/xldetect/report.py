@@ -129,14 +129,3 @@ def metrics_section(metrics: MetricsReport) -> dict[str, str]:
         "flags": ",".join(metrics.flags),
     }
 
-
-def metrics_from_section(kv: dict[str, str]) -> MetricsReport:
-    from .metrics import ConfusionMatrix, binary_metrics
-
-    cm = ConfusionMatrix(
-        tp=int(kv["confusion.tp"]),
-        fp=int(kv["confusion.fp"]),
-        fn=int(kv["confusion.fn"]),
-        tn=int(kv["confusion.tn"]),
-    )
-    return binary_metrics(cm)

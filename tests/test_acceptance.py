@@ -19,8 +19,7 @@ from xldetect.align import (
 )
 from xldetect.baselines import (
     LogRegConfig,
-    SparseVector,
-    bow_extractor,
+    SparseRows,
     count_features,
     extract_ngrams,
     tfidf_transform,
@@ -194,13 +193,19 @@ def _logreg_grad_error(rng) -> float:
     for _ in range(n_docs):
         k = int(rng.integers(1, n_feat + 1))
         ids = np.sort(rng.choice(n_feat, size=k, replace=False))
-        vectors.append(SparseVector(ids, rng.standard_normal(k)))
+        vectors.append((ids, rng.standard_normal(k)))
+    rows = SparseRows(
+        np.concatenate(([0], np.cumsum([len(ids) for ids, _ in vectors]))),
+        np.concatenate([ids for ids, _ in vectors]),
+        np.concatenate([values for _, values in vectors]),
+        n_feat,
+    )
     lam = float(rng.uniform(0.0, 1.0))
 
     def objective(w, b):
         total = 0.0
-        for vec, y in zip(vectors, labels):
-            z = float(w[vec.ids] @ vec.values) + b
+        for (ids, values), y in zip(vectors, labels):
+            z = float(w[ids] @ values) + b
             p = 1.0 / (1.0 + math.exp(-z))
             p = min(max(p, 1e-12), 1 - 1e-12)
             total += -(y * math.log(p) + (1 - y) * math.log(1 - p))
@@ -208,9 +213,7 @@ def _logreg_grad_error(rng) -> float:
 
     # one tiny GD step from zero exposes the analytic gradient
     lr = 1e-9
-    model = train_logreg(
-        vectors, labels, n_feat, LogRegConfig(l2_lambda=lam, epochs=1, lr=lr)
-    )
+    model = train_logreg(rows, labels, LogRegConfig(l2_lambda=lam, epochs=1, lr=lr))
     grad_w = -model.weights / lr
     grad_b = -model.bias / lr
     eps = 1e-6
@@ -346,13 +349,15 @@ def test_criterion_05_subword_and_ngram_oracles():
 
 def test_criterion_06_tfidf_oracle():
     docs = [["a", "b", "a"], ["b", "c"]]
-    vocab, counts = count_features(docs, bow_extractor, 100)
+    vocab, counts = count_features(docs, 1, 1, 100)
     out = tfidf_transform(counts, [3, 2], vocab)
-    d1 = dict(zip((vocab.features[i] for i in out[0].ids), out[0].values))
-    d2 = dict(zip((vocab.features[i] for i in out[1].ids), out[1].values))
+    d1, d2 = (
+        dict(zip((vocab.features[i] for i in out.ids[a:b]), out.values[a:b]))
+        for a, b in zip(out.indptr[:-1], out.indptr[1:])
+    )
     exact_a = d1.get("a") == (2.0 / 3.0) * math.log(2.0)
     exact_c = d2.get("c") == (1.0 / 2.0) * math.log(2.0)
-    b_dropped = vocab.feature_to_id["b"] not in set(out[0].ids) | set(out[1].ids)
+    b_dropped = vocab.feature_to_id["b"] not in set(out.ids)
     verdict(
         6,
         exact_a and exact_c and b_dropped,

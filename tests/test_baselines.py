@@ -5,8 +5,10 @@ import pytest
 
 from xldetect.baselines import (
     LogRegConfig,
-    SparseVector,
-    bow_extractor,
+    LogRegModel,
+    SparseRows,
+    _scores,
+    _sigmoid,
     count_features,
     extract_ngrams,
     load_feature_vocab,
@@ -16,6 +18,100 @@ from xldetect.baselines import (
     train_logreg,
     vectorize,
 )
+
+
+def split_rows(rows):
+    """Per-row (ids, values) views of a SparseRows."""
+    bounds = zip(rows.indptr[:-1], rows.indptr[1:])
+    return [(rows.ids[a:b], rows.values[a:b]) for a, b in bounds]
+
+
+def stack_rows(vectors, n_features):
+    """SparseRows from per-row (ids, values) pairs."""
+    indptr = np.concatenate(([0], np.cumsum([len(ids) for ids, _ in vectors])))
+    ids = np.concatenate([np.empty(0, np.int64)] + [np.asarray(i, np.int64) for i, _ in vectors])
+    values = np.concatenate([np.empty(0)] + [np.asarray(v, np.float64) for _, v in vectors])
+    return SparseRows(indptr.astype(np.int64), ids, values, n_features)
+
+
+def dense_rows(values):
+    """One-feature rows, row i holding values[i] at id 0."""
+    n = len(values)
+    return SparseRows(np.arange(n + 1), np.zeros(n, np.int64), np.asarray(values, np.float64), 1)
+
+
+# The per-document formulation that the CSR path replaced: one dict of
+# counts per document, TF-IDF one document at a time, a gradient scattered
+# by np.add.at, and prediction one vector at a time.
+def reference_counts(vocab, doc_features):
+    out = []
+    for features in doc_features:
+        counts = {}
+        for f in features:
+            fid = vocab.feature_to_id.get(f)
+            if fid is not None:
+                counts[fid] = counts.get(fid, 0) + 1
+        ids = np.asarray(sorted(counts), dtype=np.int64)
+        out.append((ids, np.asarray([counts[i] for i in ids], dtype=np.float64)))
+    return out
+
+
+def reference_tfidf(vectors, doc_lengths, vocab):
+    idf = np.array([math.log(vocab.n_docs / int(df)) for df in vocab.doc_freq])
+    out = []
+    for (ids, values), length in zip(vectors, doc_lengths):
+        tfidf = (values / length) * idf[ids]
+        keep = tfidf != 0.0
+        out.append((ids[keep], tfidf[keep]))
+    return out
+
+
+def reference_train_logreg(vectors, labels, n_features, config):
+    labels = np.asarray(labels, dtype=np.float64)
+    indptr = np.zeros(len(vectors) + 1, dtype=np.int64)
+    for i, (ids, _) in enumerate(vectors):
+        indptr[i + 1] = indptr[i] + len(ids)
+    indices = np.concatenate([ids for ids, _ in vectors])
+    data = np.concatenate([values for _, values in vectors])
+    w, b, history = np.zeros(n_features), 0.0, []
+    for epoch in range(config.epochs + 1):
+        p = _sigmoid(_scores(w, b, indptr, indices, data))
+        ce = -(labels * np.log(np.maximum(p, 1e-300))
+               + (1 - labels) * np.log(np.maximum(1 - p, 1e-300))).mean()
+        history.append(ce + 0.5 * config.l2_lambda * float(w @ w))
+        if epoch == config.epochs:
+            break
+        resid = p - labels
+        grad_w = np.zeros(n_features)
+        np.add.at(grad_w, indices, np.repeat(resid, np.diff(indptr)) * data)
+        grad_w /= len(vectors)
+        grad_w += config.l2_lambda * w
+        w -= config.lr * grad_w
+        b -= config.lr * float(resid.mean())
+    return w, b, history
+
+
+def reference_predict(model, vectors):
+    out = []
+    for ids, values in vectors:
+        z = float(model.weights[ids] @ values) + model.bias
+        p = float(_sigmoid(np.asarray([z]))[0])
+        out.append((1 if p > 0.5 else 0, p))
+    return out
+
+
+def random_corpus(rng):
+    """Token documents over a Zipf-like vocabulary, with an empty document
+    and a document of one-off words that a max_features cap drops."""
+    words = [f"w{i}" for i in range(int(rng.integers(5, 40)))]
+    weights = 1.0 / np.arange(1, len(words) + 1)
+    docs = [
+        [words[i] for i in rng.choice(len(words), int(rng.integers(1, 15)), p=weights / weights.sum())]
+        for _ in range(int(rng.integers(6, 25)))
+    ]
+    docs.insert(int(rng.integers(0, len(docs))), [])
+    docs.append(["rare1", "rare2", "rare3"])
+    return docs
 
 
 def brute_force_ngrams(tokens, n_lo, n_hi):
@@ -58,136 +154,132 @@ class TestExtractNgrams:
 
 class TestCountFeatures:
     def test_raw_counts(self):
-        vocab, vectors = count_features([["a", "b", "a"]], bow_extractor, 100)
-        v = vectors[0]
-        counts = dict(zip((vocab.features[i] for i in v.ids), v.values))
+        vocab, rows = count_features([["a", "b", "a"]], 1, 1, 100)
+        ((ids, values),) = split_rows(rows)
+        counts = dict(zip((vocab.features[i] for i in ids), values))
         assert counts == {"a": 2.0, "b": 1.0}
 
     def test_cap_by_document_frequency(self):
         docs = [["a", "b"], ["a", "c"], ["a"]]
-        vocab, _ = count_features(docs, bow_extractor, max_features=1)
+        vocab, _ = count_features(docs, 1, 1, max_features=1)
         assert vocab.features == ["a"]
 
     def test_tie_break_lexicographic(self):
         docs = [["b", "a"], ["a", "b"], ["c"]]
-        vocab, _ = count_features(docs, bow_extractor, max_features=2)
+        vocab, _ = count_features(docs, 1, 1, max_features=2)
         assert vocab.features == ["a", "b"]
 
     def test_absent_feature_no_entry(self):
-        vocab, vectors = count_features([["a"], ["b"]], bow_extractor, 100)
-        ids0 = {vocab.features[i] for i in vectors[0].ids}
+        vocab, rows = count_features([["a"], ["b"]], 1, 1, 100)
+        ids0 = {vocab.features[i] for i in split_rows(rows)[0][0]}
         assert ids0 == {"a"}
 
     def test_vectorize_over_fixed_vocabulary(self):
         docs = [["a", "b", "a"], ["a", "c"], ["a"]]
-        vocab, vectors = count_features(docs, bow_extractor, max_features=2)
-        again = vectorize(vocab, bow_extractor, docs)
-        assert all((u.ids == v.ids).all() and (u.values == v.values).all()
-                   for u, v in zip(vectors, again))
-        (unseen,) = vectorize(vocab, bow_extractor, [["z", "c", "a", "a"]])
-        assert [vocab.features[i] for i in unseen.ids] == ["a"]
-        assert unseen.values.tolist() == [2.0]
+        vocab, rows = count_features(docs, 1, 1, max_features=2)
+        again = vectorize(vocab, docs, 1, 1)
+        assert again.indptr.tolist() == rows.indptr.tolist()
+        assert again.ids.tolist() == rows.ids.tolist()
+        assert again.values.tolist() == rows.values.tolist()
+        ((ids, values),) = split_rows(vectorize(vocab, [["z", "c", "a", "a"]], 1, 1))
+        assert [vocab.features[i] for i in ids] == ["a"]
+        assert values.tolist() == [2.0]
 
     def test_empty_corpus(self):
         with pytest.raises(ValueError):
-            count_features([], bow_extractor, 10)
+            count_features([], 1, 1, 10)
 
     def test_deterministic(self):
         docs = [["x", "y"], ["y", "z"], ["z", "x"]]
-        v1, _ = count_features(docs, bow_extractor, 2)
-        v2, _ = count_features(docs, bow_extractor, 2)
+        v1, _ = count_features(docs, 1, 1, 2)
+        v2, _ = count_features(docs, 1, 1, 2)
         assert v1.features == v2.features
+
+    def test_empty_vocabulary(self):
+        vocab, rows = count_features([[], []], 1, 1, 10)
+        assert len(vocab) == 0 and rows.n_features == 0
+        assert rows.indptr.tolist() == [0, 0, 0] and len(rows.ids) == 0
 
 
 class TestTfidf:
     def fixture(self):
         docs = [["a", "b", "a"], ["b", "c"]]
-        vocab, counts = count_features(docs, bow_extractor, 100)
+        vocab, counts = count_features(docs, 1, 1, 100)
         lengths = [len(d) for d in docs]
         return docs, vocab, counts, lengths
 
     def test_hand_computed_values(self):
         docs, vocab, counts, lengths = self.fixture()
-        out = tfidf_transform(counts, lengths, vocab)
-        d1 = dict(zip((vocab.features[i] for i in out[0].ids), out[0].values))
-        d2 = dict(zip((vocab.features[i] for i in out[1].ids), out[1].values))
+        (ids1, v1), (ids2, v2) = split_rows(tfidf_transform(counts, lengths, vocab))
+        d1 = dict(zip((vocab.features[i] for i in ids1), v1))
+        d2 = dict(zip((vocab.features[i] for i in ids2), v2))
         assert d1["a"] == (2.0 / 3.0) * math.log(2.0)  # exact 64-bit
         assert d2["c"] == (1.0 / 2.0) * math.log(2.0)
 
     def test_ubiquitous_term_dropped(self):
         docs, vocab, counts, lengths = self.fixture()
         out = tfidf_transform(counts, lengths, vocab)
-        b_id = vocab.feature_to_id["b"]
-        for vec in out:
-            assert b_id not in vec.ids
+        assert vocab.feature_to_id["b"] not in out.ids
+        assert out.indptr.tolist() == [0, 1, 2]
 
     def test_nonnegative(self):
         docs, vocab, counts, lengths = self.fixture()
-        for vec in tfidf_transform(counts, lengths, vocab):
-            assert (vec.values >= 0).all()
+        assert (tfidf_transform(counts, lengths, vocab).values >= 0).all()
 
     def test_length_mismatch(self):
         _, vocab, counts, _ = self.fixture()
         with pytest.raises(ValueError):
             tfidf_transform(counts, [3], vocab)
 
+    def test_nonpositive_length_rejected(self):
+        _, vocab, counts, _ = self.fixture()
+        with pytest.raises(ValueError, match="positive"):
+            tfidf_transform(counts, [3, 0], vocab)
+
 
 class TestLogReg:
     def separable(self, n=30):
-        vectors, labels = [], []
-        for i in range(n):
-            on = i % 2
-            vectors.append(
-                SparseVector(np.array([0]), np.array([1.0 if on else -1.0]))
-            )
-            labels.append(on)
-        return vectors, labels
+        labels = [i % 2 for i in range(n)]
+        return dense_rows([1.0 if on else -1.0 for on in labels]), labels
 
     def test_perfect_separation_small_lambda(self):
-        vectors, labels = self.separable()
-        model = train_logreg(
-            vectors, labels, 1, LogRegConfig(l2_lambda=1e-8, epochs=200, lr=0.5)
-        )
-        preds = [predict_logreg(model, v)[0] for v in vectors]
-        assert preds == labels
+        rows, labels = self.separable()
+        model = train_logreg(rows, labels, LogRegConfig(l2_lambda=1e-8, epochs=200, lr=0.5))
+        assert predict_logreg(model, rows)[0].tolist() == labels
 
     def test_huge_lambda_weights_vanish(self):
         # balanced classes: the optimum collapses to w ~ 0, p ~ prior = 0.5
-        vectors, labels = self.separable()
-        model = train_logreg(
-            vectors, labels, 1, LogRegConfig(l2_lambda=1e6, epochs=100, lr=1e-6)
-        )
+        rows, labels = self.separable()
+        model = train_logreg(rows, labels, LogRegConfig(l2_lambda=1e6, epochs=100, lr=1e-6))
         assert np.abs(model.weights).max() <= 1e-4
-        probs = [predict_logreg(model, v)[1] for v in vectors]
-        assert max(abs(p - 0.5) for p in probs) <= 0.02
+        _, probs = predict_logreg(model, rows)
+        assert np.abs(probs - 0.5).max() <= 0.02
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(0)
         n_docs, n_feat = 12, 5
-        vectors = []
         labels = rng.integers(0, 2, n_docs).tolist()
         labels[0], labels[1] = 0, 1
-        for _ in range(n_docs):
-            ids = np.sort(rng.choice(n_feat, size=3, replace=False))
-            vectors.append(SparseVector(ids, rng.standard_normal(3)))
+        vectors = [
+            (np.sort(rng.choice(n_feat, size=3, replace=False)), rng.standard_normal(3))
+            for _ in range(n_docs)
+        ]
 
         lam = 0.3
 
         def objective(w, b):
             total = 0.0
-            for vec, y in zip(vectors, labels):
-                z = float(w[vec.ids] @ vec.values) + b
+            for (ids, values), y in zip(vectors, labels):
+                z = float(w[ids] @ values) + b
                 p = 1.0 / (1.0 + math.exp(-z))
                 p = min(max(p, 1e-12), 1 - 1e-12)
                 total += -(y * math.log(p) + (1 - y) * math.log(1 - p))
             return total / n_docs + 0.5 * lam * float(w @ w)
 
-        w0 = rng.standard_normal(n_feat)
-        b0 = 0.4
         # analytic gradient reproduced from one GD step with tiny lr
         lr = 1e-9
         model = train_logreg(
-            vectors, labels, n_feat, LogRegConfig(l2_lambda=lam, epochs=1, lr=lr)
+            stack_rows(vectors, n_feat), labels, LogRegConfig(l2_lambda=lam, epochs=1, lr=lr)
         )
         # train starts from zeros; instead compare first-step direction at w=0
         grad_w_analytic = -(model.weights) / lr
@@ -203,63 +295,147 @@ class TestLogReg:
         assert abs(fdb - grad_b_analytic) <= 1e-6 * max(1.0, abs(fdb))
 
     def test_loss_monotone_for_small_lr(self):
-        vectors, labels = self.separable()
-        model = train_logreg(
-            vectors, labels, 1, LogRegConfig(l2_lambda=0.5, epochs=100, lr=0.01)
-        )
+        rows, labels = self.separable()
+        model = train_logreg(rows, labels, LogRegConfig(l2_lambda=0.5, epochs=100, lr=0.01))
         diffs = np.diff(model.loss_history)
         assert (diffs <= 1e-12).all()
 
     def test_single_class_rejected(self):
-        vectors, _ = self.separable()
+        rows, _ = self.separable()
         with pytest.raises(ValueError):
-            train_logreg(vectors, [1] * len(vectors), 1, LogRegConfig())
+            train_logreg(rows, [1] * len(rows), LogRegConfig())
+
+    def test_label_count_mismatch(self):
+        rows, labels = self.separable()
+        with pytest.raises(ValueError, match="one label per document"):
+            train_logreg(rows, labels[:-1], LogRegConfig())
 
 
 class TestPredictLogReg:
+    def zero_model(self):
+        return train_logreg(dense_rows([1.0, -1.0]), [1, 0], LogRegConfig(epochs=0))
+
     def test_zero_model_tie_negative(self):
-        model = train_logreg(
-            [SparseVector(np.array([0]), np.array([1.0])),
-             SparseVector(np.array([0]), np.array([-1.0]))],
-            [1, 0], 1, LogRegConfig(epochs=0),
-        )
-        label, p = predict_logreg(model, SparseVector(np.array([0]), np.array([5.0])))
-        assert p == 0.5 and label == 0
+        labels, probs = predict_logreg(self.zero_model(), dense_rows([5.0]))
+        assert probs.tolist() == [0.5] and labels.tolist() == [0]
 
     def test_closed_form_sigmoid(self):
-        model = train_logreg(
-            [SparseVector(np.array([0]), np.array([1.0])),
-             SparseVector(np.array([0]), np.array([-1.0]))],
-            [1, 0], 1, LogRegConfig(epochs=0),
-        )
+        model = self.zero_model()
         model.weights[0] = math.log(3.0)
-        label, p = predict_logreg(model, SparseVector(np.array([0]), np.array([1.0])))
-        assert p == pytest.approx(0.75, abs=1e-12)
-        assert label == 1
+        labels, probs = predict_logreg(model, dense_rows([1.0]))
+        assert probs[0] == pytest.approx(0.75, abs=1e-12)
+        assert labels.tolist() == [1]
 
     def test_sigmoid_symmetry(self):
-        from xldetect.baselines import _sigmoid
-
         for z in (-20.0, -1.3, 0.0, 0.7, 15.0):
             arr = np.array([z, -z])
             s = _sigmoid(arr)
             assert abs(s[0] + s[1] - 1.0) <= 1e-15
 
+    def test_empty_row_scores_bias(self):
+        model = LogRegModel(np.array([2.0]), -1.0, LogRegConfig(), [])
+        rows = SparseRows(np.array([0, 0, 1]), np.array([0]), np.array([1.0]), 1)
+        labels, probs = predict_logreg(model, rows)
+        assert labels.tolist() == [0, 1]
+        assert probs.tolist() == _sigmoid(np.array([-1.0, 1.0])).tolist()
 
-class TestSparseVector:
+    def test_feature_width_mismatch(self):
+        rows = SparseRows(np.array([0, 1]), np.array([1]), np.array([1.0]), 2)
+        with pytest.raises(ValueError, match="features"):
+            predict_logreg(self.zero_model(), rows)
+
+
+class TestMatchesPerDocumentReference:
+    """The CSR path against the per-document formulation it replaced, on
+    random corpora: bit-identical counts, TF-IDF and training, and the
+    reference's labels with probabilities within 1e-12 (the row sums take
+    a cumsum difference, not a dot product)."""
+
+    RANGES = ((1, 1), (1, 3), (2, 4))
+
+    def cases(self):
+        for seed in range(12):
+            rng = np.random.default_rng(seed)
+            train, test = random_corpus(rng), random_corpus(rng)
+            test.append(["unseen", "tokens", "only"])
+            n_lo, n_hi = self.RANGES[seed % len(self.RANGES)]
+            cap = int(rng.integers(3, 60))
+            yield rng, train, test, n_lo, n_hi, cap
+
+    @staticmethod
+    def assert_rows_equal(rows, vectors):
+        assert len(rows) == len(vectors)
+        for (ids, values), (ref_ids, ref_values) in zip(split_rows(rows), vectors):
+            assert ids.tolist() == ref_ids.tolist()
+            assert values.tobytes() == ref_values.tobytes()
+
+    def test_counts_and_tfidf(self):
+        capped = 0
+        for _, train, test, n_lo, n_hi, cap in self.cases():
+            vocab, rows = count_features(train, n_lo, n_hi, cap)
+            capped += len(vocab) == cap
+            for docs, got in ((train, rows), (test, vectorize(vocab, test, n_lo, n_hi))):
+                ref = reference_counts(vocab, [extract_ngrams(d, n_lo, n_hi) for d in docs])
+                self.assert_rows_equal(got, ref)
+                lengths = [max(1, len(d)) for d in docs]
+                self.assert_rows_equal(tfidf_transform(got, lengths, vocab),
+                                       reference_tfidf(ref, lengths, vocab))
+        assert capped  # some case exercised the max_features cap
+
+    def test_train_and_predict(self):
+        config = LogRegConfig(l2_lambda=0.01, epochs=25, lr=0.5)
+        for rng, train, test, n_lo, n_hi, cap in self.cases():
+            vocab, rows = count_features(train, n_lo, n_hi, cap)
+            test_rows = vectorize(vocab, test, n_lo, n_hi)
+            labels = rng.integers(0, 2, len(train))
+            labels[:2] = [0, 1]
+            model = train_logreg(rows, labels, config)
+            w, b, history = reference_train_logreg(split_rows(rows), labels, len(vocab), config)
+            assert model.weights.tobytes() == w.tobytes()
+            assert model.bias == b
+            assert model.loss_history == history
+            got_labels, got_probs = predict_logreg(model, test_rows)
+            ref = reference_predict(model, split_rows(test_rows))
+            assert got_labels.tolist() == [label for label, _ in ref]
+            assert np.abs(got_probs - [p for _, p in ref]).max() <= 1e-12
+
+
+class TestSparseRows:
     def test_ids_must_increase(self):
-        with pytest.raises(ValueError):
-            SparseVector(np.array([3, 1]), np.array([1.0, 2.0]))
+        for ids in ([3, 1], [2, 2]):
+            with pytest.raises(ValueError, match="increasing"):
+                SparseRows(np.array([0, 2]), np.array(ids), np.array([1.0, 2.0]), 5)
 
     def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            SparseVector(np.array([1]), np.array([1.0, 2.0]))
+        with pytest.raises(ValueError, match="length mismatch"):
+            SparseRows(np.array([0, 1]), np.array([1]), np.array([1.0, 2.0]), 5)
+
+    def test_bad_indptr(self):
+        ids, values = np.array([0, 1, 2]), np.ones(3)
+        for indptr in ([], [0, 2, 1, 3], [1, 3], [0, 2]):
+            with pytest.raises(ValueError, match="indptr"):
+                SparseRows(np.array(indptr, dtype=np.int64), ids, values, 3)
+
+    def test_id_out_of_range(self):
+        for ids in ([-1, 0], [0, 3]):
+            with pytest.raises(ValueError, match="outside"):
+                SparseRows(np.array([0, 2]), np.array(ids), np.ones(2), 3)
+
+    def test_id_drop_at_row_boundary_accepted(self):
+        rows = SparseRows(np.array([0, 2, 4]), np.array([3, 5, 1, 2]), np.ones(4), 6)
+        assert len(rows) == 2
+        after_empty = SparseRows(np.array([0, 2, 2, 3]), np.array([3, 5, 1]), np.ones(3), 6)
+        assert len(after_empty) == 3
+
+    def test_empty_vocabulary_accepted(self):
+        rows = SparseRows(np.array([0, 0, 0]), np.empty(0, np.int64), np.empty(0), 0)
+        assert len(rows) == 2
 
 
 class TestFeatureVocabIO:
     def test_round_trip(self, tmp_path):
         docs = [["a", "b c"], ["a"]]
-        vocab, _ = count_features(docs, bow_extractor, 10)
+        vocab, _ = count_features(docs, 1, 1, 10)
         path = tmp_path / "features.tsv"
         save_feature_vocab(vocab, path)
         loaded = load_feature_vocab(path)

@@ -19,7 +19,7 @@ from xldetect.classifier import (
 )
 from xldetect.corpus import LABEL_NAMES, AccountDocument
 from xldetect.embedding import VectorTable
-from xldetect.errors import FormatError
+from xldetect.errors import FormatError, TrainingError
 from xldetect.vocab import SubwordIndex, build_vocab, input_ids
 
 
@@ -355,6 +355,15 @@ class TestTrainSupervised:
         m2 = train_supervised(toy_docs(), cfg)
         assert (m1.input_rows == m2.input_rows).all()
         assert (m1.output_weights == m2.output_weights).all()
+
+    def test_output_weight_divergence_names_epoch(self):
+        # frozen 1e5-norm inputs: each step moves the output weights by up
+        # to lr * 1e5, so they pass the 1e8 limit within the first epoch
+        table = VectorTable(["aaa", "bbb"], np.array([[1e5, 0.0], [0.0, 1e5]]))
+        cfg = small_config(dim=2, epochs=3, initial_lr=1e4, pretrained=table,
+                           freeze_pretrained=True)
+        with pytest.raises(TrainingError, match="after epoch 0: parameter magnitude"):
+            train_supervised(toy_docs(), cfg)
 
     def test_empty_training_set(self):
         with pytest.raises(ValueError):

@@ -38,7 +38,7 @@ def write_map(path, rng):
 
 def write_feats(path, rng):
     docs = [["a", "b", "a"], ["b", "c"], ["c", "d", "e"], ["a", "e"]]
-    vocab, _ = bl.count_features(docs, bl.bow_extractor, max_features=4)
+    vocab, _ = bl.count_features(docs, 1, 1, max_features=4)
     bl.save_feature_vocab(vocab, path)
 
 

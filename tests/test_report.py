@@ -4,7 +4,6 @@ from xldetect.errors import FormatError
 from xldetect.metrics import ConfusionMatrix, binary_metrics
 from xldetect.report import (
     Report,
-    metrics_from_section,
     metrics_section,
     parse_report,
     read_report,
@@ -52,7 +51,12 @@ class TestConsistency:
     def test_metrics_recomputable_from_confusion(self):
         report = sample_report()
         section = report.sections["metrics.test"]
-        recomputed = metrics_from_section(section)
+        recomputed = binary_metrics(ConfusionMatrix(
+            tp=int(section["confusion.tp"]),
+            fp=int(section["confusion.fp"]),
+            fn=int(section["confusion.fn"]),
+            tn=int(section["confusion.tn"]),
+        ))
         assert repr(recomputed.precision) == section["precision"]
         assert repr(recomputed.recall) == section["recall"]
         assert repr(recomputed.f1) == section["f1"]
