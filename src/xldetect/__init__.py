@@ -32,6 +32,7 @@ from .classifier import (
     TextClassifier,
     doc_embedding,
     predict,
+    train_many,
     train_supervised,
 )
 from .corpus import (

@@ -2,9 +2,12 @@
 
 A document's vector is the mean of every input row its tokens contribute
 (word rows and hashed subword rows, their ids from vocab.word_rows_csr and
-vocab.subword_ids_csr; there are no word n-grams). Training is
-per-document SGD on softmax cross-entropy; with pretrained vectors the
+vocab.subword_ids_csr; there are no word n-grams). Training is SGD on
+softmax cross-entropy, one document per step; with pretrained vectors the
 word rows start from the given table and keep training unless frozen.
+train_many trains independent classifiers (cells) in lockstep: one
+batched step per iteration serves every cell, and a cell trains
+identically, bit for bit, alone (train_supervised) or in a batch.
 The model stores the bucket rows of its training documents only (their
 out-of-vocabulary tokens included); any other bucket reads its initial
 value (vocab.InputTable).
@@ -23,13 +26,14 @@ import struct
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from .corpus import AccountDocument, LABEL_NAMES, tokenize
 from . import formats
 from .embedding import VectorTable, _check_finite, _epoch_guard
-from .errors import FormatError, TrainingError
+from .errors import DataError, FormatError, TrainingError
 from .vocab import (
     InputTable,
     SubwordIndex,
@@ -161,8 +165,68 @@ def train_supervised(
     train_docs: list[AccountDocument], config: SupervisedConfig
 ) -> TextClassifier:
     """Train a classifier from scratch or from pretrained word vectors."""
+    return train_many([(train_docs, config)])[0]
+
+
+def train_many(
+    cells: list[tuple[list[AccountDocument], SupervisedConfig]],
+) -> list[TextClassifier]:
+    """Train one classifier per (train_docs, config) cell, in lockstep.
+
+    The cells are independent: in epoch e each visits its documents in
+    the order default_rng((seed, e)).permutation(n), and iteration i takes
+    one batched SGD step (_sgd_step) on the i-th document of every cell
+    that has one, each at its own learning rate, which decays over its own
+    steps. So every cell takes exactly the steps it would take alone, and
+    (for dim >= 2) its model comes out bit for bit the same whichever
+    cells share the batch. The cells must share dim. A cell whose data
+    cannot train (DataError) or whose training fails (TrainingError) raises
+    an error naming its index, also held in the error's cell.
+    In a batch of several cells, the models' input_rows are views of one
+    table that holds every cell's rows.
+    """
+    dims = sorted({config.dim for _, config in cells})
+    if len(dims) > 1:
+        raise ValueError(f"the cells of one batch must share dim, got dims {dims}")
+    prepared = []
+    for i, (docs, config) in enumerate(cells):
+        try:
+            prepared.append(_init_cell(i, docs, config))
+        except DataError as exc:
+            raise DataError(f"cell {i}: {exc}", cell=i) from exc
+    training = [cell for cell in prepared if cell.config.epochs > 0]
+    if training:
+        _train_lockstep(training)
+    for cell in training:
+        try:
+            _check_finite(cell.model.input_rows, "input rows")
+            _check_finite(cell.model.output_weights, "output weights")
+        except TrainingError as exc:
+            raise TrainingError(f"cell {cell.index}: {exc}", cell=cell.index) from exc
+    return [cell.model for cell in prepared]
+
+
+class _Cell(NamedTuple):
+    """A cell of a train_many batch: its untrained model (loss_history[0]
+    set), and its documents as CSR: lengths, input_rows positions and
+    shares, a share being a row's multiplicity over its document's."""
+
+    index: int
+    config: SupervisedConfig
+    model: TextClassifier
+    labels: np.ndarray
+    lengths: np.ndarray
+    rows: np.ndarray
+    shares: np.ndarray
+
+    @property
+    def trains_input(self) -> bool:
+        return not (self.config.pretrained is not None and self.config.freeze_pretrained)
+
+
+def _init_cell(index: int, train_docs: list[AccountDocument], config: SupervisedConfig) -> _Cell:
     if not train_docs:
-        raise ValueError("empty training set")
+        raise DataError("empty training set")
     token_docs = [tokenize(d.text) for d in train_docs]
     labels = np.asarray([d.label for d in train_docs], dtype=np.int64)
     for cls in (0, 1):
@@ -190,58 +254,157 @@ def train_supervised(
     model.store_buckets(np.unique(np.concatenate([ids[ids >= nwords] for ids, _ in docs_rows]))
                         - nwords)
     model.loss_history.append(_mean_loss(model, docs_rows, labels))
-    if config.epochs == 0:
-        return model
     # the steps index input_rows directly; the map keeps ids ascending
-    docs_rows = [(model.row_slots[ids].astype(np.int64), counts) for ids, counts in docs_rows]
-
-    trainable_input = not (config.pretrained is not None and config.freeze_pretrained)
-    total_steps = config.epochs * len(train_docs)
-    step = 0
-    for epoch in range(config.epochs):
-        order = np.random.default_rng((config.seed, epoch)).permutation(len(train_docs))
-        loss = 0.0
-        for di in order:
-            step += 1
-            ids, counts = docs_rows[di]
-            if len(ids) == 0:
-                loss += _EMPTY_DOC_LOSS
-                continue
-            lr = np.float32(config.initial_lr * max(0.0, 1.0 - step / total_steps))
-            loss += _doc_step(model.input_rows, model.output_weights, ids, counts, labels[di],
-                              lr, trainable_input)
-        _epoch_guard(model.output_weights, epoch)
-        model.loss_history.append(loss / len(train_docs))
-    _check_finite(model.input_rows, "input rows")
-    _check_finite(model.output_weights, "output weights")
-    return model
+    return _Cell(
+        index, config, model, labels,
+        np.array([len(ids) for ids, _ in docs_rows]),
+        np.concatenate([model.row_slots[ids] for ids, _ in docs_rows]),
+        np.concatenate([counts / counts.sum() for _, counts in docs_rows]),
+    )
 
 
-def _doc_step(input_rows, output_weights, ids, counts, label, lr, trainable_input) -> float:
-    """One SGD step on the softmax cross-entropy of one document, in place.
-    Returns that cross-entropy at the pre-step parameters."""
-    total = counts.sum()
-    h = (counts @ input_rows[ids]) / total
-    z = output_weights @ h
-    z = z - z.max()
+def _shared_table(cells: list[_Cell]):
+    """The table every step gathers from, and every document's slots in it
+    as CSR: (table, read, write, shares). A lone cell's table is its own
+    input_rows, so that it trains in place, and it is never padded.
+    Several cells share a copy of their rows, which their models then
+    view, followed by the zero row that padding slots read and the sink
+    row that padding slots and frozen cells write to; the slots end with
+    one padding slot. write is None when no input row trains."""
+    if len(cells) == 1:
+        (cell,) = cells
+        write = cell.rows if cell.trains_input else None
+        return cell.model.input_rows, cell.rows, write, cell.shares
+    models = [cell.model for cell in cells]
+    table = np.concatenate([m.input_rows for m in models]
+                           + [np.zeros((2, models[0].dim), dtype=np.float32)])
+    zero, sink = len(table) - 2, len(table) - 1
+    offsets = np.cumsum([0] + [len(m.input_rows) for m in models])
+    for c, model in enumerate(models):
+        model.input_rows = table[offsets[c] : offsets[c + 1]]
+    read = [cell.rows + offsets[c] for c, cell in enumerate(cells)]
+    write = None
+    if any(cell.trains_input for cell in cells):
+        write = np.concatenate([r if cell.trains_input else np.full(len(r), sink)
+                                for r, cell in zip(read, cells)] + [[sink]])
+    shares = np.concatenate([cell.shares for cell in cells] + [np.zeros(1, dtype=np.float32)])
+    return table, np.concatenate(read + [[zero]]), write, shares
+
+
+def _train_lockstep(cells: list[_Cell]) -> None:
+    """Train the cells in place, as train_many describes."""
+    table, read, write, shares = _shared_table(cells)
+    weights = np.stack([cell.model.output_weights for cell in cells])
+    for c, cell in enumerate(cells):
+        cell.model.output_weights = weights[c]
+    lengths = np.concatenate([cell.lengths for cell in cells])
+    starts = np.cumsum(lengths) - lengths
+    # the scatter needs unique ids: doc_rows yields them strictly increasing
+    total = int(lengths.sum())
+    rising = np.diff(read[:total]) > 0
+    rising[starts[(starts > 0) & (starts < total)] - 1] = True  # document boundaries
+    if not rising.all():
+        raise ValueError("a document's row ids must be strictly increasing")
+    doc_labels = np.concatenate([cell.labels for cell in cells])
+
+    n = np.array([len(cell.labels) for cell in cells])
+    first_doc = np.cumsum(n) - n
+    epochs = np.array([cell.config.epochs for cell in cells])
+    initial_lr = np.array([cell.config.initial_lr for cell in cells])
+    span = np.arange(int(lengths.max()))
+    for epoch in range(int(epochs.max())):
+        # the live cells, most documents first: at iteration i the cells
+        # that still have a document are a prefix of them
+        live = np.flatnonzero(epochs > epoch)
+        live = live[np.argsort(-n[live], kind="stable")]
+        width = int(n[live[0]])
+        order = np.full((width, len(live)), -1, dtype=np.int64)
+        for j, c in enumerate(live.tolist()):
+            perm = np.random.default_rng((cells[c].config.seed, epoch)).permutation(int(n[c]))
+            order[: n[c], j] = first_doc[c] + perm
+        step = epoch * n[live] + np.arange(1, width + 1)[:, None]
+        lr = (initial_lr[live] * np.maximum(0.0, 1.0 - step / (epochs[live] * n[live]))
+              ).astype(np.float32)
+        present = order >= 0
+        active = present.sum(axis=1).tolist()
+        length = np.where(present, lengths[order], 0)
+        slots = length.max(axis=1).tolist()
+        empty = present & (length == 0)
+        any_empty = empty.any(axis=1).tolist()
+        doc_start, label = starts[order], doc_labels[order]
+        loss = np.zeros(len(live))
+        for i in range(width):
+            k = active[i]
+            cols, at, lens = live[:k], doc_start[i, :k], length[i, :k]
+            labels, rates, pick = label[i, :k], lr[i, :k], slice(0, k)
+            if any_empty[i]:
+                # an empty document takes no step
+                loss[:k][empty[i, :k]] += _EMPTY_DOC_LOSS
+                pick = np.flatnonzero(lens)
+                if not len(pick):
+                    continue
+                cols, at, lens = cols[pick], at[pick], lens[pick]
+                labels, rates = labels[pick], rates[pick]
+            at = at[:, None] + span[: slots[i]]
+            if len(cols) > 1:
+                at = np.where(span[: slots[i]] < lens[:, None], at, len(read) - 1)
+            to = None if write is None else write.take(at)
+            loss[pick] += _sgd_step(table, weights, cols, read.take(at), shares.take(at), labels,
+                                    rates, to)
+        for j, c in enumerate(live.tolist()):
+            index = cells[c].index
+            if np.isnan(loss[j]):
+                raise TrainingError(f"cell {index}: non-finite class probabilities in an SGD "
+                                    f"step in epoch {epoch}", cell=index)
+            try:
+                _epoch_guard(weights[c], epoch)
+            except TrainingError as exc:
+                raise TrainingError(f"cell {index}: {exc}", cell=index) from exc
+            cells[c].model.loss_history.append(float(loss[j]) / int(n[c]))
+
+
+_ONE_HOT = np.eye(_N_CLASSES, dtype=np.float32)
+
+
+def _sgd_step(table, weights, cells, ids, share, labels, lr, write) -> np.ndarray:
+    """One SGD step on the softmax cross-entropy of A documents, each of a
+    different cell, in place; returns each document's cross-entropy at the
+    pre-step parameters (NaN where its class probabilities are not
+    finite).
+
+    Document a is the mean of the table rows ids[a] (ids is A x L), each
+    weighted by share[a], its multiplicity over the document's length. A
+    document shorter than L fills its spare slots with share 0 at a zero
+    row. It belongs to cell cells[a], whose output weights are
+    weights[cells[a]] (weights is C x 2 x d), and steps at rate lr[a]. The
+    updated rows go to write (A x L): ids, except that padding slots and
+    frozen cells write to a sink row. With write None no input row moves.
+
+    Ids are unique within a document and disjoint across documents, so one
+    gather and one scatter serve every row. Each document's numbers come
+    from its own slots only: its mean is a numpy sum in slot order, to
+    which padding adds exact zeros last, and its logits and hidden
+    gradient are one small matmul per document. So for dim >= 2 a
+    document steps the same, bit for bit, whatever else is in the batch.
+    """
+    block = table.take(ids, axis=0)  # A x L x d
+    h = np.einsum("al,ald->ad", share, block)
+    w = weights.take(cells, axis=0)
+    z = np.matmul(w, h[:, :, None])[:, :, 0]
+    z -= np.maximum(z[:, :1], z[:, 1:])
     e = np.exp(z)
-    e_sum = e.sum()
-    g = e / e_sum
-    if not np.isfinite(g).all():
-        raise TrainingError("non-finite class probabilities in an SGD step")
+    e_sum = e[:, 0] + e[:, 1]
+    target = _ONE_HOT.take(labels, axis=0)
     # -log g[label], finite even where g[label] underflows
-    loss = float(np.log(e_sum) - z[label])
-    g[label] -= 1.0
-    g *= lr
-    hidden_grad = output_weights.T @ g
-    output_weights -= np.outer(g, h)
-    if trainable_input:
-        if (ids[1:] <= ids[:-1]).any():
-            # a fancy-index add keeps one update per index, so merge
-            # repeated ids first; doc_rows yields strictly increasing ids
-            ids, at = np.unique(ids, return_inverse=True)
-            counts = np.bincount(at, counts).astype(counts.dtype)
-        input_rows[ids] += np.outer(counts, -hidden_grad / total)
+    loss = np.log(e_sum) - (z * target).sum(axis=1)
+    g = e / e_sum[:, None]
+    g -= target
+    g *= lr[:, None]
+    weights[cells] = w - g[:, :, None] * h[:, None, :]
+    if write is not None:
+        hidden_grad = np.matmul(g[:, None, :], w)[:, 0]
+        block += np.einsum("al,ad->ald", share, -hidden_grad)
+        table[write] = block
     return loss
 
 

@@ -1,14 +1,22 @@
-"""Learning-curve sweeps: monolingual vs transfer at varying training size."""
+"""Learning-curve sweeps: monolingual vs transfer at varying training size.
+
+learning_curve trains every (fraction, seed, kind) cell of a sweep in one
+classifier.train_many batch. The cells are independent and train in
+lockstep, one batched SGD step per iteration serving every cell, and each
+comes out bit for bit as it would trained alone with train_supervised.
+"""
 
 from __future__ import annotations
 
 import logging
+import time
 from dataclasses import dataclass, replace
 
-from .classifier import SupervisedConfig, predict, train_supervised
+# train_supervised, the one-cell trainer, stays reachable from this module
+from .classifier import SupervisedConfig, predict, train_many, train_supervised  # noqa: F401
 from .corpus import AccountDocument, subsample_train, tokenize
 from .embedding import VectorTable
-from .errors import TrainingError
+from .errors import DataError, TrainingError
 from .metrics import MetricsReport, binary_metrics, confusion
 
 logger = logging.getLogger(__name__)
@@ -45,7 +53,8 @@ def learning_curve(
     config: SupervisedConfig = None,
     pretrained: VectorTable | None = None,
 ) -> list[LearningCurvePoint]:
-    """Train and evaluate every (fraction, seed, kind) cell.
+    """Train every (fraction, seed, kind) cell in one train_many batch, then
+    evaluate them in that order.
 
     Subsampling uses seeded permutation prefixes, so for one seed the
     smaller fractions are subsets of the larger ones. The transfer kind
@@ -62,30 +71,48 @@ def learning_curve(
         if not 0.0 < f <= 1.0:
             raise ValueError(f"fractions must be in (0,1], got {f}")
 
-    points = []
+    grid, cells = [], []
     for fraction in fractions:
         for seed in seeds:
             subset = subsample_train(train_docs, fraction, seed)
             for kind in kinds:
-                cfg = replace(
-                    config,
-                    seed=seed,
-                    pretrained=pretrained if kind == "transfer" else None,
-                )
-                try:
-                    model = train_supervised(subset, cfg)
-                    metrics = evaluate_classifier(model, test_docs)
-                except (TrainingError, ValueError) as exc:
-                    raise TrainingError(
-                        f"sweep point fraction={fraction} seed={seed} kind={kind}: {exc}"
-                    ) from exc
-                points.append(LearningCurvePoint(fraction, kind, seed, metrics))
-                logger.info(
-                    "sweep fraction=%.2f kind=%s seed=%d: f1=%.4f (p=%.4f r=%.4f, %d docs)",
-                    fraction, kind, seed, metrics.f1, metrics.precision,
-                    metrics.recall, len(subset),
-                )
+                grid.append((fraction, seed, kind))
+                cells.append((subset, replace(
+                    config, seed=seed, pretrained=pretrained if kind == "transfer" else None)))
+
+    started = time.perf_counter()
+    try:
+        models = train_many(cells)
+    except (DataError, TrainingError) as exc:
+        if exc.cell is None:
+            raise
+        raise TrainingError(f"{_point(*grid[exc.cell])}: {exc}") from exc
+    wall = time.perf_counter() - started
+    doc_steps = config.epochs * sum(len(subset) for subset, _ in cells)
+    logger.info(
+        "sweep batch: %d cells, %d iterations, %d doc steps in %.2f s (%.0f doc steps/s)",
+        len(cells), config.epochs * max((len(subset) for subset, _ in cells), default=0),
+        doc_steps, wall, doc_steps / max(wall, 1e-9),
+    )
+
+    points = []
+    for (fraction, seed, kind), (subset, _), model in zip(grid, cells, models):
+        try:
+            metrics = evaluate_classifier(model, test_docs)
+        except (TrainingError, ValueError) as exc:
+            raise TrainingError(f"{_point(fraction, seed, kind)}: {exc}") from exc
+        points.append(LearningCurvePoint(fraction, kind, seed, metrics))
+        logger.info(
+            "sweep fraction=%.2f kind=%s seed=%d: f1=%.4f (p=%.4f r=%.4f, %d docs, "
+            "last-epoch loss %.4f)",
+            fraction, kind, seed, metrics.f1, metrics.precision, metrics.recall, len(subset),
+            model.loss_history[-1],
+        )
     return points
+
+
+def _point(fraction: float, seed: int, kind: str) -> str:
+    return f"sweep point fraction={fraction} seed={seed} kind={kind}"
 
 
 def fraction_means(points: list[LearningCurvePoint]) -> dict[tuple[float, str], dict[str, float]]:

@@ -2,7 +2,12 @@
 
 
 class XLDetectError(Exception):
-    """Base class for all toolkit errors."""
+    """Base class for all toolkit errors. cell is the index of the failing
+    cell in a classifier.train_many batch, None elsewhere."""
+
+    def __init__(self, *args, cell: int | None = None):
+        super().__init__(*args)
+        self.cell = cell
 
 
 class FormatError(XLDetectError):

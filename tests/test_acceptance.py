@@ -25,7 +25,7 @@ from xldetect.baselines import (
     tfidf_transform,
     train_logreg,
 )
-from xldetect.classifier import SupervisedConfig, _doc_step, train_supervised
+from xldetect.classifier import SupervisedConfig, _sgd_step, train_supervised
 from xldetect.cli import main as cli_main
 from xldetect.corpus import SplitSpec, split, subsample_train, tokenize
 from xldetect.curves import fraction_means, learning_curve
@@ -131,21 +131,37 @@ def _step_grad_error(loss, params, step, lr=0.5, eps=1e-6) -> float:
 
 
 def _classifier_grad_error(rng) -> float:
+    """One batched step over 1-3 cells, one document each. A document's
+    tokens may repeat a row, merged into a multiplicity as doc_rows does,
+    and a shorter document's padding slots read the zero row and write the
+    sink row, the table's last two."""
     dim = int(rng.integers(3, 7))
-    rows = rng.standard_normal((int(rng.integers(2, 5)), dim))
-    weights = rng.standard_normal((2, dim))
-    ids = rng.integers(0, len(rows), size=4)
-    ids[-1] = ids[0]  # a repeated row id
-    counts = rng.integers(1, 4, size=4).astype(np.float64)
-    label = int(rng.integers(0, 2))
+    n_cells = int(rng.integers(1, 4))
+    sizes = rng.integers(2, 5, size=n_cells)
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    table = np.concatenate([rng.standard_normal((offsets[-1], dim)), np.zeros((2, dim))])
+    zero, sink = len(table) - 2, len(table) - 1
+    weights = rng.standard_normal((n_cells, 2, dim))
+    docs = [np.unique(offsets[c] + rng.integers(0, sizes[c], size=int(rng.integers(1, 5))),
+                      return_counts=True) for c in range(n_cells)]
+    width = max(len(doc_ids) for doc_ids, _ in docs)
+    ids, write = np.full((n_cells, width), zero), np.full((n_cells, width), sink)
+    share = np.zeros((n_cells, width))
+    for c, (doc_ids, counts) in enumerate(docs):
+        ids[c, : len(doc_ids)] = write[c, : len(doc_ids)] = doc_ids
+        share[c, : len(doc_ids)] = counts / counts.sum()
+    cells, labels = np.arange(n_cells), rng.integers(0, 2, size=n_cells)
 
     def loss():
-        z = weights @ ((counts @ rows[ids]) / counts.sum())
-        return float(np.logaddexp(z[0], z[1]) - z[label])
+        total = 0.0
+        for c in cells:
+            z = weights[c] @ (share[c] @ table[ids[c]])
+            total += float(np.logaddexp(z[0], z[1]) - z[labels[c]])
+        return total
 
     return _step_grad_error(
-        loss, [rows, weights],
-        lambda r, w, lr: _doc_step(r, w, ids, counts, label, lr, True),
+        loss, [table, weights],
+        lambda t, w, lr: _sgd_step(t, w, cells, ids, share, labels, np.full(n_cells, lr), write),
     )
 
 

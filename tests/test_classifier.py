@@ -1,6 +1,6 @@
-import itertools
 import math
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,18 +8,18 @@ import pytest
 from xldetect.classifier import (
     SupervisedConfig,
     TextClassifier,
-    _class_probs,
-    _doc_step,
     _mean_loss,
+    _sgd_step,
     doc_embedding,
     load_classifier,
     predict,
     save_classifier,
+    train_many,
     train_supervised,
 )
-from xldetect.corpus import LABEL_NAMES, AccountDocument
+from xldetect.corpus import LABEL_NAMES, AccountDocument, tokenize
 from xldetect.embedding import VectorTable
-from xldetect.errors import FormatError, TrainingError
+from xldetect.errors import DataError, FormatError, TrainingError
 from xldetect.vocab import SubwordIndex, build_vocab, input_ids
 
 
@@ -154,84 +154,109 @@ class TestPredict:
             assert abs(probs.sum() - 1.0) <= 1e-12
 
 
-def doc_loss(input_rows, weights, ids, counts, label):
+def doc_loss(rows, weights, ids, share, label):
     """Reference cross-entropy of one document over its averaged rows."""
-    h = (counts @ input_rows[ids]) / counts.sum()
-    z = weights @ h
+    z = weights @ (share @ rows[ids])
     return np.logaddexp.reduce(z) - z[label]
 
 
-def doc_step_add_at(input_rows, output_weights, ids, counts, label, lr):
-    """_doc_step with its input-row update scattered by np.add.at."""
-    total = counts.sum()
-    h = (counts @ input_rows[ids]) / total
-    z = output_weights @ h
-    z = z - z.max()
+def padded(docs, zero, sink, dtype=np.float32):
+    """_sgd_step's (ids, share, write) for documents given as (ids,
+    counts): padded to the longest with share 0 at row zero, and writing
+    padding slots to row sink."""
+    width = max(len(ids) for ids, _ in docs)
+    ids = np.full((len(docs), width), zero)
+    share = np.zeros((len(docs), width), dtype=dtype)
+    for a, (doc_ids, counts) in enumerate(docs):
+        ids[a, : len(doc_ids)] = doc_ids
+        share[a, : len(doc_ids)] = counts / counts.sum()
+    return ids, share, np.where(share > 0, ids, sink)
+
+
+def random_batch(rng, n_cells, rows_per_cell, dim, dtype, max_size=None, max_count=4):
+    """A table of n_cells cells' rows, then a zero row and a sink row, the
+    cells' output weights and one document per cell: below max_size
+    unique ids of the cell's rows, with multiplicities below max_count,
+    so the lengths differ. Returns (table, weights, docs, zero, sink)."""
+    table = rng.standard_normal((n_cells * rows_per_cell + 2, dim)).astype(dtype)
+    table[-2:] = 0
+    weights = rng.standard_normal((n_cells, 2, dim)).astype(dtype)
+    docs = []
+    for c in range(n_cells):
+        size = int(rng.integers(1, max_size or rows_per_cell + 1))
+        ids = c * rows_per_cell + np.sort(rng.choice(rows_per_cell, size=size, replace=False))
+        docs.append((ids, rng.integers(1, max_count, size=size).astype(dtype)))
+    return table, weights, docs, len(table) - 2, len(table) - 1
+
+
+def sgd_step_add_at(table, weights, cells, ids, share, labels, lr):
+    """_sgd_step with its input-row update scattered by np.add.at from the
+    pre-step rows, not written back from one gathered block."""
+    h = np.einsum("al,ald->ad", share, table[ids])
+    w = weights[cells]
+    z = np.matmul(w, h[:, :, None])[:, :, 0]
+    z -= np.maximum(z[:, :1], z[:, 1:])
     e = np.exp(z)
-    g = e / e.sum()
-    g[label] -= 1.0
-    g *= lr
-    hidden_grad = output_weights.T @ g
-    output_weights -= np.outer(g, h)
-    np.add.at(input_rows, ids, np.outer(counts, -hidden_grad / total))
+    g = e / (e[:, 0] + e[:, 1])[:, None]
+    g -= np.eye(2, dtype=g.dtype)[labels]
+    g *= lr[:, None]
+    weights[cells] = w - g[:, :, None] * h[:, None, :]
+    hidden_grad = np.matmul(g[:, None, :], w)[:, 0]
+    np.add.at(table, ids, np.einsum("al,ad->ald", share, -hidden_grad))
 
 
 class TestLossAndGrad:
-    """The SGD step the trainer runs and the loss it records."""
+    """The batched SGD step the trainer runs, alone and over several cells
+    of different lengths, and the loss it records."""
 
     def test_perfect_prediction_zero_gradient(self):
         model = manual_model([[10.0]], [[-100.0], [100.0]], words=("aaa",))
-        rows, weights = model.input_rows.copy(), model.output_weights.copy()
+        rows, weights = model.input_rows.copy(), model.output_weights[None].copy()
         ids, counts = model.doc_rows(["aaa"])
-        _doc_step(model.input_rows, model.output_weights, ids, counts, 1, np.float32(1.0), True)
-        assert (model.input_rows == rows).all()
-        assert (model.output_weights == weights).all()
+        ids, share, write = padded([(ids, counts)], 0, 0)
+        _sgd_step(rows, weights, np.array([0]), ids, share, np.array([1]),
+                  np.ones(1, dtype=np.float32), write)
+        assert (rows == model.input_rows).all()
+        assert (weights[0] == model.output_weights).all()
 
     def test_unique_ids_match_add_at_bit_for_bit(self):
         rng = np.random.default_rng(4)
         for trial in range(20):
-            rows = rng.standard_normal((60, 7)).astype(np.float32)
-            weights = rng.standard_normal((2, 7)).astype(np.float32)
-            ids = np.sort(rng.choice(60, size=int(rng.integers(1, 40)), replace=False))
-            counts = rng.integers(1, 5, size=len(ids)).astype(np.float32)
-            lr, label = np.float32(rng.random()), trial % 2
-            ref_rows, ref_weights = rows.copy(), weights.copy()
-            doc_step_add_at(ref_rows, ref_weights, ids, counts, label, lr)
-            _doc_step(rows, weights, ids, counts, label, lr, True)
-            assert rows.tobytes() == ref_rows.tobytes()
+            n_cells = 1 if trial < 5 else int(rng.integers(2, 5))
+            table, weights, docs, zero, sink = random_batch(rng, n_cells, 60, 7, np.float32,
+                                                            max_size=40, max_count=5)
+            ids, share, write = padded(docs, zero, sink)
+            cells = np.arange(n_cells)
+            labels = rng.integers(0, 2, size=n_cells)
+            lr = rng.random(n_cells).astype(np.float32)
+            ref_table, ref_weights = table.copy(), weights.copy()
+            sgd_step_add_at(ref_table, ref_weights, cells, ids, share, labels, lr)
+            _sgd_step(table, weights, cells, ids, share, labels, lr, write)
+            assert table.tobytes() == ref_table.tobytes()
             assert weights.tobytes() == ref_weights.tobytes()
-
-    def test_repeated_ids_match_add_at(self):
-        rng = np.random.default_rng(5)
-        counts = np.array([1.0, 2.0, 1.0, 3.0, 1.0, 2.0])
-        for ids, label in itertools.product(
-            (np.array([3, 0, 3, 1, 0, 3]), np.array([0, 1, 1, 2, 3, 3])), (0, 1)
-        ):
-            rows, weights = rng.standard_normal((4, 5)), rng.standard_normal((2, 5))
-            ref_rows, ref_weights = rows.copy(), weights.copy()
-            doc_step_add_at(ref_rows, ref_weights, ids, counts, label, 0.5)
-            _doc_step(rows, weights, ids, counts, label, 0.5, True)
-            assert np.allclose(rows, ref_rows, rtol=1e-13, atol=1e-15)
-            assert (weights == ref_weights).all()
+            assert not table[zero].any() and not table[sink].any()
 
     def test_returned_loss_is_pre_step_cross_entropy(self):
         rng = np.random.default_rng(6)
-        words = [f"w{i}" for i in range(60)]
         for trial in range(20):
             # the last trials are confident enough that float32 g[label]
             # underflows to 0 while the loss stays finite
             scale = 3.0 if trial < 16 else 400.0
-            model = manual_model(
-                rng.standard_normal((60, 7)), scale * rng.standard_normal((2, 7)), words=words
-            )
-            ids = np.sort(rng.choice(60, size=int(rng.integers(1, 40)), replace=False))
-            counts = rng.integers(1, 5, size=len(ids)).astype(np.float32)
-            label = trial % 2
-            expected = -math.log(_class_probs(model, ids, counts)[label])
-            loss = _doc_step(model.input_rows, model.output_weights, ids, counts, label,
-                             np.float32(0.5), True)
-            assert math.isfinite(loss)
-            assert loss == pytest.approx(expected, rel=1e-6, abs=1e-6)
+            n_cells = 1 if trial % 4 == 0 else 2
+            table, weights, docs, zero, sink = random_batch(rng, n_cells, 60, 7, np.float32,
+                                                            max_size=40, max_count=5)
+            weights *= np.float32(scale)
+            labels = rng.integers(0, 2, size=n_cells)
+            expected = [
+                doc_loss(table.astype(np.float64), weights[c].astype(np.float64), ids,
+                         counts.astype(np.float64) / counts.sum(), labels[c])
+                for c, (ids, counts) in enumerate(docs)
+            ]
+            ids, share, write = padded(docs, zero, sink)
+            loss = _sgd_step(table, weights, np.arange(n_cells), ids, share, labels,
+                             np.full(n_cells, 0.5, dtype=np.float32), write)
+            assert np.isfinite(loss).all()
+            assert loss.tolist() == pytest.approx(expected, rel=1e-6, abs=1e-6)
 
     def test_uniform_loss_is_ln2(self):
         # output weights start at zero, so every class has probability 1/2
@@ -245,29 +270,49 @@ class TestLossAndGrad:
             docs_rows = [model.doc_rows(["aaa", "bbb"]), model.doc_rows(["bbb"])]
             assert _mean_loss(model, docs_rows, rng.integers(0, 2, size=2)) >= 0
 
+    def test_repeated_ids_rejected_when_packed(self, monkeypatch):
+        # the scatter keeps one update per row, so the trainer checks once,
+        # while packing the documents, that doc_rows gave unique ids
+        doc_rows = TextClassifier.doc_rows
+
+        def repeated(model, tokens):
+            ids, counts = doc_rows(model, tokens)
+            return np.concatenate([ids, ids[:1]]), np.concatenate([counts, counts[:1]])
+
+        monkeypatch.setattr(TextClassifier, "doc_rows", repeated)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            train_supervised(toy_docs(), small_config(epochs=1))
+
     def test_gradients_match_finite_differences(self):
         # the step is linear in lr at the pre-step parameters, so on 64-bit
-        # tables -delta/lr is the analytic gradient
+        # tables -delta/lr is the analytic gradient of the summed document
+        # losses; padding slots read the zero row and leave it and the sink
+        # row at zero
         rng = np.random.default_rng(2)
         lr, eps = 0.5, 1e-6
-        ids = np.array([0, 2, 2, 1])  # a repeated row
-        counts = np.array([1.0, 2.0, 1.0, 3.0])
-        for _ in range(10):
-            rows = rng.standard_normal((3, 5))
-            weights = rng.standard_normal((2, 5))
-            label = int(rng.integers(0, 2))
-            new_rows, new_weights = rows.copy(), weights.copy()
-            _doc_step(new_rows, new_weights, ids, counts, label, lr, True)
+        for trial in range(10):
+            n_cells = 1 if trial < 3 else 3
+            table, weights, docs, zero, sink = random_batch(rng, n_cells, 4, 5, np.float64)
+            ids, share, write = padded(docs, zero, sink, np.float64)
+            cells, labels = np.arange(n_cells), rng.integers(0, 2, size=n_cells)
+
+            def loss():
+                return sum(doc_loss(table, weights[c], ids[c], share[c], labels[c])
+                           for c in cells)
+
+            new_table, new_weights = table.copy(), weights.copy()
+            _sgd_step(new_table, new_weights, cells, ids, share, labels,
+                      np.full(n_cells, lr), write)
             for params, analytic in (
-                (rows, (rows - new_rows) / lr),
+                (table, (table - new_table) / lr),
                 (weights, (weights - new_weights) / lr),
             ):
                 for idx in np.ndindex(params.shape):
                     saved = params[idx]
                     params[idx] = saved + eps
-                    lp = doc_loss(rows, weights, ids, counts, label)
+                    lp = loss()
                     params[idx] = saved - eps
-                    lm = doc_loss(rows, weights, ids, counts, label)
+                    lm = loss()
                     params[idx] = saved
                     fd = (lp - lm) / (2 * eps)
                     assert abs(fd - analytic[idx]) <= 1e-4 * max(1.0, abs(fd))
@@ -284,17 +329,19 @@ class TestTrainSupervised:
         import xldetect.classifier as clf_module
 
         steps, mean_loss_calls = [], []
-        doc_step, mean_loss = clf_module._doc_step, clf_module._mean_loss
+        sgd_step, mean_loss = clf_module._sgd_step, clf_module._mean_loss
 
         def spy_step(*args):
-            steps.append(doc_step(*args))
-            return steps[-1]
+            losses = sgd_step(*args)
+            assert losses.shape == (1,)  # a lone cell steps on one document at a time
+            steps.append(float(losses[0]))
+            return losses
 
         def spy_mean_loss(*args):
             mean_loss_calls.append(mean_loss(*args))
             return mean_loss_calls[-1]
 
-        monkeypatch.setattr(clf_module, "_doc_step", spy_step)
+        monkeypatch.setattr(clf_module, "_sgd_step", spy_step)
         monkeypatch.setattr(clf_module, "_mean_loss", spy_mean_loss)
         docs = toy_docs(5) + [AccountDocument("e0", "", 0), AccountDocument("e1", " ", 1)]
         model = train_supervised(docs, small_config(epochs=3))
@@ -387,6 +434,142 @@ class TestTrainSupervised:
             for subwords in (None, SubwordIndex(2, 3, 40)):
                 with pytest.raises(ValueError, match="word n-grams are not supported"):
                     small_config(word_ngrams=word_ngrams, subwords=subwords)
+
+
+def reference_doc_step(input_rows, output_weights, ids, counts, label, lr, trainable):
+    """The per-document SGD step the lockstep trainer replaced, in place;
+    returns the document's cross-entropy at the pre-step parameters."""
+    total = counts.sum()
+    h = (counts @ input_rows[ids]) / total
+    z = output_weights @ h
+    z = z - z.max()
+    e = np.exp(z)
+    e_sum = e.sum()
+    g = e / e_sum
+    loss = float(np.log(e_sum) - z[label])
+    g[label] -= 1.0
+    g *= lr
+    hidden_grad = output_weights.T @ g
+    output_weights -= np.outer(g, h)
+    if trainable:
+        input_rows[ids] += np.outer(counts, -hidden_grad / total)
+    return loss
+
+
+def reference_train(docs, config):
+    """train_supervised as one cell trained document by document with
+    reference_doc_step, from the untrained model train_supervised gives at
+    epochs=0."""
+    model = train_supervised(docs, replace(config, epochs=0))
+    rows = [model.doc_rows(tokenize(d.text)) for d in docs]
+    rows = [(model.row_slots[ids].astype(np.int64), counts) for ids, counts in rows]
+    labels = [d.label for d in docs]
+    trainable = not (config.pretrained is not None and config.freeze_pretrained)
+    total, step = config.epochs * len(docs), 0
+    for epoch in range(config.epochs):
+        loss = 0.0
+        for di in np.random.default_rng((config.seed, epoch)).permutation(len(docs)):
+            step += 1
+            ids, counts = rows[di]
+            if len(ids) == 0:
+                loss += math.log(2.0)
+                continue
+            lr = np.float32(config.initial_lr * max(0.0, 1.0 - step / total))
+            loss += reference_doc_step(model.input_rows, model.output_weights, ids, counts,
+                                       labels[di], lr, trainable)
+        model.loss_history.append(loss / len(docs))
+    return model
+
+
+def mixed_docs(n, seed):
+    rng = np.random.default_rng(seed)
+    docs = []
+    for i in range(n):
+        label = i % 2
+        words = [f"w{j}" for j in rng.integers(0, 30, size=int(rng.integers(3, 12)))]
+        words += [f"{'spam' if label else 'ham'}{j}" for j in rng.integers(0, 4, size=2)]
+        docs.append(AccountDocument(f"d{seed}-{i}", " ".join(words), label))
+    return docs
+
+
+def mixed_cells():
+    """Cells of different sizes and epochs, subwords on and off,
+    pretrained vectors frozen and not, an empty document and a cell that
+    does not train."""
+    docs = mixed_docs(60, 1) + [AccountDocument("empty", "", 1)]
+    words = [f"w{j}" for j in range(20)] + ["spam0", "ham0"]
+    table = VectorTable(words, 0.5 * np.random.default_rng(9).standard_normal((len(words), 8)))
+    index = SubwordIndex(2, 4, 50)
+    return [
+        (docs[:40], small_config(epochs=4, seed=1)),
+        (docs[30:], small_config(epochs=6, subwords=index, seed=2)),
+        (docs[:25] + docs[-1:], small_config(epochs=3, pretrained=table, seed=3)),
+        (docs[5:30], small_config(epochs=5, pretrained=table, freeze_pretrained=True, seed=4)),
+        (docs[:7], small_config(epochs=8, subwords=index, pretrained=table, initial_lr=0.8,
+                                seed=5)),
+        (docs[10:20], small_config(epochs=0, seed=6)),
+    ]
+
+
+class TestTrainMany:
+    def test_matches_per_document_reference(self):
+        cells = mixed_cells()
+        test_tokens = [tokenize(d.text) for d in mixed_docs(40, 2)]
+        for (docs, config), model in zip(cells, train_many(cells)):
+            ref = reference_train(docs, config)
+            assert model.vocab.words == ref.vocab.words
+            assert model.bucket_ids.tolist() == ref.bucket_ids.tolist()
+            assert [predict(t, model)[0] for t in test_tokens] == [
+                predict(t, ref)[0] for t in test_tokens]
+            assert np.abs(model.input_rows - ref.input_rows).max() <= 1e-5
+            assert np.abs(model.output_weights - ref.output_weights).max() <= 1e-5
+            assert len(model.loss_history) == config.epochs + 1
+            assert model.loss_history == pytest.approx(ref.loss_history, rel=1e-6)
+
+    def test_cell_alone_matches_cell_in_batch_bit_for_bit(self):
+        cells = mixed_cells()
+        for cell, model in zip(cells, train_many(cells)):
+            alone = train_many([cell])[0]
+            assert alone.input_rows.tobytes() == model.input_rows.tobytes()
+            assert alone.output_weights.tobytes() == model.output_weights.tobytes()
+            assert alone.loss_history == model.loss_history
+
+    def test_frozen_and_untrained_cells_keep_their_rows(self):
+        cells = mixed_cells()
+        models = train_many(cells)
+        for c in (3, 5):  # frozen pretrained, epochs=0
+            docs, config = cells[c]
+            init = train_supervised(docs, replace(config, epochs=0))
+            assert models[c].input_rows.tobytes() == init.input_rows.tobytes()
+        assert not models[3].output_weights.tobytes() == init.output_weights.tobytes()
+
+    def test_cell_without_data_is_named(self):
+        bad = small_config(min_count=1000)  # no word reaches min_count
+        with pytest.raises(DataError, match="^cell 1: empty vocabulary") as info:
+            train_many([(toy_docs(), small_config()), (toy_docs(), bad)])
+        assert info.value.cell == 1
+        with pytest.raises(DataError, match="^cell 0: empty training set$"):
+            train_many([([], small_config())])
+
+    def test_mixed_dim_rejected(self):
+        with pytest.raises(ValueError, match="share dim"):
+            train_many([(toy_docs(), small_config(dim=4)), (toy_docs(), small_config(dim=8))])
+
+    @pytest.mark.parametrize("magnitude, initial_lr, message", [
+        # each step moves the output weights by up to lr * 1e5, past the
+        # 1e8 limit within the first epoch
+        (1e5, 1e4, "cell 1: training diverged after epoch 0: parameter magnitude"),
+        # the second step's logits overflow
+        (1e30, 0.5, "cell 1: non-finite class probabilities in an SGD step in epoch 0"),
+    ])
+    def test_failing_cell_is_named(self, magnitude, initial_lr, message):
+        table = VectorTable(["aaa", "bbb"], np.array([[magnitude, 0.0], [0.0, magnitude]]))
+        bad = small_config(dim=2, epochs=3, initial_lr=initial_lr, pretrained=table,
+                           freeze_pretrained=True)
+        healthy = small_config(dim=2, epochs=3)
+        with pytest.raises(TrainingError, match=message) as info:
+            train_many([(toy_docs(), healthy), (toy_docs(), bad), (toy_docs(2), healthy)])
+        assert info.value.cell == 1
 
 
 class TestPersistence:

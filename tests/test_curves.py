@@ -4,6 +4,7 @@ import pytest
 from xldetect.classifier import SupervisedConfig
 from xldetect.curves import LearningCurvePoint, fraction_means, learning_curve
 from xldetect.embedding import VectorTable
+from xldetect.errors import TrainingError
 from xldetect.metrics import ConfusionMatrix, binary_metrics
 from xldetect.synth import SyntheticConfig, generate_synthetic_bilingual
 from xldetect.corpus import SplitSpec, split
@@ -53,6 +54,27 @@ class TestLearningCurve:
         violations = [max(0.0, series[i] - series[i + 1]) for i in range(len(series) - 1)]
         assert sum(v > 0.02 for v in violations) == 0
         assert sum(v > 0 for v in violations) <= 1
+
+    def test_failing_cell_names_its_sweep_point(self):
+        # frozen 1e30 transfer vectors overflow the logits at the second
+        # step; the monolingual cells train as usual
+        train, test = tiny_dataset()
+        words = sorted({w for d in train for w in d.text.split()})
+        table = VectorTable(words, np.full((len(words), 16), 1e30))
+        with pytest.raises(TrainingError, match=(
+                "^sweep point fraction=1.0 seed=1 kind=transfer: cell 1: non-finite class "
+                "probabilities in an SGD step in epoch 0$")):
+            learning_curve(
+                train, test, fractions=(1.0,), seeds=(1,), kinds=("monolingual", "transfer"),
+                config=tiny_config(freeze_pretrained=True), pretrained=table,
+            )
+
+    def test_empty_subset_names_its_sweep_point(self):
+        train, test = tiny_dataset()
+        with pytest.raises(TrainingError, match="^sweep point fraction=0.001 seed=1 "
+                                                "kind=monolingual: cell 0: empty training set$"):
+            learning_curve(train, test, fractions=(0.001,), seeds=(1,),
+                           kinds=("monolingual",), config=tiny_config())
 
     def test_transfer_without_pretrained_rejected(self):
         train, test = tiny_dataset()

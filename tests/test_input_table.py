@@ -104,7 +104,7 @@ class TestDenseEquivalence:
         init = clf.train_supervised(train_docs(), config(epochs=0))
         trained = clf.train_supervised(train_docs(), cfg)
         dense = dense_rows(init)
-        weights = init.output_weights.copy()
+        weights = init.output_weights.copy()[None]  # the lone cell's 1 x 2 x d weights
         docs = [init.doc_rows(tokenize(d.text)) for d in train_docs()]
         labels = [d.label for d in train_docs()]
         total, step = cfg.epochs * len(docs), 0
@@ -113,9 +113,11 @@ class TestDenseEquivalence:
                 step += 1
                 ids, counts = docs[di]
                 lr = np.float32(cfg.initial_lr * max(0.0, 1.0 - step / total))
-                clf._doc_step(dense, weights, ids, counts, labels[di], lr, True)
+                clf._sgd_step(dense, weights, np.array([0]), ids[None],
+                              (counts / counts.sum())[None], np.array([labels[di]]),
+                              np.array([lr]), ids[None])
         nwords = len(trained.vocab)
-        assert trained.output_weights.tobytes() == weights.tobytes()
+        assert trained.output_weights.tobytes() == weights[0].tobytes()
         assert trained.input_rows[:nwords].tobytes() == dense[:nwords].tobytes()
         stored = nwords + trained.bucket_ids
         assert trained.input_rows[nwords:].tobytes() == dense[stored].tobytes()
