@@ -1,10 +1,12 @@
 """Linear softmax text classification over averaged embeddings.
 
-A document's vector is the mean of every input row its tokens contribute
+A document's vector h is the mean of every input row its tokens contribute
 (word rows and hashed subword rows, their ids from vocab.word_rows_csr and
-vocab.subword_ids_csr; there are no word n-grams). Training is SGD on
-softmax cross-entropy, one document per step; with pretrained vectors the
-word rows start from the given table and keep training unless frozen.
+vocab.subword_ids_csr; there are no word n-grams). Documents travel as one
+CSR batch (doc_batch), and one forward (_forward) serves training and scoring.
+Training is SGD on softmax cross-entropy, one document per step; with
+pretrained vectors the word rows start from the given table and keep
+training unless frozen.
 train_many trains independent classifiers (cells) in lockstep: one
 batched step per iteration serves every cell, and a cell trains
 identically, bit for bit, alone (train_supervised) or in a batch.
@@ -13,10 +15,10 @@ out-of-vocabulary tokens included); any other bucket reads its initial
 value (vocab.InputTable).
 
 loss_history[0] is the mean cross-entropy of the untrained model over the
-training documents. loss_history[e] is the mean loss over epoch e: each
-document's cross-entropy at the parameters its SGD step started from, an
-empty document (which takes no step) counting log 2, the running epoch
-loss fastText reports.
+training documents, in float64 from the forward's logits. loss_history[e]
+is the mean loss over epoch e: each document's cross-entropy at the
+parameters its SGD step started from, an empty document (which takes no
+step) counting log 2, the running epoch loss fastText reports.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ _N_CLASSES = 2
 _EMPTY_DOC_LOSS = float(np.log(_N_CLASSES))
 # the XLCLF2 word n-gram order field: no word n-grams, so always 1
 _WORD_NGRAMS = 1
+_BLOCK_SLOTS = 1024  # padded (document, slot) cells per scoring block
 
 
 @dataclass
@@ -105,60 +108,92 @@ class TextClassifier(InputTable):
         self.loss_history: list[float] = []
 
     @cached_property
-    def word_rows(self) -> list[np.ndarray]:
-        """Each vocabulary word's input_ids, as views into one CSR
-        (vocab.word_rows_csr) built on first use."""
-        indptr, flat = word_rows_csr(self.vocab, self.subwords)
-        return [flat[a:b] for a, b in zip(indptr[:-1].tolist(), indptr[1:].tolist())]
+    def word_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each vocabulary word's input_ids as CSR (vocab.word_rows_csr)."""
+        return word_rows_csr(self.vocab, self.subwords)
 
-    def doc_rows(self, tokens: list[str]) -> tuple[np.ndarray, np.ndarray]:
-        """Unique contributing input ids, ascending, and their multiplicities.
+    def doc_batch(self, token_docs: list[list[str]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The documents as CSR (lengths, ids, shares): each one's unique
+        input ids, ascending, and their float32 shares (multiplicity over
+        the document's). Only out-of-vocabulary tokens are hashed, in one
+        subword_ids_csr call per document; the others read word_rows."""
+        word_to_id, (indptr, flat) = self.vocab.word_to_id, self.word_rows
+        ids, shares = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.float32)]
+        for tokens in token_docs:
+            wids = np.array([word_to_id[tok] for tok in tokens if tok in word_to_id], np.int64)
+            n = indptr[wids + 1] - indptr[wids]
+            rows = flat[np.repeat(indptr[wids] - np.cumsum(n) + n, n) + np.arange(n.sum())]
+            oov = [tok for tok in tokens if tok not in word_to_id]
+            if oov and self.subwords is not None:
+                rows = np.append(rows, subword_ids_csr(oov, self.subwords, len(self.vocab))[1])
+            uniq, counts = np.unique(rows, return_counts=True)
+            ids.append(uniq)
+            shares.append(np.divide(counts, counts.sum(), dtype=np.float32))
+        lengths = np.fromiter(map(len, ids[1:]), dtype=np.int64, count=len(token_docs))
+        return lengths, np.concatenate(ids), np.concatenate(shares)
 
-        In-vocabulary tokens take their rows from word_rows; only
-        out-of-vocabulary tokens are hashed, in one subword_ids_csr call.
-        """
-        word_to_id, word_rows = self.vocab.word_to_id, self.word_rows
-        parts: list[np.ndarray] = []
-        oov: list[str] = []
-        for tok in tokens:
-            wid = word_to_id.get(tok)
-            if wid is None:
-                oov.append(tok)
-            else:
-                parts.append(word_rows[wid])
-        if oov and self.subwords is not None:
-            parts.append(subword_ids_csr(oov, self.subwords, len(self.vocab))[1])
-        ids = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-        uniq, counts = np.unique(ids, return_counts=True)
-        return uniq, counts.astype(np.float32)
+
+def _forward(block: np.ndarray, share: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The mean rows h (A x d) and logits z (A x 2) of A documents: their
+    gathered rows block (A x L x d) weighted by share (A x L), and output
+    weights w (A x 2 x d, or 1 x 2 x d for all). A document's mean is a
+    numpy sum in slot order, to which padding slots (share 0 at a zero row)
+    add exact zeros last, and its logits one small matmul; so for dim >= 2
+    its numbers are the same, bit for bit, whatever else is in the batch."""
+    h = np.einsum("al,ald->ad", share, block)
+    return h, np.matmul(w, h[:, :, None])[:, :, 0]
+
+
+def _score(model: TextClassifier, batch) -> tuple[np.ndarray, np.ndarray]:
+    """(h, z) of every document of a doc_batch, from _forward over blocks of
+    consecutive documents padded as in training, of at most _BLOCK_SLOTS
+    (document, slot) cells or one document."""
+    lengths, ids, shares = batch
+    h = np.empty((len(lengths), model.dim), dtype=np.float32)
+    z = np.empty((len(lengths), _N_CLASSES), dtype=np.float32)
+    step = max(1, _BLOCK_SLOTS // max(1, int(lengths.max(initial=0))))
+    at = 0
+    for a in range(0, len(lengths), step):
+        lens = lengths[a : a + step]
+        end = at + int(lens.sum())
+        block, share = (_padded(x, lens, int(lens.max()))
+                        for x in (model.rows(ids[at:end]), shares[at:end]))
+        h[a : a + step], z[a : a + step] = _forward(block, share, model.output_weights[None])
+        at = end
+    return h, z
+
+
+def _padded(values: np.ndarray, lens: np.ndarray, width: int) -> np.ndarray:
+    """CSR values of documents of lengths lens as a (documents x width ...)
+    block, zero past each document's end; a view when none is shorter."""
+    if len(values) == len(lens) * width:
+        return values.reshape((len(lens), width) + values.shape[1:])
+    out = np.zeros((len(lens), width) + values.shape[1:], dtype=values.dtype)
+    out[np.arange(width) < lens[:, None]] = values
+    return out
+
+
+def doc_vectors(model: TextClassifier, batch) -> np.ndarray:
+    """Each document's mean input row, float32 (n x d); zero when none."""
+    return _score(model, batch)[0]
+
+
+def class_probs(model: TextClassifier, batch) -> np.ndarray:
+    """Each document's float64 softmax class distribution (n x 2)."""
+    z = _score(model, batch)[1].astype(np.float64)
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
 
 
 def doc_embedding(tokens: list[str], model: TextClassifier) -> np.ndarray:
     """Mean over all contributing input rows; zero vector when none."""
-    return _mean_row(model, *model.doc_rows(tokens))
-
-
-def _mean_row(model: TextClassifier, ids: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    if len(ids) == 0:
-        return np.zeros(model.dim, dtype=np.float32)
-    return (counts @ model.rows(ids)) / counts.sum()
-
-
-def _class_probs(model: TextClassifier, ids: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Float64 softmax class distribution of the document whose rows are
-    ids with multiplicities counts."""
-    h = _mean_row(model, ids, counts).astype(np.float64)
-    z = model.output_weights.astype(np.float64) @ h
-    z = z - z.max()
-    e = np.exp(z)
-    return e / e.sum()
+    return doc_vectors(model, model.doc_batch([tokens]))[0]
 
 
 def predict(tokens: list[str], model: TextClassifier) -> tuple[int, np.ndarray]:
     """Predicted label and class distribution; a tie never flags positive."""
-    probs = _class_probs(model, *model.doc_rows(tokens))
-    label = 1 if probs[1] > probs[0] else 0
-    return label, probs
+    probs = class_probs(model, model.doc_batch([tokens]))[0]
+    return int(probs[1] > probs[0]), probs
 
 
 def train_supervised(
@@ -208,8 +243,7 @@ def train_many(
 
 class _Cell(NamedTuple):
     """A cell of a train_many batch: its untrained model (loss_history[0]
-    set), and its documents as CSR: lengths, input_rows positions and
-    shares, a share being a row's multiplicity over its document's."""
+    set) and its doc_batch, ids mapped to input_rows positions (rows)."""
 
     index: int
     config: SupervisedConfig
@@ -249,18 +283,13 @@ def _init_cell(index: int, train_docs: list[AccountDocument], config: Supervised
     model = TextClassifier(vocab, config.subwords, input_rows, output_weights,
                            bucket_seed=config.seed if uniform else None)
 
-    docs_rows = [model.doc_rows(toks) for toks in token_docs]
-    nwords = len(vocab)
-    model.store_buckets(np.unique(np.concatenate([ids[ids >= nwords] for ids, _ in docs_rows]))
-                        - nwords)
-    model.loss_history.append(_mean_loss(model, docs_rows, labels))
+    lengths, ids, shares = batch = model.doc_batch(token_docs)
+    model.store_buckets(np.unique(ids[ids >= len(vocab)]) - len(vocab))
+    z = _score(model, batch)[1].astype(np.float64)
+    loss = np.logaddexp(z[:, 0], z[:, 1]) - z[np.arange(len(labels)), labels]
+    model.loss_history.append(float(loss.mean()))
     # the steps index input_rows directly; the map keeps ids ascending
-    return _Cell(
-        index, config, model, labels,
-        np.array([len(ids) for ids, _ in docs_rows]),
-        np.concatenate([model.row_slots[ids] for ids, _ in docs_rows]),
-        np.concatenate([counts / counts.sum() for _, counts in docs_rows]),
-    )
+    return _Cell(index, config, model, labels, lengths, model.row_slots[ids], shares)
 
 
 def _shared_table(cells: list[_Cell]):
@@ -299,7 +328,7 @@ def _train_lockstep(cells: list[_Cell]) -> None:
         cell.model.output_weights = weights[c]
     lengths = np.concatenate([cell.lengths for cell in cells])
     starts = np.cumsum(lengths) - lengths
-    # the scatter needs unique ids: doc_rows yields them strictly increasing
+    # the scatter needs unique ids: doc_batch yields them strictly increasing
     total = int(lengths.sum())
     rising = np.diff(read[:total]) > 0
     rising[starts[(starts > 0) & (starts < total)] - 1] = True  # document boundaries
@@ -372,25 +401,21 @@ def _sgd_step(table, weights, cells, ids, share, labels, lr, write) -> np.ndarra
     pre-step parameters (NaN where its class probabilities are not
     finite).
 
-    Document a is the mean of the table rows ids[a] (ids is A x L), each
-    weighted by share[a], its multiplicity over the document's length. A
-    document shorter than L fills its spare slots with share 0 at a zero
-    row. It belongs to cell cells[a], whose output weights are
+    Document a is the mean (_forward) of the table rows ids[a] (ids is
+    A x L) weighted by share[a]; a document shorter than L pads with share
+    0 at a zero row. It belongs to cell cells[a], whose output weights are
     weights[cells[a]] (weights is C x 2 x d), and steps at rate lr[a]. The
     updated rows go to write (A x L): ids, except that padding slots and
     frozen cells write to a sink row. With write None no input row moves.
 
     Ids are unique within a document and disjoint across documents, so one
-    gather and one scatter serve every row. Each document's numbers come
-    from its own slots only: its mean is a numpy sum in slot order, to
-    which padding adds exact zeros last, and its logits and hidden
-    gradient are one small matmul per document. So for dim >= 2 a
-    document steps the same, bit for bit, whatever else is in the batch.
+    gather and one scatter serve every row. A document's hidden gradient,
+    like its forward, is one small matmul: for dim >= 2 it steps the same,
+    bit for bit, whatever else is in the batch.
     """
     block = table.take(ids, axis=0)  # A x L x d
-    h = np.einsum("al,ald->ad", share, block)
     w = weights.take(cells, axis=0)
-    z = np.matmul(w, h[:, :, None])[:, :, 0]
+    h, z = _forward(block, share, w)
     z -= np.maximum(z[:, :1], z[:, 1:])
     e = np.exp(z)
     e_sum = e[:, 0] + e[:, 1]
@@ -406,13 +431,6 @@ def _sgd_step(table, weights, cells, ids, share, labels, lr, write) -> np.ndarra
         block += np.einsum("al,ad->ald", share, -hidden_grad)
         table[write] = block
     return loss
-
-
-def _mean_loss(model, docs_rows, labels) -> float:
-    total = 0.0
-    for (ids, counts), label in zip(docs_rows, labels):
-        total += -float(np.log(max(_class_probs(model, ids, counts)[label], 1e-300)))
-    return total / len(labels)
 
 
 # ---------------------------------------------------------------------------

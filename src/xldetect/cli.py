@@ -124,8 +124,7 @@ def _supervised_config(cfg: PipelineConfig, pretrained) -> clf.SupervisedConfig:
 
 
 def _split_docs(cfg: PipelineConfig, docs):
-    spec = cp.SplitSpec(train_fraction=cfg["split.train_fraction"], seed=cfg.seed)
-    return cp.split(docs, spec)
+    return cp.split(docs, cp.SplitSpec(cfg["split.train_fraction"], cfg.seed))
 
 
 def cmd_ingest(cfg: PipelineConfig) -> tuple[list[Path], list[Path]]:
@@ -328,9 +327,8 @@ def cmd_export_vectors(cfg: PipelineConfig) -> tuple[list[Path], list[Path]]:
     if not documents:
         raise DataError(f"{docs_path}: no documents to export")
     ids = [d.account_id for d in documents]
-    matrix = np.stack(
-        [clf.doc_embedding(cp.tokenize(d.text), model).astype(np.float64) for d in documents]
-    )
+    batch = model.doc_batch([cp.tokenize(d.text) for d in documents])
+    matrix = clf.doc_vectors(model, batch).astype(np.float64)
     out = _out_path(cfg, "export.out")
     ext.save_external_features(ids, matrix, out)
     return [model_path, docs_path], [out]

@@ -151,14 +151,17 @@ def _round_half_up(x: float) -> int:
 def split(
     documents: list[AccountDocument], spec: SplitSpec
 ) -> tuple[list[AccountDocument], list[AccountDocument]]:
-    """Deterministic seeded partition with |train| = round(fraction * n)."""
+    """Deterministic seeded partition with |train| = round(fraction * n), neither side empty."""
     n = len(documents)
     if n < 2:
         raise DataError(f"need at least 2 documents to split, got {n}")
     if not 0.0 < spec.train_fraction < 1.0:
         raise ValueError(f"train_fraction must be in (0,1), got {spec.train_fraction}")
-    perm = np.random.default_rng(spec.seed).permutation(n)
     k = _round_half_up(spec.train_fraction * n)
+    if k in (0, n):
+        raise DataError(f"train_fraction {spec.train_fraction} of {n} documents leaves the "
+                        f"{'train' if k == 0 else 'test'} side empty")
+    perm = np.random.default_rng(spec.seed).permutation(n)
     train = [documents[i] for i in perm[:k]]
     test = [documents[i] for i in perm[k:]]
     return train, test

@@ -12,8 +12,9 @@ import logging
 import time
 from dataclasses import dataclass, replace
 
-# train_supervised, the one-cell trainer, stays reachable from this module
-from .classifier import SupervisedConfig, predict, train_many, train_supervised  # noqa: F401
+# predict and train_supervised, the one-document and one-cell forms, stay reachable here
+from .classifier import (  # noqa: F401
+    SupervisedConfig, class_probs, predict, train_many, train_supervised)
 from .corpus import AccountDocument, subsample_train, tokenize
 from .embedding import VectorTable
 from .errors import DataError, TrainingError
@@ -40,7 +41,9 @@ class LearningCurvePoint:
 
 
 def evaluate_classifier(model, test_docs: list[AccountDocument]) -> MetricsReport:
-    preds = [predict(tokenize(d.text), model)[0] for d in test_docs]
+    """Metrics of the model's labels (a tie is negative) over one batch."""
+    probs = class_probs(model, model.doc_batch([tokenize(d.text) for d in test_docs]))
+    preds = probs[:, 1] > probs[:, 0]
     return binary_metrics(confusion(preds, [d.label for d in test_docs]))
 
 
@@ -70,6 +73,8 @@ def learning_curve(
     for f in fractions:
         if not 0.0 < f <= 1.0:
             raise ValueError(f"fractions must be in (0,1], got {f}")
+    if not test_docs:
+        raise ValueError("a sweep needs at least one test document")
 
     grid, cells = [], []
     for fraction in fractions:
@@ -86,7 +91,9 @@ def learning_curve(
     except (DataError, TrainingError) as exc:
         if exc.cell is None:
             raise
-        raise TrainingError(f"{_point(*grid[exc.cell])}: {exc}") from exc
+        fraction, seed, kind = grid[exc.cell]
+        raise TrainingError(f"sweep point fraction={fraction} seed={seed} kind={kind}: "
+                            f"{exc}") from exc
     wall = time.perf_counter() - started
     doc_steps = config.epochs * sum(len(subset) for subset, _ in cells)
     logger.info(
@@ -97,10 +104,7 @@ def learning_curve(
 
     points = []
     for (fraction, seed, kind), (subset, _), model in zip(grid, cells, models):
-        try:
-            metrics = evaluate_classifier(model, test_docs)
-        except (TrainingError, ValueError) as exc:
-            raise TrainingError(f"{_point(fraction, seed, kind)}: {exc}") from exc
+        metrics = evaluate_classifier(model, test_docs)
         points.append(LearningCurvePoint(fraction, kind, seed, metrics))
         logger.info(
             "sweep fraction=%.2f kind=%s seed=%d: f1=%.4f (p=%.4f r=%.4f, %d docs, "
@@ -109,10 +113,6 @@ def learning_curve(
             model.loss_history[-1],
         )
     return points
-
-
-def _point(fraction: float, seed: int, kind: str) -> str:
-    return f"sweep point fraction={fraction} seed={seed} kind={kind}"
 
 
 def fraction_means(points: list[LearningCurvePoint]) -> dict[tuple[float, str], dict[str, float]]:

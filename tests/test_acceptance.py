@@ -132,7 +132,7 @@ def _step_grad_error(loss, params, step, lr=0.5, eps=1e-6) -> float:
 
 def _classifier_grad_error(rng) -> float:
     """One batched step over 1-3 cells, one document each. A document's
-    tokens may repeat a row, merged into a multiplicity as doc_rows does,
+    tokens may repeat a row, merged into a multiplicity as doc_batch does,
     and a shorter document's padding slots read the zero row and write the
     sink row, the table's last two."""
     dim = int(rng.integers(3, 7))
@@ -493,13 +493,19 @@ classifier.epochs = 10
 classifier.subwords = false
 evaluate.model = {out}/classifier.bin
 evaluate.docs = {out}/target_documents.tsv
+sweep.docs = {out}/target_documents.tsv
+sweep.kinds = monolingual
+export.model = {out}/classifier.bin
+export.docs = {out}/target_documents.tsv
 """.format(out=tmp_path / "out")
     cfg = tmp_path / "pipeline.cfg"
     cfg.write_text(config_text, encoding="utf-8")
-    stages = ("synth", "train-embeddings", "train-classifier", "evaluate")
+    stages = ("synth", "train-embeddings", "train-classifier", "evaluate", "export-vectors",
+              "sweep")
     artifacts = (
         "source_documents.tsv", "target_documents.tsv", "dictionary.txt",
         "vectors.txt", "embedding.bin", "classifier.bin", "eval_report.txt",
+        "doc_vectors.txt", "sweep_report.txt", "curve.csv",
     )
     for cmd in stages:
         assert cli_main([cmd, "--config", str(cfg)]) == 0

@@ -5,12 +5,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import xldetect.classifier as clf_module
 from xldetect.classifier import (
     SupervisedConfig,
     TextClassifier,
-    _mean_loss,
+    _forward,
     _sgd_step,
+    class_probs,
     doc_embedding,
+    doc_vectors,
     load_classifier,
     predict,
     save_classifier,
@@ -77,11 +80,18 @@ class TestDocEmbedding:
 
 
 def doc_rows_reference(tokens, model):
-    """Every token's input_ids, merged by np.unique: the rows doc_rows
-    must yield without its word-row CSR."""
+    """Every token's input_ids, merged by np.unique: the rows and
+    multiplicities doc_batch must yield without its word-row CSR."""
     ids = [i for tok in tokens for i in input_ids(tok, model.vocab, model.subwords)]
     uniq, counts = np.unique(np.asarray(ids, dtype=np.int64), return_counts=True)
     return uniq, counts.astype(np.float32)
+
+
+def split_batch(batch):
+    """A doc_batch as one (ids, shares) pair per document."""
+    lengths, ids, shares = batch
+    ends = np.cumsum(lengths)
+    return [(ids[e - n : e], shares[e - n : e]) for n, e in zip(lengths, ends)]
 
 
 class TestDocRows:
@@ -96,13 +106,22 @@ class TestDocRows:
     )
 
     def check(self, model):
-        for tokens in self.DOCS:
-            ids, counts = model.doc_rows(tokens)
+        batch = model.doc_batch(list(self.DOCS))
+        assert batch[0].dtype == np.int64 and batch[1].dtype == np.int64
+        assert batch[2].dtype == np.float32
+        assert len(batch[0]) == len(self.DOCS) and batch[0].sum() == len(batch[1]) == len(batch[2])
+        for tokens, in_batch in zip(self.DOCS, split_batch(batch)):
+            (alone,) = split_batch(model.doc_batch([tokens]))
             ref_ids, ref_counts = doc_rows_reference(tokens, model)
-            assert ids.dtype == np.int64 and counts.dtype == np.float32
-            assert ids.tolist() == ref_ids.tolist()
-            assert counts.tolist() == ref_counts.tolist()
-            assert (np.diff(ids) > 0).all()
+            for ids, shares in (in_batch, alone):
+                assert ids.tolist() == ref_ids.tolist()
+                assert shares.tolist() == (ref_counts / ref_counts.sum()).tolist()
+                assert (np.diff(ids) > 0).all()
+
+    def test_no_documents(self):
+        lengths, ids, shares = manual_model(np.eye(2), np.zeros((2, 2))).doc_batch([])
+        assert len(lengths) == len(ids) == len(shares) == 0
+        assert ids.dtype == np.int64 and shares.dtype == np.float32
 
     def test_matches_per_token_reference(self):
         # 16 buckets, so n-grams of different words collide
@@ -152,6 +171,66 @@ class TestPredict:
             )
             _, probs = predict(["aaa", "bbb"], model)
             assert abs(probs.sum() - 1.0) <= 1e-12
+
+
+class TestScoring:
+    """doc_vectors and class_probs: the training step's forward over
+    padded blocks of a doc_batch."""
+
+    DOCS = [
+        ["aaa", "bbb", "ccc", "aaa", "ddd", "bbb", "eee"],  # longer
+        ["bbb"],  # shorter
+        [],  # empty
+        ["qqqq", "zzzz"],  # every token out of vocabulary
+        ["ccc", "xyzzy", "aaa"],
+        ["eee", "ddd", "ccc", "bbb", "aaa", "fff", "ggg", "hhh", "iii", "jjj", "kkk"],
+        ["kkk"],
+    ]
+
+    def model(self, dim=4):
+        words = ["aaa", "bbb", "ccc", "ddd", "eee", "fff", "ggg", "hhh", "iii", "jjj", "kkk"]
+        docs = [AccountDocument(f"d{i}", " ".join(words[i % 7 : i % 7 + 5]), i % 2)
+                for i in range(30)]
+        return train_supervised(docs, small_config(dim=dim, epochs=3,
+                                                   subwords=SubwordIndex(2, 4, 50)))
+
+    def test_document_alone_and_in_batch_bit_identical(self, monkeypatch):
+        model = self.model()
+        batch = model.doc_batch(self.DOCS)
+        whole = doc_vectors(model, batch), class_probs(model, batch)
+        # blocks of 3 documents, each padded to its longest
+        monkeypatch.setattr(clf_module, "_BLOCK_SLOTS", 3 * int(batch[0].max()))
+        blocks = []
+        forward = clf_module._forward
+        monkeypatch.setattr(clf_module, "_forward",
+                            lambda *args: blocks.append(args[0].shape[:2]) or forward(*args))
+        vectors, probs = doc_vectors(model, batch), class_probs(model, batch)
+        lengths = batch[0]
+        assert blocks == 2 * [(3, lengths[:3].max()), (3, lengths[3:6].max()), (1, lengths[6])]
+        assert vectors.tobytes() == whole[0].tobytes() and probs.tobytes() == whole[1].tobytes()
+        for i, tokens in enumerate(self.DOCS):
+            alone = model.doc_batch([tokens])
+            assert doc_vectors(model, alone)[0].tobytes() == vectors[i].tobytes()
+            assert class_probs(model, alone)[0].tobytes() == probs[i].tobytes()
+            assert doc_embedding(tokens, model).tobytes() == vectors[i].tobytes()
+            label, p = predict(tokens, model)
+            assert p.tobytes() == probs[i].tobytes() and label == int(p[1] > p[0])
+        assert not vectors[2].any() and (probs[2] == 0.5).all()  # the empty document
+        assert vectors[3].any()  # composed from its buckets
+        assert np.abs(probs.sum(axis=1) - 1).max() <= 1e-12
+
+    def test_doc_embedding_is_the_training_forward(self):
+        # a training document's rows are stored: its embedding is the h
+        # that _sgd_step's forward computes from the model's own table
+        model = self.model(dim=5)
+        weights = model.output_weights[None]
+        for tokens in (["aaa", "bbb", "ccc", "ddd", "eee"], ["fff", "ggg", "aaa"]):
+            ((ids, shares),) = split_batch(model.doc_batch([tokens]))
+            block = model.input_rows.take(model.row_slots[ids], axis=0)[None]
+            h, z = _forward(block, shares[None], weights.take([0], axis=0))
+            assert doc_embedding(tokens, model).tobytes() == h[0].tobytes()
+            expected = np.exp(z[0].astype(np.float64) - z[0].max())
+            assert predict(tokens, model)[1].tobytes() == (expected / expected.sum()).tobytes()
 
 
 def doc_loss(rows, weights, ids, share, label):
@@ -212,8 +291,7 @@ class TestLossAndGrad:
     def test_perfect_prediction_zero_gradient(self):
         model = manual_model([[10.0]], [[-100.0], [100.0]], words=("aaa",))
         rows, weights = model.input_rows.copy(), model.output_weights[None].copy()
-        ids, counts = model.doc_rows(["aaa"])
-        ids, share, write = padded([(ids, counts)], 0, 0)
+        ids, share, write = padded(split_batch(model.doc_batch([["aaa"]])), 0, 0)
         _sgd_step(rows, weights, np.array([0]), ids, share, np.array([1]),
                   np.ones(1, dtype=np.float32), write)
         assert (rows == model.input_rows).all()
@@ -264,22 +342,29 @@ class TestLossAndGrad:
         assert model.loss_history[0] == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_loss_nonnegative(self):
+        # every recorded loss: the initial one from the forward's logits and
+        # the running epoch losses from the SGD steps
         rng = np.random.default_rng(1)
-        for _ in range(20):
-            model = manual_model(rng.standard_normal((2, 3)), rng.standard_normal((2, 3)))
-            docs_rows = [model.doc_rows(["aaa", "bbb"]), model.doc_rows(["bbb"])]
-            assert _mean_loss(model, docs_rows, rng.integers(0, 2, size=2)) >= 0
+        for seed in range(20):
+            docs = mixed_docs(6, seed)
+            table = VectorTable([f"w{j}" for j in range(30)],
+                                rng.standard_normal((30, 3)))
+            model = train_supervised(docs, small_config(dim=3, epochs=2, seed=seed,
+                                                        pretrained=table))
+            assert min(model.loss_history) >= 0
 
     def test_repeated_ids_rejected_when_packed(self, monkeypatch):
         # the scatter keeps one update per row, so the trainer checks once,
-        # while packing the documents, that doc_rows gave unique ids
-        doc_rows = TextClassifier.doc_rows
+        # while packing the documents, that doc_batch gave unique ids
+        doc_batch = TextClassifier.doc_batch
 
-        def repeated(model, tokens):
-            ids, counts = doc_rows(model, tokens)
-            return np.concatenate([ids, ids[:1]]), np.concatenate([counts, counts[:1]])
+        def repeated(model, token_docs):
+            lengths, ids, shares = doc_batch(model, token_docs)
+            lengths = lengths.copy()
+            lengths[0] += 1  # the first document repeats its first row
+            return lengths, np.insert(ids, 1, ids[0]), np.insert(shares, 1, shares[0])
 
-        monkeypatch.setattr(TextClassifier, "doc_rows", repeated)
+        monkeypatch.setattr(TextClassifier, "doc_batch", repeated)
         with pytest.raises(ValueError, match="strictly increasing"):
             train_supervised(toy_docs(), small_config(epochs=1))
 
@@ -326,10 +411,8 @@ class TestTrainSupervised:
         assert correct == len(docs)
 
     def test_loss_history_is_running_epoch_loss(self, monkeypatch):
-        import xldetect.classifier as clf_module
-
-        steps, mean_loss_calls = [], []
-        sgd_step, mean_loss = clf_module._sgd_step, clf_module._mean_loss
+        steps, score_calls = [], []
+        sgd_step, score = clf_module._sgd_step, clf_module._score
 
         def spy_step(*args):
             losses = sgd_step(*args)
@@ -337,17 +420,17 @@ class TestTrainSupervised:
             steps.append(float(losses[0]))
             return losses
 
-        def spy_mean_loss(*args):
-            mean_loss_calls.append(mean_loss(*args))
-            return mean_loss_calls[-1]
+        def spy_score(*args):
+            score_calls.append(score(*args))
+            return score_calls[-1]
 
         monkeypatch.setattr(clf_module, "_sgd_step", spy_step)
-        monkeypatch.setattr(clf_module, "_mean_loss", spy_mean_loss)
+        monkeypatch.setattr(clf_module, "_score", spy_score)
         docs = toy_docs(5) + [AccountDocument("e0", "", 0), AccountDocument("e1", " ", 1)]
         model = train_supervised(docs, small_config(epochs=3))
         assert len(model.loss_history) == 4
         assert model.loss_history[0] == pytest.approx(math.log(2.0), abs=1e-12)
-        assert len(mean_loss_calls) == 1
+        assert len(score_calls) == 1  # loss_history[0] only
         per_epoch = len(docs) - 2  # the empty documents take no step
         assert len(steps) == 3 * per_epoch
         for epoch in range(3):
@@ -461,7 +544,7 @@ def reference_train(docs, config):
     reference_doc_step, from the untrained model train_supervised gives at
     epochs=0."""
     model = train_supervised(docs, replace(config, epochs=0))
-    rows = [model.doc_rows(tokenize(d.text)) for d in docs]
+    rows = [doc_rows_reference(tokenize(d.text), model) for d in docs]
     rows = [(model.row_slots[ids].astype(np.int64), counts) for ids, counts in rows]
     labels = [d.label for d in docs]
     trainable = not (config.pretrained is not None and config.freeze_pretrained)

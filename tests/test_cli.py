@@ -264,6 +264,32 @@ class TestPipeline:
         assert "Traceback" not in err
         assert not (out / "manifest.tsv").exists()
 
+    @pytest.mark.parametrize("command, fraction, side", [
+        ("evaluate", 0.96, "test"),
+        ("baseline", 0.96, "test"),
+        ("sweep", 0.96, "test"),
+        ("train-classifier", 0.04, "train"),
+        ("baseline", 0.04, "train"),
+    ])
+    def test_empty_split_side_exit_two(self, tmp_path, capsys, command, fraction, side):
+        # 10 documents: round(0.96 * 10) = 10 leaves no test document, and
+        # round(0.04 * 10) = 0 no training document
+        out = tmp_path / "out"
+        out.mkdir()
+        docs = "".join(f"u{i}\t{i % 2}\talpha beta gamma\n" for i in range(10))
+        (out / "target_documents.tsv").write_text(docs, encoding="utf-8")
+        if command == "evaluate":
+            assert run("train-classifier", write_cfg(tmp_path, out)) == 0
+            (out / "manifest.tsv").unlink()
+        cfg = write_cfg(tmp_path, out, SMALL_SYNTH + f"split.train_fraction = {fraction}\n")
+        assert run(command, cfg) == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert errors == [f"error: train_fraction {fraction} of 10 documents leaves the "
+                          f"{side} side empty"]
+        assert "Traceback" not in err
+        assert not (out / "manifest.tsv").exists()
+
     def test_tfidf_baseline_with_empty_document(self, tmp_path):
         out = tmp_path / "out"
         out.mkdir()

@@ -15,7 +15,7 @@ from xldetect.corpus import (
     tokenize,
     write_documents,
 )
-from xldetect.errors import FormatError, LabelingError
+from xldetect.errors import DataError, FormatError, LabelingError
 
 
 def docs(n):
@@ -172,6 +172,12 @@ class TestSplit:
     def test_too_few_documents(self):
         with pytest.raises(ValueError):
             split(docs(1), SplitSpec())
+
+    @pytest.mark.parametrize("fraction, side", [(0.96, "test"), (0.04, "train")])
+    def test_empty_side_rejected(self, fraction, side):
+        with pytest.raises(DataError, match=f"^train_fraction {fraction} of 10 documents "
+                                            f"leaves the {side} side empty$"):
+            split(docs(10), SplitSpec(fraction, 3))
 
 
 class TestSubsample:

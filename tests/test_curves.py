@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
-from xldetect.classifier import SupervisedConfig
-from xldetect.curves import LearningCurvePoint, fraction_means, learning_curve
+import xldetect.curves as curves_module
+from xldetect.classifier import SupervisedConfig, predict, train_supervised
+from xldetect.corpus import tokenize
+from xldetect.curves import (
+    LearningCurvePoint, evaluate_classifier, fraction_means, learning_curve)
 from xldetect.embedding import VectorTable
 from xldetect.errors import TrainingError
-from xldetect.metrics import ConfusionMatrix, binary_metrics
+from xldetect.metrics import ConfusionMatrix, binary_metrics, confusion
 from xldetect.synth import SyntheticConfig, generate_synthetic_bilingual
 from xldetect.corpus import SplitSpec, split
 
@@ -87,6 +90,24 @@ class TestLearningCurve:
         with pytest.raises(ValueError):
             learning_curve(train, test, fractions=(0.0,), seeds=(1,),
                            kinds=("monolingual",), config=tiny_config())
+
+    def test_no_test_documents_rejected_before_training(self, monkeypatch):
+        train, _ = tiny_dataset()
+        monkeypatch.setattr(curves_module, "train_many", lambda cells: pytest.fail("trained"))
+        with pytest.raises(ValueError, match="at least one test document"):
+            learning_curve(train, [], fractions=(1.0,), seeds=(1,),
+                           kinds=("monolingual",), config=tiny_config())
+
+    def test_evaluate_matches_predict_per_document(self):
+        # one batch over the test documents labels them as predict does one
+        # at a time, a tie included (epochs=0: every distribution is uniform)
+        train, test = tiny_dataset()
+        for epochs in (0, 5):
+            model = train_supervised(train, tiny_config(epochs=epochs))
+            labels = [predict(tokenize(d.text), model)[0] for d in test]
+            expected = binary_metrics(confusion(labels, [d.label for d in test]))
+            assert evaluate_classifier(model, test) == expected
+            assert epochs or not any(labels)
 
     def test_point_validation(self):
         metrics = binary_metrics(ConfusionMatrix(1, 1, 1, 1))

@@ -70,7 +70,7 @@ class TestDenseEquivalence:
         nwords = len(model.vocab)
         touched = set()
         for doc in train_docs():
-            ids, _ = model.doc_rows(tokenize(doc.text))
+            ids = model.doc_batch([tokenize(doc.text)])[1]
             touched.update((ids[ids >= nwords] - nwords).tolist())
         assert "zebra" not in model.vocab and touched
         assert model.bucket_ids.tolist() == sorted(touched)
@@ -88,7 +88,7 @@ class TestDenseEquivalence:
         dense = dense_classifier(model)
         unstored = 0
         for tokens in TEST_TOKENS:
-            ids, _ = model.doc_rows(tokens)
+            ids = model.doc_batch([tokens])[1]
             unstored += len(np.setdiff1d(ids[ids >= len(model.vocab)] - len(model.vocab),
                                          model.bucket_ids))
             label, probs = clf.predict(tokens, model)
@@ -105,17 +105,18 @@ class TestDenseEquivalence:
         trained = clf.train_supervised(train_docs(), cfg)
         dense = dense_rows(init)
         weights = init.output_weights.copy()[None]  # the lone cell's 1 x 2 x d weights
-        docs = [init.doc_rows(tokenize(d.text)) for d in train_docs()]
+        lengths, ids, shares = init.doc_batch([tokenize(d.text) for d in train_docs()])
+        ends = np.cumsum(lengths)
+        docs = [(ids[e - n : e], shares[e - n : e]) for n, e in zip(lengths, ends)]
         labels = [d.label for d in train_docs()]
         total, step = cfg.epochs * len(docs), 0
         for epoch in range(cfg.epochs):
             for di in np.random.default_rng((cfg.seed, epoch)).permutation(len(docs)):
                 step += 1
-                ids, counts = docs[di]
+                ids, share = docs[di]
                 lr = np.float32(cfg.initial_lr * max(0.0, 1.0 - step / total))
-                clf._sgd_step(dense, weights, np.array([0]), ids[None],
-                              (counts / counts.sum())[None], np.array([labels[di]]),
-                              np.array([lr]), ids[None])
+                clf._sgd_step(dense, weights, np.array([0]), ids[None], share[None],
+                              np.array([labels[di]]), np.array([lr]), ids[None])
         nwords = len(trained.vocab)
         assert trained.output_weights.tobytes() == weights[0].tobytes()
         assert trained.input_rows[:nwords].tobytes() == dense[:nwords].tobytes()
@@ -180,6 +181,23 @@ class TestMemory:
 
         assert peak_mb(round_trip) < self.LIMIT_MB
         assert path.stat().st_size < 2**20
+
+    def test_scoring_follows_the_block(self):
+        # 500 documents of 20 unseen tokens, about 360 rows each: dense,
+        # their (documents x width x d) block would be about 72 MB; scored
+        # in blocks of _BLOCK_SLOTS slots, the peak is a few blocks plus
+        # the output
+        model = clf.train_supervised(self.DOCS, clf.SupervisedConfig(dim=100, epochs=1))
+        assert model.subwords.buckets == 2_000_000
+        rng = np.random.default_rng(5)
+        letters = np.array(list("abcdefghijklmnopqrstuvwxyz"))
+        docs = [["".join(rng.choice(letters, size=6)) for _ in range(20)] for _ in range(500)]
+        batch = model.doc_batch(docs)
+        row_bytes = 4 * model.dim
+        dense_mb = len(docs) * int(batch[0].max()) * row_bytes / 2**20
+        limit_mb = (6 * clf._BLOCK_SLOTS + len(docs)) * row_bytes / 2**20
+        assert limit_mb < dense_mb / 6
+        assert peak_mb(lambda: clf.doc_vectors(model, batch)) < limit_mb
 
     def test_bucket_count_in_the_head_allocates_nothing(self, tmp_path):
         # a file whose head claims 2^40 buckets (one flipped bit) loads,
