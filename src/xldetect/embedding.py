@@ -9,19 +9,25 @@ the sentence is scored against noise words drawn from the unigram^0.75
 distribution, all reads see the pre-step parameters, and the step is
 -lr times the gradient of the sentence's summed pair loss. The step's
 context side is two small products over (unique targets x unique
-centers): no row is gathered or scattered per (pair, target). A sentence
-of more than _STEP_CENTERS kept tokens takes one such step per run of
-that many centers, so a step's memory does not grow with the document.
-When no word's frequency exceeds subsample_t, subsampling draws nothing.
-Training is bit-reproducible for a fixed seed.
+centers): no row is gathered or scattered per (pair, target). A step
+finds its unique centers, targets and input rows with _unique_inverse,
+which sorts only the unique ids and reads the inverse from a slot array
+allocated once per training, so its cost does not grow with the table.
+Without subwords every word is its own single row, and a center's row
+is read and updated directly instead of through segment sums, with the
+same bits. A sentence of more than _STEP_CENTERS kept tokens takes one
+such step per run of that many centers, so a step's memory does not grow
+with the document. When no word's frequency exceeds subsample_t,
+subsampling draws nothing. Training is bit-reproducible for a fixed seed.
 """
 
 from __future__ import annotations
 
 import logging
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -199,7 +205,7 @@ def train_skipgram(corpus: Iterable[list[str]], config: SkipgramConfig) -> Embed
 
     input_rows = model.input_rows
     # the steps index input_rows directly; every row of the CSR is stored
-    word_rows = (indptr, model.row_slots[flat].astype(np.int64))
+    word_rows = _WordRows.of(indptr, model.row_slots[flat].astype(np.int64))
     sentences = []
     for tokens in sentences_tok:
         ids = [vocab.word_to_id[t] for t in tokens if t in vocab.word_to_id]
@@ -217,6 +223,10 @@ def train_skipgram(corpus: Iterable[list[str]], config: SkipgramConfig) -> Embed
     offsets = np.concatenate(
         (np.arange(-config.window, 0), np.arange(1, config.window + 1))
     )
+    reach = np.abs(offsets)
+    # the context position of every (center, offset) cell of a step
+    # whose first center is at position 0
+    grid = np.arange(_STEP_CENTERS)[:, None] + offsets
     logger.info(
         "skipgram: %d words, %d in-vocabulary tokens, %d epochs",
         len(vocab), in_vocab_tokens, config.epochs,
@@ -226,7 +236,8 @@ def train_skipgram(corpus: Iterable[list[str]], config: SkipgramConfig) -> Embed
     progress = 0
     for epoch in range(config.epochs):
         loss = 0.0
-        pairs = kept_tokens = 0
+        pairs = kept_tokens = steps = 0
+        started = time.perf_counter()
         for sent in sentences:
             progress += len(sent)
             lr = _learning_rate(config.initial_lr, progress, total_scheduled)
@@ -240,20 +251,24 @@ def train_skipgram(corpus: Iterable[list[str]], config: SkipgramConfig) -> Embed
             # than _STEP_CENTERS takes one step per run of that many centers
             for start in range(0, n, _STEP_CENTERS):
                 span = slice(start, start + _STEP_CENTERS)
-                ctx_pos = np.arange(start, min(start + _STEP_CENTERS, n))[:, None] + offsets
-                live = (np.abs(offsets) <= radii[span, None]) & (ctx_pos >= 0) & (ctx_pos < n)
-                centers = np.broadcast_to(kept[span, None], live.shape)[live]
+                ctx_pos = grid[: n - start] + start
+                # as unsigned, a negative position is above n: one test of 0 <= pos < n
+                live = (reach <= radii[span, None]) & (ctx_pos.view(np.uint64) < n)
+                centers = kept[span].repeat(live.sum(axis=1))
                 contexts = kept[ctx_pos[live]]
                 negatives = sampler.sample(rng, (len(centers), config.negatives))
                 loss += _sentence_step(
                     input_rows, context_rows, word_rows, centers, contexts, negatives, lr
                 )
                 pairs += len(centers)
+                steps += 1
+        seconds = time.perf_counter() - started
         _epoch_guard(input_rows, epoch)
         logger.info(
-            "skipgram epoch %d/%d: mean loss %.6f over %d pairs, kept %.4f of tokens",
-            epoch + 1, config.epochs, loss / max(pairs, 1), pairs,
-            kept_tokens / in_vocab_tokens,
+            "skipgram epoch %d/%d: mean loss %.6f over %d pairs in %d steps, kept %.4f of"
+            " tokens, %.0f tokens/s",
+            epoch + 1, config.epochs, loss / max(pairs, 1), pairs, steps,
+            kept_tokens / in_vocab_tokens, in_vocab_tokens / max(seconds, 1e-9),
         )
 
     _check_finite(input_rows, "input rows")
@@ -269,30 +284,73 @@ def _segment_sum(segments: np.ndarray, values: np.ndarray, n: int) -> np.ndarray
     return np.bincount(flat, weights=values.ravel(), minlength=n * d).reshape(n, d)
 
 
+def _unique_inverse(ids: np.ndarray, slot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.unique(ids, return_inverse=True) for a 1-D array of ids in
+    [0, len(slot)), sorting only the unique ids: slot[ids] = position
+    keeps one representative position per value (whichever write lands),
+    and after the sort slot maps each id to its rank. slot is scratch that
+    every call writes before it reads, and the cost does not grow with
+    its length."""
+    at = np.arange(len(ids))
+    slot[ids] = at
+    uniq = ids[slot[ids] == at]
+    uniq.sort()
+    slot[uniq] = np.arange(len(uniq))
+    return uniq, slot[ids]
+
+
+class _WordRows(NamedTuple):
+    """The per-training constants of _sentence_step: the CSR (indptr,
+    flat) of each word's input_rows indices (vocab.word_rows_csr, whose
+    first row of a word is its own), each word's row count, and the
+    scratch slot array of _unique_inverse, one entry per input row."""
+
+    indptr: np.ndarray
+    flat: np.ndarray
+    counts: np.ndarray
+    slot: np.ndarray
+
+    @classmethod
+    def of(cls, indptr: np.ndarray, flat: np.ndarray) -> "_WordRows":
+        n = max(len(indptr) - 1, int(flat.max(initial=-1)) + 1)
+        return cls(indptr, flat, np.diff(indptr), np.empty(n, dtype=np.intp))
+
+
 def _sentence_step(input_rows, context_rows, word_rows, centers, contexts, negatives, lr):
     """One SGD step on the summed negative-sampling loss of (center, context)
     pairs from one sentence, each with its row of noise words.
 
     Every read sees the pre-step parameters, so the update is exactly -lr
-    times the gradient of that sum. word_rows is the CSR of each word's
-    input rows (vocab.word_rows_csr). The context side works on the T unique
-    targets (contexts and noise words) and the W unique centers: the scores
-    are cells of one (T x W) product, the per-cell gradient coefficients
-    are summed into a (T x W) matrix s, and s @ h and s.T @ c are the
-    context-row update and the centers' gradient, both in the table's
-    dtype. Returns the summed loss at the pre-step parameters.
+    times the gradient of that sum. word_rows is a _WordRows. The context
+    side works on the T unique targets (contexts and noise words) and the
+    W unique centers: the scores are cells of one (T x W) product, the
+    per-cell gradient coefficients are summed into a (T x W) matrix s, and
+    s @ h and s.T @ c are the context-row update and the centers' gradient,
+    both in the table's dtype. Unique ids and their inverses come from
+    _unique_inverse, the same as np.unique's. When every word is its own
+    single row (no subwords), a center's h is its row and its row's update
+    is its gradient, bit for bit what the segment sums give: a one-term
+    float64 sum divided by 1 is exact, float32(f64(a) - f64(b)) is the
+    correctly rounded float32 a - b, and no row holds a -0.0 whose sign a
+    sum with 0.0 would drop (the initial rows have none and no update
+    makes one). Returns the summed loss at the pre-step parameters.
     """
-    words, center_of = np.unique(centers, return_inverse=True)
-    indptr, flat = word_rows
-    counts = indptr[words + 1] - indptr[words]
-    row_word = np.repeat(np.arange(len(words)), counts)
-    starts = np.repeat(indptr[words] - (np.cumsum(counts) - counts), counts)
-    rows = flat[np.arange(len(row_word)) + starts]
-    h = _segment_sum(row_word, input_rows[rows], len(words)) / counts[:, None]
-    h = h.astype(input_rows.dtype, copy=False)
+    indptr, flat, row_counts, slot = word_rows
+    words, center_of = _unique_inverse(centers, slot)
+    one_row = len(flat) == len(row_counts)
+    if one_row:
+        rows = flat[words]
+        h = input_rows.take(rows, axis=0)
+    else:
+        counts = row_counts[words]
+        row_word = np.repeat(np.arange(len(words)), counts)
+        starts = np.repeat(indptr[words] - (np.cumsum(counts) - counts), counts)
+        rows = flat[np.arange(len(row_word)) + starts]
+        h = _segment_sum(row_word, input_rows[rows], len(words)) / counts[:, None]
+        h = h.astype(input_rows.dtype, copy=False)
     targets = np.concatenate((contexts[:, None], negatives), axis=1)
-    tids, target_of = np.unique(targets, return_inverse=True)
-    c = context_rows[tids]
+    tids, target_of = _unique_inverse(targets.ravel(), slot)
+    c = context_rows.take(tids, axis=0)
     # each (pair, target) scores one (target, center) cell of c @ h.T
     cells = target_of.reshape(targets.shape) * len(words) + center_of[:, None]
     scores = (c @ h.T).ravel()[cells]
@@ -310,9 +368,15 @@ def _sentence_step(input_rows, context_rows, word_rows, centers, contexts, negat
     s = np.bincount(cells.ravel(), weights=g.ravel(), minlength=len(tids) * len(words))
     s = s.reshape(len(tids), len(words)).astype(context_rows.dtype, copy=False)
     grad_h = s.T @ c
-    context_rows[tids] -= s @ h
-    ids, row_of = np.unique(rows, return_inverse=True)
-    input_rows[ids] -= _segment_sum(row_of, (grad_h / counts[:, None])[row_word], len(ids))
+    # c and h (one-row case) are pre-step copies of the rows they update
+    c -= s @ h
+    context_rows[tids] = c
+    if one_row:
+        h -= grad_h
+        input_rows[rows] = h
+    else:
+        ids, row_of = _unique_inverse(rows, slot)
+        input_rows[ids] -= _segment_sum(row_of, (grad_h / counts[:, None])[row_word], len(ids))
     return float(losses.sum(dtype=np.float64))
 
 

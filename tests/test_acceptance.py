@@ -32,6 +32,7 @@ from xldetect.curves import fraction_means, learning_curve
 from xldetect.embedding import (
     SkipgramConfig,
     VectorTable,
+    _WordRows,
     _sentence_step,
     load_checkpoint,
     load_vectors,
@@ -179,7 +180,7 @@ def _skipgram_grad_error(rng) -> float:
     ]
     if rng.random() < 0.5:
         rows = [[w] for w in range(4)]
-    word_rows = (np.cumsum([0] + [len(r) for r in rows]), np.concatenate(rows))
+    word_rows = _WordRows.of(np.cumsum([0] + [len(r) for r in rows]), np.concatenate(rows))
     centers = np.array([0, 0, 1, int(rng.integers(0, 4))])  # word 0 centers two pairs
     contexts = rng.integers(0, 4, size=4)
     contexts[2] = contexts[0]  # a context shared by two centers

@@ -16,6 +16,8 @@ from xldetect.embedding import (
     _segment_sum,
     _sentence_step,
     _STEP_CENTERS,
+    _unique_inverse,
+    _WordRows,
     negative_table,
     save_checkpoint,
     save_vectors,
@@ -181,10 +183,11 @@ class TestTrainSkipgram:
         # one step per run of at most _STEP_CENTERS centers
         import xldetect.embedding as emb
 
-        real, steps = emb._sentence_step, []
+        real, steps, slots = emb._sentence_step, [], set()
 
         def spy(input_rows, context_rows, word_rows, centers, *rest):
             steps.append(len(centers))
+            slots.add(id(word_rows.slot))
             return real(input_rows, context_rows, word_rows, centers, *rest)
 
         monkeypatch.setattr(emb, "_sentence_step", spy)
@@ -193,6 +196,21 @@ class TestTrainSkipgram:
         train_skipgram([words[: emb._STEP_CENTERS], words], cfg)
         assert len(steps) == 1 + 4
         assert max(steps) <= emb._STEP_CENTERS * 2 * cfg.window
+        assert len(slots) == 1  # the dedup scratch is allocated once per training
+
+    @pytest.mark.parametrize("subwords", [None, SubwordIndex(3, 4, 50)])
+    def test_tables_match_unique_step(self, monkeypatch, subwords):
+        # the production step against the np.unique step it replaced, through
+        # the whole loop: subsampling, a sentence longer than _STEP_CENTERS
+        import xldetect.embedding as emb
+
+        corpus = cluster_corpus(10) + [[f"w{i % 40}" for i in range(emb._STEP_CENTERS + 50)]]
+        cfg = small_config(epochs=2, initial_lr=0.01, subsample_t=0.01, subwords=subwords)
+        model = train_skipgram(corpus, cfg)
+        monkeypatch.setattr(emb, "_sentence_step", unique_sentence_step)
+        want = train_skipgram(corpus, cfg)
+        assert model.input_rows.tobytes() == want.input_rows.tobytes()
+        assert model.context_rows.tobytes() == want.context_rows.tobytes()
 
     def test_word_rows_csr_matches_input_ids(self):
         corpus = [["hello", "world", "hello"], ["subword", "hello", "world"]]
@@ -261,7 +279,7 @@ class TestPairGradients:
         lr, eps = 0.5, 1e-6
         for trial in range(20):
             rows = self.ROWS if trial % 2 else [[0], [1], [2], [3]]
-            word_rows = (np.cumsum([0] + [len(r) for r in rows]), np.concatenate(rows))
+            word_rows = _WordRows.of(np.cumsum([0] + [len(r) for r in rows]), np.concatenate(rows))
             d = 5
             input_rows = rng.standard_normal((6, d)) * 0.5
             context_rows = rng.standard_normal((4, d)) * 0.5
@@ -292,7 +310,7 @@ def reference_sentence_step(input_rows, context_rows, word_rows, centers, contex
     scores are an einsum over a P x (K+1) x d gather, and every (pair,
     target) row of the context update is summed by its target."""
     words, center_of = np.unique(centers, return_inverse=True)
-    indptr, flat = word_rows
+    indptr, flat = word_rows.indptr, word_rows.flat
     counts = indptr[words + 1] - indptr[words]
     row_word = np.repeat(np.arange(len(words)), counts)
     starts = np.repeat(indptr[words] - (np.cumsum(counts) - counts), counts)
@@ -321,6 +339,40 @@ def reference_sentence_step(input_rows, context_rows, word_rows, centers, contex
     return float(losses.sum(dtype=np.float64))
 
 
+def unique_sentence_step(input_rows, context_rows, word_rows, centers, contexts, negatives, lr):
+    """_sentence_step with np.unique for its three dedups and segment sums
+    for every word's rows: the production step must match it bit for bit."""
+    words, center_of = np.unique(centers, return_inverse=True)
+    indptr, flat = word_rows.indptr, word_rows.flat
+    counts = indptr[words + 1] - indptr[words]
+    row_word = np.repeat(np.arange(len(words)), counts)
+    starts = np.repeat(indptr[words] - (np.cumsum(counts) - counts), counts)
+    rows = flat[np.arange(len(row_word)) + starts]
+    h = _segment_sum(row_word, input_rows[rows], len(words)) / counts[:, None]
+    h = h.astype(input_rows.dtype, copy=False)
+    targets = np.concatenate((contexts[:, None], negatives), axis=1)
+    tids, target_of = np.unique(targets, return_inverse=True)
+    c = context_rows[tids]
+    cells = target_of.reshape(targets.shape) * len(words) + center_of[:, None]
+    scores = (c @ h.T).ravel()[cells]
+    np.clip(scores, -30.0, 30.0, out=scores)
+    losses = np.logaddexp(0.0, scores)
+    losses[:, 0] -= scores[:, 0]
+    g = 1.0 / (1.0 + np.exp(-scores))
+    g[:, 0] -= 1.0
+    own = negatives == contexts[:, None]
+    g[:, 1:][own] = 0.0
+    losses[:, 1:][own] = 0.0
+    g *= lr
+    s = np.bincount(cells.ravel(), weights=g.ravel(), minlength=len(tids) * len(words))
+    s = s.reshape(len(tids), len(words)).astype(context_rows.dtype, copy=False)
+    grad_h = s.T @ c
+    context_rows[tids] -= s @ h
+    ids, row_of = np.unique(rows, return_inverse=True)
+    input_rows[ids] -= _segment_sum(row_of, (grad_h / counts[:, None])[row_word], len(ids))
+    return float(losses.sum(dtype=np.float64))
+
+
 def random_step_case(rng, n_centers, buckets, n_words=12, d=8, window=3, k=4):
     """Tables and the pairs of one random sentence, built as train_skipgram
     builds them. With buckets, word 0 holds bucket row 0 twice and word 1
@@ -331,7 +383,8 @@ def random_step_case(rng, n_centers, buckets, n_words=12, d=8, window=3, k=4):
             word += (n_words + rng.integers(0, buckets, size=rng.integers(0, 4))).tolist()
         rows[0] += [n_words, n_words]
         rows[1] += [n_words]
-    word_rows = (np.cumsum([0] + [len(r) for r in rows]), np.concatenate(rows).astype(np.int64))
+    indptr = np.cumsum([0] + [len(r) for r in rows])
+    word_rows = _WordRows.of(indptr, np.concatenate(rows).astype(np.int64))
     sent = rng.integers(0, n_words, size=n_centers)  # centers repeat, contexts are shared
     offsets = np.concatenate((np.arange(-window, 0), np.arange(1, window + 1)))
     pos = np.arange(n_centers)[:, None] + offsets
@@ -358,6 +411,22 @@ class TestSentenceStep:
             assert abs(loss - want) <= 1e-12 * max(1.0, abs(want))
             assert np.abs(input_rows - want_in).max() <= 1e-12
             assert np.abs(context_rows - want_ctx).max() <= 1e-12
+
+    def test_bit_identical_to_unique_step(self):
+        # one-row words (no buckets) and words sharing and repeating bucket
+        # rows, with repeated centers and targets and a noise draw equal to
+        # its own context, on float64 and float32 tables
+        rng = np.random.default_rng(6)
+        for n_centers, buckets in self.CASES * 2:
+            input64, context64, *pairs = random_step_case(rng, n_centers, buckets)
+            for dtype in (np.float64, np.float32):
+                input_rows, context_rows = input64.astype(dtype), context64.astype(dtype)
+                want_in, want_ctx = input_rows.copy(), context_rows.copy()
+                want = unique_sentence_step(want_in, want_ctx, *pairs, 0.3)
+                loss = _sentence_step(input_rows, context_rows, *pairs, 0.3)
+                assert loss == want
+                assert input_rows.tobytes() == want_in.tobytes()
+                assert context_rows.tobytes() == want_ctx.tobytes()
 
     def test_updates_in_table_dtype(self):
         # float32 tables are updated in place and stay float32; the float64
@@ -396,6 +465,40 @@ class TestSentenceStep:
         finally:
             tracemalloc.stop()
         assert peak < 28e6
+
+
+class TestUniqueInverse:
+    def check(self, ids, slot):
+        want, want_of = np.unique(ids, return_inverse=True)
+        got, got_of = _unique_inverse(ids, slot)
+        assert got.dtype == want.dtype and got_of.dtype == want_of.dtype
+        assert (got == want).all() and (got_of == want_of.ravel()).all()
+
+    def test_matches_np_unique(self):
+        rng = np.random.default_rng(2)
+        n = 50
+        slot = np.empty(n, dtype=np.intp)
+        cases = [
+            rng.integers(0, n, size=200),
+            np.full(30, 17),  # all equal
+            rng.permutation(n)[:20],  # already unique
+            np.array([n - 1, 0, n - 1, 0]),  # both ends of the slot array
+            np.array([3]),
+            np.array([], dtype=np.int64),
+        ]
+        for ids in cases:
+            self.check(ids.astype(np.int64), slot)
+
+    def test_stale_slots_do_not_leak(self):
+        # back to back on one slot array: overlapping, disjoint and subset
+        # inputs read no slot that an earlier call left behind
+        rng = np.random.default_rng(3)
+        n = 40
+        slot = np.empty(n, dtype=np.intp)
+        for _ in range(50):
+            lo = int(rng.integers(0, n - 1))
+            hi = int(rng.integers(lo + 1, n + 1))
+            self.check(rng.integers(lo, hi, size=int(rng.integers(1, 60))), slot)
 
 
 class TestWordVector:
