@@ -15,7 +15,8 @@ out-of-vocabulary tokens included); any other bucket reads its initial
 value (vocab.InputTable).
 
 loss_history[0] is the mean cross-entropy of the untrained model over the
-training documents, in float64 from the forward's logits. loss_history[e]
+training documents: exactly log 2, since the output weights start at zero
+and so every logit is 0. loss_history[e]
 is the mean loss over epoch e: each document's cross-entropy at the
 parameters its SGD step started from, an empty document (which takes no
 step) counting log 2, the running epoch loss fastText reports.
@@ -50,8 +51,9 @@ logger = logging.getLogger(__name__)
 
 _MAGIC_MODEL = b"XLCLF2"
 _N_CLASSES = 2
-# an empty document takes no step; its distribution is uniform
-_EMPTY_DOC_LOSS = float(np.log(_N_CLASSES))
+# the cross-entropy of a uniform class distribution: an empty document's
+# (it takes no step) and every document's under zero output weights
+_UNIFORM_LOSS = float(np.log(_N_CLASSES))
 # the XLCLF2 word n-gram order field: no word n-grams, so always 1
 _WORD_NGRAMS = 1
 _BLOCK_SLOTS = 1024  # padded (document, slot) cells per scoring block
@@ -115,20 +117,29 @@ class TextClassifier(InputTable):
     def doc_batch(self, token_docs: list[list[str]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The documents as CSR (lengths, ids, shares): each one's unique
         input ids, ascending, and their float32 shares (multiplicity over
-        the document's). Only out-of-vocabulary tokens are hashed, in one
-        subword_ids_csr call per document; the others read word_rows."""
+        the document's). In-vocabulary tokens read word_rows; the batch's
+        out-of-vocabulary tokens are hashed in one subword_ids_csr call."""
         word_to_id, (indptr, flat) = self.vocab.word_to_id, self.word_rows
-        ids, shares = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.float32)]
+        known, oov, oov_end = [], [], []
         for tokens in token_docs:
-            wids = np.array([word_to_id[tok] for tok in tokens if tok in word_to_id], np.int64)
-            n = indptr[wids + 1] - indptr[wids]
-            rows = flat[np.repeat(indptr[wids] - np.cumsum(n) + n, n) + np.arange(n.sum())]
-            oov = [tok for tok in tokens if tok not in word_to_id]
-            if oov and self.subwords is not None:
-                rows = np.append(rows, subword_ids_csr(oov, self.subwords, len(self.vocab))[1])
+            wids = list(map(word_to_id.get, tokens))
+            known.append([w for w in wids if w is not None])
+            if self.subwords is not None:
+                oov.extend(tok for tok, w in zip(tokens, wids) if w is None)
+            oov_end.append(len(oov))
+        oov_ptr, oov_rows = np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.int64)
+        if oov:
+            oov_ptr, oov_rows = subword_ids_csr(oov, self.subwords, len(self.vocab))
+        ids, shares = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.float32)]
+        for wids, a, b in zip(known, [0] + oov_end, oov_end):
+            wids = np.array(wids, dtype=np.int64)
+            at = indptr.take(wids)
+            n = indptr.take(wids + 1) - at
+            rows = flat.take((at - n.cumsum() + n).repeat(n) + np.arange(n.sum()))
+            rows = np.concatenate((rows, oov_rows[oov_ptr[a] : oov_ptr[b]]))
             uniq, counts = np.unique(rows, return_counts=True)
             ids.append(uniq)
-            shares.append(np.divide(counts, counts.sum(), dtype=np.float32))
+            shares.append(np.divide(counts, len(rows), dtype=np.float32))
         lengths = np.fromiter(map(len, ids[1:]), dtype=np.int64, count=len(token_docs))
         return lengths, np.concatenate(ids), np.concatenate(shares)
 
@@ -283,11 +294,10 @@ def _init_cell(index: int, train_docs: list[AccountDocument], config: Supervised
     model = TextClassifier(vocab, config.subwords, input_rows, output_weights,
                            bucket_seed=config.seed if uniform else None)
 
-    lengths, ids, shares = batch = model.doc_batch(token_docs)
+    lengths, ids, shares = model.doc_batch(token_docs)
     model.store_buckets(np.unique(ids[ids >= len(vocab)]) - len(vocab))
-    z = _score(model, batch)[1].astype(np.float64)
-    loss = np.logaddexp(z[:, 0], z[:, 1]) - z[np.arange(len(labels)), labels]
-    model.loss_history.append(float(loss.mean()))
+    # output weights start at zero, so every logit is 0
+    model.loss_history.append(_UNIFORM_LOSS)
     # the steps index input_rows directly; the map keeps ids ascending
     return _Cell(index, config, model, labels, lengths, model.row_slots[ids], shares)
 
@@ -368,7 +378,7 @@ def _train_lockstep(cells: list[_Cell]) -> None:
             labels, rates, pick = label[i, :k], lr[i, :k], slice(0, k)
             if any_empty[i]:
                 # an empty document takes no step
-                loss[:k][empty[i, :k]] += _EMPTY_DOC_LOSS
+                loss[:k][empty[i, :k]] += _UNIFORM_LOSS
                 pick = np.flatnonzero(lens)
                 if not len(pick):
                     continue

@@ -30,6 +30,11 @@ def _at_least(key, lo):
     return (lambda v: v >= lo, f"{key} must be >= {lo}")
 
 
+def _buckets(key):
+    # model files hold the bucket count as a u64
+    return (lambda v: 1 <= v < 1 << 64, f"{key} must be in [1, 2^64)")
+
+
 def _open01(key):
     return (lambda v: 0.0 < v < 1.0, f"{key} must be in (0,1)")
 
@@ -65,7 +70,7 @@ SCHEMA: dict[str, tuple] = {
     "embedding.subwords": ("bool", True, None),
     "embedding.n_min": ("int", 3, _at_least("embedding.n_min", 1)),
     "embedding.n_max": ("int", 6, _at_least("embedding.n_max", 1)),
-    "embedding.buckets": ("int", 2_000_000, _at_least("embedding.buckets", 1)),
+    "embedding.buckets": ("int", 2_000_000, _buckets("embedding.buckets")),
     "embedding.out_vectors": ("str", "vectors.txt", None),
     "embedding.out_checkpoint": ("str", "embedding.bin", None),
 
@@ -90,7 +95,7 @@ SCHEMA: dict[str, tuple] = {
     "classifier.subwords": ("bool", True, None),
     "classifier.n_min": ("int", 3, _at_least("classifier.n_min", 1)),
     "classifier.n_max": ("int", 6, _at_least("classifier.n_max", 1)),
-    "classifier.buckets": ("int", 2_000_000, _at_least("classifier.buckets", 1)),
+    "classifier.buckets": ("int", 2_000_000, _buckets("classifier.buckets")),
     "classifier.freeze_pretrained": ("bool", False, None),
     "classifier.out_model": ("str", "classifier.bin", None),
 

@@ -25,7 +25,7 @@ from .errors import DataError
 FNV_OFFSET_BASIS = 2166136261
 FNV_PRIME = 16777619
 _U32 = 0xFFFFFFFF
-_BLOCK_CHARS = 1 << 15  # wrapped characters per block of subword_ids_csr
+_BLOCK_CHARS = 1 << 15  # hash cells per block of subword_ids_csr
 # splitmix64 (Steele et al. 2014): the stream increment and the two mix multipliers
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -60,8 +60,8 @@ class SubwordIndex:
     def __post_init__(self):
         if not 1 <= self.n_min <= self.n_max:
             raise ValueError(f"need 1 <= n_min <= n_max, got {self.n_min}..{self.n_max}")
-        if self.buckets < 1:
-            raise ValueError(f"buckets must be >= 1, got {self.buckets}")
+        if not 1 <= self.buckets <= _U64:  # model files hold the count as a u64
+            raise ValueError(f"buckets must be in [1, 2^64), got {self.buckets}")
 
 
 class Vocabulary:
@@ -155,77 +155,72 @@ def subword_ids_csr(
     No n-gram string is built. FNV-1a streams left to right, so the hash
     of w[i:i+n+1] is one step on from that of w[i:i+n]: one state per
     (word, start character) advances over the UTF-8 bytes of one more
-    character for each n. Words are hashed in blocks of about _BLOCK_CHARS
-    characters into one preallocated array, which bounds the memory the
-    states take.
+    character for each n. Words are hashed in blocks of at most about
+    _BLOCK_CHARS (n-gram length, start character) cells, whatever the
+    n-gram range, which bounds the memory a block takes.
     """
-    lengths = np.fromiter(map(len, words), dtype=np.int64, count=len(words)) + 2
-    if (lengths == 2).any():
+    if "" in words:
         raise ValueError("cannot decompose an empty word")
-    lead = 0 if first is None else 1
-    # sum over n of max(0, L - n + 1): m terms falling by one from L - n_min + 1
-    top = lengths - index.n_min + 1
-    m = np.clip(top, 0, index.n_max - index.n_min + 1)
-    indptr = np.zeros(len(words) + 1, dtype=np.int64)
-    np.cumsum(m * top - m * (m - 1) // 2 + lead, out=indptr[1:])
-    ids = np.empty(indptr[-1], dtype=np.int64)
-    ends = np.cumsum(lengths)
+    lengths = np.fromiter(map(len, words), dtype=np.int64, count=len(words))
+    lengths += 2
+    # a block takes (characters x n-gram lengths of its longest word) cells
+    rows = min(index.n_max, int(lengths.max(initial=0))) - index.n_min + 1
+    chars = _BLOCK_CHARS // max(1, rows)
+    ends = lengths.cumsum()
+    counts, ids = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
     start = 0
     while start < len(words):
-        limit = (ends[start - 1] if start else 0) + _BLOCK_CHARS
-        stop = max(start + 1, int(np.searchsorted(ends, limit, side="right")))
-        _hash_block(words[start:stop], lengths[start:stop], index, ids, indptr[start:stop] + lead)
+        limit = (ends[start - 1] if start else 0) + chars
+        stop = max(start + 1, int(ends.searchsorted(limit, side="right")))
+        block_counts, block_ids = _hash_block(words[start:stop], lengths[start:stop], index)
+        counts.append(block_counts)
+        ids.append(block_ids)
         start = stop
+    indptr = np.zeros(len(words) + 1, dtype=np.int64)
+    np.concatenate(counts).cumsum(out=indptr[1:])
+    ids = np.concatenate(ids)
     ids += offset
     if first is not None:
-        ids[indptr[:-1]] = first
+        ids = np.insert(ids, indptr[:-1], first)
+        indptr += np.arange(len(indptr))
     return indptr, ids
 
 
-def _hash_block(words, lengths, index, out, starts) -> None:
-    """Write the bucket ids (no offset) of words, whose wrapped forms have
-    lengths characters, to out in subwords() order, word w's from
-    out[starts[w]] on."""
-    text = "".join("<" + w.replace("<", "_").replace(">", "_") + ">" for w in words)
+def _hash_block(words, lengths, index) -> tuple[np.ndarray, np.ndarray]:
+    """(n-gram counts, bucket ids in subwords() order) of words whose wrapped
+    forms have lengths characters. Grid cell (k, c) holds the hash of the
+    n_min + k characters from character c on; step n takes every start c
+    over character c + n - 1, a shifted slice of the bytes, in uint32, which
+    wraps as FNV-1a's mod 2^32. An index of runs of cells, one per word and
+    n-gram length, built from the lengths, reads them in subwords() order."""
+    rows = min(index.n_max, int(lengths.max())) - index.n_min + 1
+    if rows <= 0:  # no word has an n-gram
+        return np.zeros(len(words), dtype=np.int64), np.empty(0, dtype=np.int64)
+    text = "<" + "><".join(words) + ">"
+    if text.count("<") > len(words) or text.count(">") > len(words):
+        text = "<" + "><".join(w.replace("<", "_").replace(">", "_") for w in words) + ">"
     buf = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
-    # byte offset and byte count of every character
-    first_byte = np.flatnonzero((buf & 0xC0) != 0x80)
-    nbytes = np.diff(first_byte, append=len(buf))
-    # one state per (word, start character), ordered so that the states
-    # still live at step n (at least n characters left) are a prefix
-    word_of = np.repeat(np.arange(len(words)), lengths)
-    word_start = np.cumsum(lengths) - lengths
-    left = np.minimum((lengths + word_start)[word_of] - np.arange(len(text)), index.n_max)
-    order = np.argsort(index.n_max - left, kind="stable")
-    live = np.cumsum(np.bincount(left, minlength=index.n_max + 1)[::-1])
-    word_of = word_of[order]
-    # a state's id slot at n = n_min: its word's start plus its start character
-    dest = (starts - word_start)[word_of] + order
-    span = lengths[word_of] + 1
-    h = np.full(len(text), FNV_OFFSET_BASIS, dtype=np.uint64)
-    buckets = np.uint64(index.buckets)
-    for n in range(1, index.n_max + 1):
-        k = live[index.n_max - n]
-        if k == 0:
-            break
-        hv, c = h[:k], order[:k] + (n - 1)
-        at, width = first_byte[c], nbytes[c]
-        _fnv_step(hv, buf[at])
-        for j in range(1, int(width.max())):  # continuation bytes
-            sel = np.flatnonzero(width > j)
-            hv[sel] = _fnv_step(hv[sel], buf[at[sel] + j])
-        if n >= index.n_min:
-            out[dest[:k]] = hv % buckets
-            dest[:k] += span[:k] - n
-
-
-def _fnv_step(h: np.ndarray, byte: np.ndarray) -> np.ndarray:
-    """One FNV-1a byte step on uint64 states, in place. h ^ byte < 2^32 and
-    FNV_PRIME < 2^25, so the product is exact in uint64 before the mask."""
-    h ^= byte
-    h *= np.uint64(FNV_PRIME)
-    h &= np.uint64(_U32)
-    return h
+    starts = (buf & 0xC0) != 0x80  # the bytes that start a character
+    first_bytes, more = buf[starts], []  # more: (byte j >= 1, whether it is one)
+    if len(buf) > len(first_bytes):
+        width = np.diff(at := starts.nonzero()[0], append=len(buf))  # bytes per character
+        more = [(buf.take(at + j, mode="clip"), width > j) for j in range(1, int(width.max()))]
+    n_min, chars = index.n_min, len(first_bytes)
+    grid = np.full((rows, chars), FNV_OFFSET_BASIS, dtype=np.uint32)
+    prev, prime = grid[0], np.uint32(FNV_PRIME)
+    for n in range(1, n_min + rows):
+        row = grid[max(0, n - n_min), : chars - n + 1]
+        np.bitwise_xor(prev[: chars - n + 1], first_bytes[n - 1 :], row)
+        row *= prime
+        for byte, has in more:  # continuation bytes
+            np.copyto(row, (row ^ byte[n - 1 :]) * prime, where=has[n - 1 :])
+        prev = row
+    k = np.arange(rows)
+    runs = np.maximum(lengths[:, None] - (n_min - 1) - k, 0)
+    shift = (lengths.cumsum() - lengths)[:, None] + k * chars  # each run's first cell,
+    shift -= runs.cumsum().reshape(runs.shape) - runs  # less its first id's position
+    cell = shift.ravel().repeat(runs.ravel()) + np.arange(runs.sum())
+    return runs.sum(axis=1), grid.take(cell) % np.int64(min(index.buckets, 1 << 32))
 
 
 def word_rows_csr(

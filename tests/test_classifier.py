@@ -23,7 +23,7 @@ from xldetect.classifier import (
 from xldetect.corpus import LABEL_NAMES, AccountDocument, tokenize
 from xldetect.embedding import VectorTable
 from xldetect.errors import DataError, FormatError, TrainingError
-from xldetect.vocab import SubwordIndex, build_vocab, input_ids
+from xldetect.vocab import SubwordIndex, build_vocab, input_ids, subword_ids_csr
 
 
 def toy_docs(n_per_class=20):
@@ -139,6 +139,28 @@ class TestDocRows:
     def test_trained_model(self):
         cfg = small_config(subwords=SubwordIndex(2, 3, 40), epochs=1)
         self.check(train_supervised(toy_docs(3), cfg))
+
+    def test_batch_hashes_once_and_matches_each_document_alone(self, monkeypatch):
+        calls = []
+
+        def spy(words, *args):
+            calls.append(list(words))
+            return subword_ids_csr(words, *args)
+
+        monkeypatch.setattr(clf_module, "subword_ids_csr", spy)
+        # min_count 2 leaves out-of-vocabulary tokens in the training documents
+        train = mixed_docs(30, 5) + [AccountDocument("x", "ñandú 日本 w1 zz<z", 1)]
+        model = train_supervised(train, small_config(subwords=SubwordIndex(2, 4, 97),
+                                                     epochs=1, min_count=2))
+        assert len(calls) == 1 and "ñandú" in calls[0]
+        docs = [tokenize(d.text) for d in mixed_docs(50, 6)] + [[], ["ñandú", "w1", "q"]]
+        calls.clear()
+        lengths, ids, shares = model.doc_batch(docs)
+        assert len(calls) == 1
+        alone = [model.doc_batch([tokens]) for tokens in docs]
+        assert lengths.tolist() == [int(batch[0][0]) for batch in alone]
+        assert ids.tolist() == np.concatenate([batch[1] for batch in alone]).tolist()
+        assert shares.tobytes() == np.concatenate([batch[2] for batch in alone]).tobytes()
 
 
 class TestPredict:
@@ -338,8 +360,17 @@ class TestLossAndGrad:
 
     def test_uniform_loss_is_ln2(self):
         # output weights start at zero, so every class has probability 1/2
-        model = train_supervised(toy_docs(), small_config(epochs=0))
-        assert model.loss_history[0] == pytest.approx(math.log(2.0), abs=1e-12)
+        # and the untrained loss is log 2 exactly, whatever the documents
+        # and the input rows
+        docs = mixed_docs(1000, 3)
+        table = VectorTable([f"w{j}" for j in range(30)],
+                            np.random.default_rng(4).standard_normal((30, 8)))
+        for n in (1, 7, 1000):
+            for pretrained in (None, table):
+                for subwords in (None, SubwordIndex(2, 4, 50)):
+                    model = train_supervised(docs[:n], small_config(
+                        epochs=0, pretrained=pretrained, subwords=subwords))
+                    assert model.loss_history == [math.log(2.0)]
 
     def test_loss_nonnegative(self):
         # every recorded loss: the initial one from the forward's logits and
@@ -429,8 +460,8 @@ class TestTrainSupervised:
         docs = toy_docs(5) + [AccountDocument("e0", "", 0), AccountDocument("e1", " ", 1)]
         model = train_supervised(docs, small_config(epochs=3))
         assert len(model.loss_history) == 4
-        assert model.loss_history[0] == pytest.approx(math.log(2.0), abs=1e-12)
-        assert len(score_calls) == 1  # loss_history[0] only
+        assert model.loss_history[0] == math.log(2.0)
+        assert len(score_calls) == 0  # loss_history[0] takes no forward
         per_epoch = len(docs) - 2  # the empty documents take no step
         assert len(steps) == 3 * per_epoch
         for epoch in range(3):

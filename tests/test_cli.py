@@ -211,6 +211,21 @@ class TestPipeline:
         assert errors[0].startswith(f"config error: {cfg}:2: invalid UTF-8")
         assert "Traceback" not in err
 
+    def test_bucket_count_beyond_u64_exit_one(self, tmp_path, capsys):
+        # a count the model head cannot hold is a config error, not an
+        # overflow in the n-gram hashing kernel
+        out = tmp_path / "out"
+        out.mkdir()
+        docs = "".join(f"u{i}\t{i % 2}\talpha beta gamma\n" for i in range(10))
+        (out / "target_documents.tsv").write_text(docs, encoding="utf-8")
+        text = SMALL_SYNTH.replace("classifier.subwords = false", "classifier.subwords = true")
+        cfg = write_cfg(tmp_path, out, text + f"classifier.buckets = {2**70}\n")
+        assert run("train-classifier", cfg) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"config error: classifier.buckets must be in [1, 2^64) "
+                                    f"(got {2**70})"]
+        assert not (out / "manifest.tsv").exists()
+
     def test_posts_not_utf8_exit_two(self, tmp_path, capsys):
         out = tmp_path / "out"
         out.mkdir()

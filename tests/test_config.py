@@ -55,6 +55,16 @@ class TestValidation:
             validate_config(write_config(tmp_path, "synth.label_noise = 0.6\n"))
         assert any("synth.label_noise" in e for e in err.value.errors)
 
+    def test_bucket_count_fits_the_model_head(self, tmp_path):
+        # model files hold the bucket count as a u64
+        for prefix in ("embedding", "classifier"):
+            cfg = validate_config(write_config(tmp_path, f"{prefix}.buckets = {2**64 - 1}\n"))
+            assert cfg[f"{prefix}.buckets"] == 2**64 - 1
+            for value in (0, 2**64, 2**70):
+                with pytest.raises(ConfigError) as err:
+                    validate_config(write_config(tmp_path, f"{prefix}.buckets = {value}\n"))
+                assert err.value.errors == [f"{prefix}.buckets must be in [1, 2^64) (got {value})"]
+
     def test_unknown_key_listed(self, tmp_path):
         # workers was a key once; training now has a single path
         for key, line in (("embedding.dmi", "embedding.dmi = 100\n"), ("workers", "workers = 2\n")):

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -213,6 +214,75 @@ class TestSubwordIdsCsr:
         for words in ([""], ["abc", ""]):
             with pytest.raises(ValueError):
                 subword_ids_csr(words, SubwordIndex(3, 6, 10), 0)
+
+    # code points of 1-, 2-, 3- and 4-byte UTF-8 characters (no surrogates)
+    RANGES = ((0x21, 0x80), (0x80, 0x800), (0x800, 0xD800), (0xE000, 0x10000),
+              (0x10000, 0x110000))
+
+    def random_words(self, rng, count):
+        """Words of 1-30 code points: a third ASCII only, the rest mixing
+        every UTF-8 width and the reserved markers."""
+        words = []
+        for w in range(count):
+            kinds = rng.integers(0, 1 if w % 3 == 0 else len(self.RANGES) + 1,
+                                 size=int(rng.integers(1, 31)))
+            words.append("".join("<>"[int(rng.integers(2))] if k == len(self.RANGES)
+                                 else chr(int(rng.integers(*self.RANGES[k]))) for k in kinds))
+        return words
+
+    @pytest.mark.parametrize("block", [None, 8, 64, 1000])
+    def test_random_words_match_reference(self, monkeypatch, block):
+        if block is not None:
+            monkeypatch.setattr(vocab_module, "_BLOCK_CHARS", block)
+        rng = np.random.default_rng(block or 0)
+        words = self.random_words(rng, 150)
+        for index in (
+            SubwordIndex(3, 6, 2_000_000),
+            SubwordIndex(3, 6, 16),
+            SubwordIndex(4, 4, 1009),
+            SubwordIndex(1, 2, 97),
+            SubwordIndex(1, 8, 1),
+            SubwordIndex(6, 8, 101),
+            SubwordIndex(1, 40, 2**64 - 1),  # every bucket id is the raw hash
+        ):
+            self.check(words, index, 5)
+            vocab = build_vocab([words], min_count=1)
+            indptr, flat = word_rows_csr(vocab, index)
+            for w, word in enumerate(vocab.words):
+                assert flat[indptr[w] : indptr[w + 1]].tolist() == input_ids(word, vocab, index)
+
+    def test_block_memory_does_not_grow_with_ngram_range(self, monkeypatch):
+        # a block's cells are (characters x n-gram lengths), so blocks
+        # shrink as the range grows
+        hash_block, peaks = vocab_module._hash_block, {}
+
+        def spy(*args):
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            result = hash_block(*args)
+            peaks[index].append(tracemalloc.get_traced_memory()[1] - before)
+            return result
+
+        monkeypatch.setattr(vocab_module, "_hash_block", spy)
+        rng = np.random.default_rng(1)
+        words = ["".join(chr(97 + c) for c in rng.integers(0, 26, size=int(n)))
+                 for n in rng.integers(1, 31, size=3000)]
+        tracemalloc.start()
+        try:
+            for index in (SubwordIndex(3, 6), SubwordIndex(1, 64)):
+                peaks[index] = []
+                subword_ids_csr(words, index, 0)
+        finally:
+            tracemalloc.stop()
+        narrow, wide = (max(peaks[i]) for i in (SubwordIndex(3, 6), SubwordIndex(1, 64)))
+        assert len(peaks[SubwordIndex(3, 6)]) > 1
+        assert wide <= 1.1 * narrow
+
+    def test_bucket_count_must_fit_u64(self):
+        assert SubwordIndex(3, 6, 2**64 - 1).buckets == 2**64 - 1
+        for buckets in (0, 2**64, 2**70):
+            with pytest.raises(ValueError, match="buckets"):
+                SubwordIndex(3, 6, buckets)
 
 
 class TestInitInputRows:
