@@ -18,8 +18,9 @@ loss_history[0] is the mean cross-entropy of the untrained model over the
 training documents: exactly log 2, since the output weights start at zero
 and so every logit is 0. loss_history[e]
 is the mean loss over epoch e: each document's cross-entropy at the
-parameters its SGD step started from, an empty document (which takes no
-step) counting log 2, the running epoch loss fastText reports.
+parameters its SGD step started from, the running epoch loss fastText
+reports. An empty document steps like any other: its mean row is zero, so
+its logits are 0, its loss is log 2 and its step moves no parameter.
 """
 
 from __future__ import annotations
@@ -51,8 +52,8 @@ logger = logging.getLogger(__name__)
 
 _MAGIC_MODEL = b"XLCLF2"
 _N_CLASSES = 2
-# the cross-entropy of a uniform class distribution: an empty document's
-# (it takes no step) and every document's under zero output weights
+# the cross-entropy of a uniform class distribution: every document's under
+# zero output weights, and an empty document's (its logits are 0) at any step
 _UNIFORM_LOSS = float(np.log(_N_CLASSES))
 # the XLCLF2 word n-gram order field: no word n-grams, so always 1
 _WORD_NGRAMS = 1
@@ -281,13 +282,10 @@ def _init_cell(index: int, train_docs: list[AccountDocument], config: Supervised
     vocab = build_vocab(token_docs, min_count=config.min_count)
     input_rows = init_input_rows(vocab, config.dim, config.seed)
     if config.pretrained is not None:
-        hits = 0
-        for i, word in enumerate(vocab.words):
-            vec = config.pretrained.get(word)
-            if vec is not None:
-                input_rows[i] = vec.astype(np.float32)
-                hits += 1
-        logger.info("pretrained init: %d/%d vocabulary words covered", hits, len(vocab))
+        at = np.array([config.pretrained.word_to_id.get(w, -1) for w in vocab.words])
+        hit = np.flatnonzero(at >= 0)
+        input_rows[hit] = config.pretrained.vectors[at[hit]]
+        logger.info("pretrained init: %d/%d vocabulary words covered", len(hit), len(vocab))
     # bucket rows start at zero under pretrained vectors
     uniform = config.subwords is not None and config.pretrained is None
     output_weights = np.zeros((_N_CLASSES, config.dim), dtype=np.float32)
@@ -295,11 +293,11 @@ def _init_cell(index: int, train_docs: list[AccountDocument], config: Supervised
                            bucket_seed=config.seed if uniform else None)
 
     lengths, ids, shares = model.doc_batch(token_docs)
-    model.store_buckets(np.unique(ids[ids >= len(vocab)]) - len(vocab))
+    # the steps index input_rows directly; the map keeps ids ascending
+    rows = model.store_buckets(ids)
     # output weights start at zero, so every logit is 0
     model.loss_history.append(_UNIFORM_LOSS)
-    # the steps index input_rows directly; the map keeps ids ascending
-    return _Cell(index, config, model, labels, lengths, model.row_slots[ids], shares)
+    return _Cell(index, config, model, labels, lengths, rows, shares)
 
 
 def _shared_table(cells: list[_Cell]):
@@ -368,28 +366,16 @@ def _train_lockstep(cells: list[_Cell]) -> None:
         active = present.sum(axis=1).tolist()
         length = np.where(present, lengths[order], 0)
         slots = length.max(axis=1).tolist()
-        empty = present & (length == 0)
-        any_empty = empty.any(axis=1).tolist()
         doc_start, label = starts[order], doc_labels[order]
         loss = np.zeros(len(live))
         for i in range(width):
             k = active[i]
-            cols, at, lens = live[:k], doc_start[i, :k], length[i, :k]
-            labels, rates, pick = label[i, :k], lr[i, :k], slice(0, k)
-            if any_empty[i]:
-                # an empty document takes no step
-                loss[:k][empty[i, :k]] += _UNIFORM_LOSS
-                pick = np.flatnonzero(lens)
-                if not len(pick):
-                    continue
-                cols, at, lens = cols[pick], at[pick], lens[pick]
-                labels, rates = labels[pick], rates[pick]
-            at = at[:, None] + span[: slots[i]]
-            if len(cols) > 1:
-                at = np.where(span[: slots[i]] < lens[:, None], at, len(read) - 1)
+            at = doc_start[i, :k, None] + span[: slots[i]]
+            if k > 1:
+                at = np.where(span[: slots[i]] < length[i, :k, None], at, len(read) - 1)
             to = None if write is None else write.take(at)
-            loss[pick] += _sgd_step(table, weights, cols, read.take(at), shares.take(at), labels,
-                                    rates, to)
+            loss[:k] += _sgd_step(table, weights, live[:k], read.take(at), shares.take(at),
+                                  label[i, :k], lr[i, :k], to)
         for j, c in enumerate(live.tolist()):
             index = cells[c].index
             if np.isnan(loss[j]):
@@ -402,9 +388,6 @@ def _train_lockstep(cells: list[_Cell]) -> None:
             cells[c].model.loss_history.append(float(loss[j]) / int(n[c]))
 
 
-_ONE_HOT = np.eye(_N_CLASSES, dtype=np.float32)
-
-
 def _sgd_step(table, weights, cells, ids, share, labels, lr, write) -> np.ndarray:
     """One SGD step on the softmax cross-entropy of A documents, each of a
     different cell, in place; returns each document's cross-entropy at the
@@ -413,10 +396,12 @@ def _sgd_step(table, weights, cells, ids, share, labels, lr, write) -> np.ndarra
 
     Document a is the mean (_forward) of the table rows ids[a] (ids is
     A x L) weighted by share[a]; a document shorter than L pads with share
-    0 at a zero row. It belongs to cell cells[a], whose output weights are
-    weights[cells[a]] (weights is C x 2 x d), and steps at rate lr[a]. The
-    updated rows go to write (A x L): ids, except that padding slots and
-    frozen cells write to a sink row. With write None no input row moves.
+    0 at a zero row, and an empty one (L may be 0) has h = 0 and z = 0, so
+    its loss is log 2 and it moves no parameter. It belongs to cell
+    cells[a], whose output weights are weights[cells[a]] (weights is
+    C x 2 x d), and steps at rate lr[a]. The updated rows go to write
+    (A x L): ids, except that padding slots and frozen cells write to a
+    sink row. With write None no input row moves.
 
     Ids are unique within a document and disjoint across documents, so one
     gather and one scatter serve every row. A document's hidden gradient,
@@ -429,16 +414,17 @@ def _sgd_step(table, weights, cells, ids, share, labels, lr, write) -> np.ndarra
     z -= np.maximum(z[:, :1], z[:, 1:])
     e = np.exp(z)
     e_sum = e[:, 0] + e[:, 1]
-    target = _ONE_HOT.take(labels, axis=0)
+    docs = np.arange(len(labels))
     # -log g[label], finite even where g[label] underflows
-    loss = np.log(e_sum) - (z * target).sum(axis=1)
+    loss = np.log(e_sum) - z[docs, labels]
     g = e / e_sum[:, None]
-    g -= target
+    g[docs, labels] -= 1.0
     g *= lr[:, None]
     weights[cells] = w - g[:, :, None] * h[:, None, :]
     if write is not None:
         hidden_grad = np.matmul(g[:, None, :], w)[:, 0]
-        block += np.einsum("al,ad->ald", share, -hidden_grad)
+        # einsum's outer product takes half the time of a broadcast one
+        block -= np.einsum("al,ad->ald", share, hidden_grad)
         table[write] = block
     return loss
 

@@ -35,6 +35,11 @@ def _buckets(key):
     return (lambda v: 1 <= v < 1 << 64, f"{key} must be in [1, 2^64)")
 
 
+def _u64(v):
+    # the random streams take seeds as u64
+    return 0 <= v < 1 << 64
+
+
 def _open01(key):
     return (lambda v: 0.0 < v < 1.0, f"{key} must be in (0,1)")
 
@@ -47,9 +52,14 @@ def _choice(key, options):
     return (lambda v: v in options, f"{key} must be one of {', '.join(options)}")
 
 
+def _entries(key, ok, what):
+    return (lambda v: len(v) > 0 and all(map(ok, v)),
+            f"{key} must be a non-empty list of {what}")
+
+
 # key -> (type tag, default, optional validator)
 SCHEMA: dict[str, tuple] = {
-    "seed": ("int", 13, _nonneg("seed")),
+    "seed": ("int", 13, (_u64, "seed must be in [0, 2^64)")),
     "out_dir": ("str", "out", None),
 
     "ingest.posts": ("str", "", None),
@@ -116,9 +126,12 @@ SCHEMA: dict[str, tuple] = {
 
     "sweep.docs": ("str", "", None),
     "sweep.pretrained": ("str", "", None),
-    "sweep.fractions": ("floats", (0.1, 0.2, 0.3, 0.5, 0.7, 1.0), None),
-    "sweep.seeds": ("ints", (1, 2, 3), None),
-    "sweep.kinds": ("strs", ("monolingual", "transfer"), None),
+    "sweep.fractions": ("floats", (0.1, 0.2, 0.3, 0.5, 0.7, 1.0),
+                        _entries("sweep.fractions", lambda f: 0.0 < f <= 1.0, "values in (0,1]")),
+    "sweep.seeds": ("ints", (1, 2, 3), _entries("sweep.seeds", _u64, "seeds in [0, 2^64)")),
+    "sweep.kinds": ("strs", ("monolingual", "transfer"),
+                    _entries("sweep.kinds", _SWEEP_KINDS.__contains__,
+                             f"kinds among {', '.join(_SWEEP_KINDS)}")),
     "sweep.out_report": ("str", "sweep_report.txt", None),
     "sweep.out_csv": ("str", "curve.csv", None),
 
@@ -218,12 +231,6 @@ def _cross_checks(values: dict) -> list[str]:
         errors.append("synth.doc_len_min must be <= synth.doc_len_max")
     if values["synth.signal_rank_start"] + values["synth.signal_words"] > values["synth.vocab_size"]:
         errors.append("synth signal set exceeds synth.vocab_size")
-    for f in values["sweep.fractions"]:
-        if not 0.0 < f <= 1.0:
-            errors.append(f"sweep.fractions entries must be in (0,1], got {f}")
-    for kind in values["sweep.kinds"]:
-        if kind not in _SWEEP_KINDS:
-            errors.append(f"sweep.kinds entries must be one of {', '.join(_SWEEP_KINDS)}")
     return errors
 
 

@@ -199,13 +199,13 @@ def train_skipgram(corpus: Iterable[list[str]], config: SkipgramConfig) -> Embed
         bucket_seed=config.seed if config.subwords is not None else None,
     )
     indptr, flat = word_rows_csr(vocab, config.subwords)
-    model.store_buckets(np.unique(flat[flat >= len(vocab)]) - len(vocab))
+    # the steps index input_rows directly; every row of the CSR is stored
+    rows = model.store_buckets(flat)
     if config.epochs == 0:
         return model
 
     input_rows = model.input_rows
-    # the steps index input_rows directly; every row of the CSR is stored
-    word_rows = _WordRows.of(indptr, model.row_slots[flat].astype(np.int64))
+    word_rows = _WordRows.of(indptr, rows.astype(np.int64))
     sentences = []
     for tokens in sentences_tok:
         ids = [vocab.word_to_id[t] for t in tokens if t in vocab.word_to_id]

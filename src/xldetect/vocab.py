@@ -236,7 +236,8 @@ def word_rows_csr(
 def init_input_rows(vocab: Vocabulary, dim: int, seed: int) -> np.ndarray:
     """The |V| word rows, drawn uniformly from [-1/dim, 1/dim) in float32
     by default_rng(seed) and scaled in place. Bucket rows come from
-    init_bucket_rows, through InputTable.store_buckets."""
+    init_bucket_rows, through InputTable.store_buckets, which stores those
+    the training ids name and returns each id's position in input_rows."""
     rows = np.random.default_rng(seed).random((len(vocab), dim), dtype=np.float32)
     rows *= np.float32(2.0)
     rows -= np.float32(1.0)
@@ -360,14 +361,17 @@ class InputTable:
             )
         return out
 
-    def store_buckets(self, bucket_ids: np.ndarray) -> None:
-        """Store the initial rows of bucket_ids (strictly increasing) after
-        the word rows, so that training can update them in place. Called
-        once, while no bucket is stored."""
+    def store_buckets(self, ids: np.ndarray) -> np.ndarray:
+        """Store, after the word rows, the initial rows of every bucket that
+        the input ids training reads name, so that training can update them
+        in place; returns each id's position in input_rows. Called once,
+        while no bucket is stored."""
         nwords = len(self.vocab)
+        bucket_ids = np.unique(ids[ids >= nwords]) - nwords
         rows = np.empty((nwords + len(bucket_ids), self.dim), dtype=np.float32)
         rows[:nwords] = self.input_rows
         init_bucket_rows(bucket_ids, self.dim, self.bucket_seed, out=rows[nwords:])
         self.input_rows = rows
-        self.bucket_ids = np.asarray(bucket_ids, dtype=np.int64)
+        self.bucket_ids = bucket_ids
         self.__dict__.pop("row_slots", None)
+        return self.row_slots[ids]

@@ -372,6 +372,32 @@ class TestLossAndGrad:
                         epochs=0, pretrained=pretrained, subwords=subwords))
                     assert model.loss_history == [math.log(2.0)]
 
+    def test_zero_slot_documents_take_no_step(self):
+        # an empty document has h = 0 and z = 0: it returns the uniform
+        # loss and moves no parameter, with zero slots (L = 0) or padded
+        # beside a longer document
+        rng = np.random.default_rng(8)
+        log2 = float(np.float32(math.log(2.0)))
+        for n_docs in (1, 3):
+            table, weights, _, _, _ = random_batch(rng, n_docs, 5, 4, np.float32)
+            ids = np.zeros((n_docs, 0), dtype=np.int64)
+            share = np.zeros((n_docs, 0), dtype=np.float32)
+            for write in (ids, None):
+                before = table.tobytes(), weights.tobytes()
+                loss = _sgd_step(table, weights, np.arange(n_docs), ids, share,
+                                 rng.integers(0, 2, size=n_docs),
+                                 np.ones(n_docs, dtype=np.float32), write)
+                assert loss.dtype == np.float32 and loss.tolist() == [log2] * n_docs
+                assert (table.tobytes(), weights.tobytes()) == before
+        table, weights, docs, zero, sink = random_batch(rng, 2, 5, 4, np.float32)
+        docs[1] = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.float32))
+        ids, share, write = padded(docs, zero, sink)
+        before = table[5:].tobytes(), weights[1].tobytes()
+        loss = _sgd_step(table, weights, np.arange(2), ids, share, np.array([0, 1]),
+                         np.ones(2, dtype=np.float32), write)
+        assert loss[1] == log2
+        assert (table[5:].tobytes(), weights[1].tobytes()) == before
+
     def test_loss_nonnegative(self):
         # every recorded loss: the initial one from the forward's logits and
         # the running epoch losses from the SGD steps
@@ -462,11 +488,12 @@ class TestTrainSupervised:
         assert len(model.loss_history) == 4
         assert model.loss_history[0] == math.log(2.0)
         assert len(score_calls) == 0  # loss_history[0] takes no forward
-        per_epoch = len(docs) - 2  # the empty documents take no step
+        per_epoch = len(docs)  # the empty documents step too, at the uniform loss
         assert len(steps) == 3 * per_epoch
+        assert steps.count(float(np.float32(math.log(2.0)))) >= 3 * 2
         for epoch in range(3):
             epoch_steps = steps[epoch * per_epoch : (epoch + 1) * per_epoch]
-            expected = (sum(epoch_steps) + 2 * math.log(2.0)) / len(docs)
+            expected = sum(epoch_steps) / per_epoch
             assert model.loss_history[epoch + 1] == pytest.approx(expected, rel=1e-12)
 
     def test_loss_decreases_after_first_epoch(self):

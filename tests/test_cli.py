@@ -226,6 +226,27 @@ class TestPipeline:
                                     f"(got {2**70})"]
         assert not (out / "manifest.tsv").exists()
 
+    @pytest.mark.parametrize("command, line, message", [
+        ("sweep", "sweep.seeds = -1",
+         "sweep.seeds must be a non-empty list of seeds in [0, 2^64) (got (-1,))"),
+        ("train-classifier", f"seed = {2**64}", f"seed must be in [0, 2^64) (got {2**64})"),
+        ("sweep", "sweep.fractions = ,",
+         "sweep.fractions must be a non-empty list of values in (0,1] (got ())"),
+    ])
+    def test_seed_or_sweep_list_out_of_range_exit_one(self, tmp_path, capsys, command, line,
+                                                      message):
+        # a seed the random streams cannot take, or a sweep with no cells,
+        # is a config error before any stage work
+        out = tmp_path / "out"
+        out.mkdir()
+        key = line.split(" =")[0]
+        kept = [k for k in SMALL_SYNTH.splitlines() if k.split(" =")[0] != key]
+        cfg = write_cfg(tmp_path, out, "\n".join(kept + [line, ""]))
+        assert run(command, cfg) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"config error: {message}"]
+        assert not (out / "manifest.tsv").exists()
+
     def test_posts_not_utf8_exit_two(self, tmp_path, capsys):
         out = tmp_path / "out"
         out.mkdir()

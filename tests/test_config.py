@@ -116,6 +116,40 @@ class TestValidation:
         with pytest.raises(ConfigError):
             validate_config(write_config(tmp_path, "sweep.kinds = bogus\n"))
 
+    def test_seeds_fit_the_random_streams(self, tmp_path):
+        # every seed, the stage seed and each sweep seed, must be a u64
+        cfg = validate_config(write_config(
+            tmp_path, f"seed = {2**64 - 1}\nsweep.seeds = 0,{2**64 - 1}\n"))
+        assert cfg.seed == 2**64 - 1 and cfg["sweep.seeds"] == (0, 2**64 - 1)
+        for value in (-1, 2**64):
+            with pytest.raises(ConfigError) as err:
+                validate_config(write_config(tmp_path, f"seed = {value}\n"))
+            assert err.value.errors == [f"seed must be in [0, 2^64) (got {value})"]
+            with pytest.raises(ConfigError) as err:
+                validate_config(write_config(tmp_path, f"sweep.seeds = 1,{value}\n"))
+            assert err.value.errors == [f"sweep.seeds must be a non-empty list of seeds in "
+                                        f"[0, 2^64) (got (1, {value}))"]
+        with pytest.raises(ConfigError) as err:
+            validate_config(write_config(tmp_path, "seed = 4\n"), {"seed": -1})
+        assert err.value.errors == ["seed must be in [0, 2^64) (got -1)"]
+
+    @pytest.mark.parametrize("key", ["sweep.fractions", "sweep.seeds", "sweep.kinds"])
+    @pytest.mark.parametrize("value", ["", ",", " , ,"])
+    def test_empty_sweep_list_rejected(self, tmp_path, key, value):
+        # an empty list would make a sweep with no cells and an empty report
+        with pytest.raises(ConfigError) as err:
+            validate_config(write_config(tmp_path, f"{key} = {value}\n"))
+        assert len(err.value.errors) == 1
+        assert err.value.errors[0].startswith(f"{key} must be a non-empty list of ")
+        assert err.value.errors[0].endswith("(got ())")
+
+    def test_sweep_entries_out_of_range_rejected(self, tmp_path):
+        for line in ("sweep.fractions = 0.5,0\n", "sweep.fractions = 1.5\n",
+                     "sweep.kinds = monolingual,bogus\n"):
+            with pytest.raises(ConfigError) as err:
+                validate_config(write_config(tmp_path, line))
+            assert err.value.errors[0].startswith(line.split(" =")[0] + " must be")
+
     def test_unreadable_file(self, tmp_path):
         with pytest.raises(ConfigError):
             validate_config(tmp_path / "missing.cfg")
