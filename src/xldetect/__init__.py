@@ -58,9 +58,8 @@ from .embedding import (
     train_skipgram,
     word_vector,
 )
-from .external import import_external_features
 from .metrics import ConfusionMatrix, MetricsReport, binary_metrics, confusion
 from .synth import SyntheticConfig, generate_synthetic_bilingual
-from .vocab import SubwordIndex, Vocabulary, build_vocab, hash_subword, input_ids, subwords
+from .vocab import SubwordIndex, Vocabulary, build_vocab, input_ids
 
 __version__ = "0.1.0"

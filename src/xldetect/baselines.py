@@ -5,6 +5,7 @@ descent."""
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -81,10 +82,9 @@ def count_features(
     if not token_docs:
         raise ValueError("empty corpus")
     doc_features = [extract_ngrams(toks, n_lo, n_hi) for toks in token_docs]
-    df: dict[str, int] = {}
+    df: Counter[str] = Counter()
     for feats in doc_features:
-        for f in set(feats):
-            df[f] = df.get(f, 0) + 1
+        df.update(set(feats))
     ranked = sorted(df.items(), key=lambda kv: (-kv[1], kv[0]))[:max_features]
     vocab = FeatureVocabulary(
         [f for f, _ in ranked], [c for _, c in ranked], max_features, len(token_docs)

@@ -214,14 +214,15 @@ def write_bucket_block(fh, bucket_ids: np.ndarray, seed: int | None) -> None:
 
 def read_bucket_block(reader: ArtifactReader, sub: SubwordIndex | None):
     """(stored bucket ids, init seed or None): the ids must be strictly
-    increasing and below the bucket count."""
+    increasing and below both the bucket count and 2^63, since they are
+    read as int64."""
     at = reader.offset
     uniform, seed, count = reader.unpack(_BUCKET_HEAD)
     if uniform > 1 or (not uniform and seed):
         raise FormatError(f"{reader.path}: bad bucket init rule at byte {at}")
     ids = np.frombuffer(reader.take(count * _BUCKET_ID.itemsize), dtype=_BUCKET_ID)
-    buckets = sub.buckets if sub is not None else 0
-    if count and ((ids[1:] <= ids[:-1]).any() or ids[-1] >= buckets):
+    limit = min(sub.buckets, _INT64_LIMIT) if sub is not None else 0
+    if count and ((ids[1:] <= ids[:-1]).any() or ids[-1] >= limit):
         raise FormatError(f"{reader.path}: stored bucket ids are not strictly increasing "
-                          f"below {buckets} at byte {at}")
+                          f"below {limit} at byte {at}")
     return ids.astype(np.int64), (seed if uniform else None)

@@ -3,9 +3,10 @@ table both trainers share.
 
 A word owns a dense vocabulary row; its character n-grams (over the
 boundary-wrapped form "<word>") are hashed into a fixed table of buckets
-so that out-of-vocabulary words still compose a vector. subwords,
-hash_subword and input_ids, one n-gram string at a time, are the spec;
-pipeline stages take the same ids from subword_ids_csr, which builds none.
+so that out-of-vocabulary words still compose a vector. subword_ids_csr
+is the one n-gram hasher: every stage, input_ids included, takes bucket
+ids from it, and it builds no n-gram string. The per-string spec it
+matches bit for bit lives with the tests (tests/subword_spec.py).
 
 A bucket row's initial value is a pure function of (seed, bucket), so an
 InputTable stores only the bucket rows training can touch and derives any
@@ -14,6 +15,7 @@ other from that rule.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable
@@ -24,7 +26,6 @@ from .errors import DataError
 
 FNV_OFFSET_BASIS = 2166136261
 FNV_PRIME = 16777619
-_U32 = 0xFFFFFFFF
 _BLOCK_CHARS = 1 << 15  # hash cells per block of subword_ids_csr
 # splitmix64 (Steele et al. 2014): the stream increment and the two mix multipliers
 _GAMMA = 0x9E3779B97F4A7C15
@@ -32,20 +33,6 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _U64 = (1 << 64) - 1
 _INIT_WORDS = 1 << 18  # 64-bit outputs per block of init_bucket_rows
-
-
-def fnv1a_32(data: bytes) -> int:
-    """FNV-1a 32-bit hash; bit-exact across platforms."""
-    h = FNV_OFFSET_BASIS
-    for byte in data:
-        h = ((h ^ byte) * FNV_PRIME) & _U32
-    return h
-
-
-def hash_subword(ngram: str, buckets: int) -> int:
-    if buckets < 1:
-        raise ValueError(f"buckets must be >= 1, got {buckets}")
-    return fnv1a_32(ngram.encode("utf-8")) % buckets
 
 
 @dataclass(frozen=True)
@@ -87,12 +74,10 @@ class Vocabulary:
 
 def build_vocab(corpus: Iterable[list[str]], min_count: int = 5) -> Vocabulary:
     """Count words over a tokenized corpus and keep those with count >= min_count."""
-    counts: dict[str, int] = {}
-    total = 0
+    counts: Counter[str] = Counter()
     for tokens in corpus:
-        for tok in tokens:
-            counts[tok] = counts.get(tok, 0) + 1
-            total += 1
+        counts.update(tokens)
+    total = counts.total()
     if total == 0:
         raise DataError("empty corpus: no tokens to build a vocabulary from")
     kept = sorted(
@@ -108,49 +93,29 @@ def build_vocab(corpus: Iterable[list[str]], min_count: int = 5) -> Vocabulary:
     return Vocabulary(list(words), list(kept_counts), min_count, total)
 
 
-def subwords(word: str, index: SubwordIndex) -> list[str]:
-    """All character n-grams of length n_min..n_max over the wrapped "<word>".
-
-    "<" and ">" are reserved boundary markers; occurrences inside the word
-    are replaced with "_" before wrapping. For a word of length L this
-    yields sum over n of max(0, L+3-n) n-grams.
-    """
-    if not word:
-        raise ValueError("cannot decompose an empty word")
-    wrapped = "<" + word.replace("<", "_").replace(">", "_") + ">"
-    total = len(wrapped)
-    grams = []
-    for n in range(index.n_min, index.n_max + 1):
-        for i in range(total - n + 1):
-            grams.append(wrapped[i : i + n])
-    return grams
-
-
 def input_ids(word: str, vocab: Vocabulary, index: SubwordIndex | None) -> list[int]:
-    """Row indices contributing to a word's vector.
-
-    In-vocabulary words contribute their word row plus hashed subword
-    rows (offset by |V|); out-of-vocabulary words contribute bucket rows
-    only, and none when the wrapped word is shorter than n_min. Hash
-    collisions are kept, so a bucket can contribute multiply.
-    """
-    ids: list[int] = []
+    """Row indices contributing to a word's vector: its word row when it is
+    in the vocabulary, then, with subwords on, its bucket rows (offset by
+    |V|) in subword_ids_csr order, none when the wrapped word is shorter
+    than n_min. Hash collisions are kept, so a bucket can contribute
+    multiply."""
     wid = vocab.word_to_id.get(word)
-    if wid is not None:
-        ids.append(wid)
-    if index is not None:
-        offset = len(vocab)
-        ids.extend(offset + hash_subword(g, index.buckets) for g in subwords(word, index))
-    return ids
+    if index is None:
+        return [] if wid is None else [wid]
+    first = None if wid is None else np.array([wid])
+    return subword_ids_csr([word], index, len(vocab), first=first)[1].tolist()
 
 
 def subword_ids_csr(
     words: list[str], index: SubwordIndex, offset: int, first: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """CSR (indptr, ids) of every word's bucket rows: word w's row holds
-    offset + hash_subword(g, index.buckets) for g in subwords(w, index), in
-    that order, bit for bit. With first given, each row starts with
-    first[w] (word_rows_csr puts the word's own row there).
+    """CSR (indptr, ids) of every word's bucket rows. Word w is wrapped as
+    "<w>", with "<" and ">" inside it replaced by "_"; its row holds, for
+    each n-gram g of the wrapped form, by length n_min..n_max and then by
+    start, offset + FNV-1a-32(UTF-8 bytes of g) mod index.buckets. A word
+    of L characters has sum over n of max(0, L + 3 - n) n-grams. With first
+    given, each row starts with first[w] (word_rows_csr puts the word's own
+    row there).
 
     No n-gram string is built. FNV-1a streams left to right, so the hash
     of w[i:i+n+1] is one step on from that of w[i:i+n]: one state per
@@ -187,12 +152,12 @@ def subword_ids_csr(
 
 
 def _hash_block(words, lengths, index) -> tuple[np.ndarray, np.ndarray]:
-    """(n-gram counts, bucket ids in subwords() order) of words whose wrapped
+    """(n-gram counts, bucket ids in n-gram order) of words whose wrapped
     forms have lengths characters. Grid cell (k, c) holds the hash of the
     n_min + k characters from character c on; step n takes every start c
     over character c + n - 1, a shifted slice of the bytes, in uint32, which
     wraps as FNV-1a's mod 2^32. An index of runs of cells, one per word and
-    n-gram length, built from the lengths, reads them in subwords() order."""
+    n-gram length, built from the lengths, reads them in n-gram order."""
     rows = min(index.n_max, int(lengths.max())) - index.n_min + 1
     if rows <= 0:  # no word has an n-gram
         return np.zeros(len(words), dtype=np.int64), np.empty(0, dtype=np.int64)
@@ -341,7 +306,10 @@ class InputTable:
         """The position in input_rows of every input id up to the last
         stored bucket, -1 for a bucket not stored, then one -1 for every
         later id: one int32 per id, built on first use. Its size follows
-        the stored ids, not the bucket count a file's head claims."""
+        the stored ids, not the bucket count a file's head claims. A
+        searchsorted lookup on bucket_ids in its place was slower and took
+        more memory on the subword-scoring benchmark, so large bucket
+        counts are to be bounded instead."""
         nwords = len(self.vocab)
         top = int(self.bucket_ids[-1]) + 1 if len(self.bucket_ids) else 0
         slots = np.full(nwords + top + 1, -1, dtype=np.int32)

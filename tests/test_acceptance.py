@@ -43,7 +43,7 @@ from xldetect.embedding import (
 from xldetect.metrics import binary_metrics, confusion, f1_from_pr
 from xldetect.report import Report, parse_report, serialize_report
 from xldetect.synth import SyntheticConfig, generate_synthetic_bilingual
-from xldetect.vocab import SubwordIndex, subwords
+from xldetect.vocab import SubwordIndex, subword_ids_csr
 
 
 def verdict(number: int, ok: bool, detail: str) -> None:
@@ -343,15 +343,14 @@ def test_criterion_04b_low_resource_row_is_inconsistent():
 
 
 def test_criterion_05_subword_and_ngram_oracles():
-    # closed-form subword count for every word length 1..20
+    # closed-form subword count for every word length 1..20, read from the
+    # row lengths of the n-gram kernel every stage hashes with
     ok = True
-    for length in range(1, 21):
-        word = "ab" * 10
-        word = word[:length]
-        for n_min, n_max in [(3, 6), (2, 4), (1, 7)]:
-            idx = SubwordIndex(n_min, n_max, 17)
-            expected = sum(max(0, length + 3 - n) for n in range(n_min, n_max + 1))
-            ok = ok and len(subwords(word, idx)) == expected
+    words = [("ab" * 10)[:length] for length in range(1, 21)]
+    for n_min, n_max in [(3, 6), (2, 4), (1, 7)]:
+        indptr, _ = subword_ids_csr(words, SubwordIndex(n_min, n_max, 17), 0)
+        expected = [sum(max(0, len(w) + 3 - n) for n in range(n_min, n_max + 1)) for w in words]
+        ok = ok and np.diff(indptr).tolist() == expected
     # n-gram extraction vs brute force for all document lengths <= 8
     for t in range(0, 9):
         tokens = [f"t{i}" for i in range(t)]

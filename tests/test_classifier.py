@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from subword_spec import input_ids
 import xldetect.classifier as clf_module
 from xldetect.classifier import (
     SupervisedConfig,
@@ -23,7 +24,7 @@ from xldetect.classifier import (
 from xldetect.corpus import LABEL_NAMES, AccountDocument, tokenize
 from xldetect.embedding import VectorTable
 from xldetect.errors import DataError, FormatError, TrainingError
-from xldetect.vocab import SubwordIndex, build_vocab, input_ids, subword_ids_csr
+from xldetect.vocab import SubwordIndex, build_vocab, subword_ids_csr
 
 
 def toy_docs(n_per_class=20):
@@ -80,7 +81,7 @@ class TestDocEmbedding:
 
 
 def doc_rows_reference(tokens, model):
-    """Every token's input_ids, merged by np.unique: the rows and
+    """Every token's spec input_ids, merged by np.unique: the rows and
     multiplicities doc_batch must yield without its word-row CSR."""
     ids = [i for tok in tokens for i in input_ids(tok, model.vocab, model.subwords)]
     uniq, counts = np.unique(np.asarray(ids, dtype=np.int64), return_counts=True)

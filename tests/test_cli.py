@@ -1,7 +1,10 @@
 """End-to-end pipeline tests through the command-line interface."""
 
+import struct
+
 import pytest
 
+from xldetect.classifier import load_classifier
 from xldetect.cli import main
 from xldetect.report import read_report
 
@@ -225,6 +228,35 @@ class TestPipeline:
         assert err.splitlines() == [f"config error: classifier.buckets must be in [1, 2^64) "
                                     f"(got {2**70})"]
         assert not (out / "manifest.tsv").exists()
+
+    def test_stored_bucket_id_beyond_int64_exit_two(self, tmp_path, capsys):
+        # a damaged head count of 2^64 - 1 admits a stored id of 2^63 + 5,
+        # which int64 cannot hold: the loader rejects it, not row_slots
+        out = tmp_path / "out"
+        out.mkdir()
+        docs = "".join(f"u{i}\t{i % 2}\talpha beta gamma\n" for i in range(10))
+        (out / "target_documents.tsv").write_text(docs, encoding="utf-8")
+        text = SMALL_SYNTH.replace("classifier.subwords = false", "classifier.subwords = true")
+        cfg = write_cfg(tmp_path, out, text + "classifier.buckets = 50\n")
+        assert run("train-classifier", cfg) == 0
+        path = out / "classifier.bin"
+        model = load_classifier(path)
+        ids, sub = model.bucket_ids.tolist(), model.subwords
+
+        def bucket_block(ids):
+            return struct.pack("<BQQ", 1, model.bucket_seed, len(ids)) + struct.pack(
+                f"<{len(ids)}Q", *ids)
+
+        def head(buckets):
+            return struct.pack("<IIQII", model.dim, len(model.vocab), buckets, sub.n_min, sub.n_max)
+
+        data = path.read_bytes().replace(head(sub.buckets), head(2**64 - 1), 1)
+        path.write_bytes(data.replace(bucket_block(ids), bucket_block(ids[:-1] + [2**63 + 5]), 1))
+        assert run("evaluate", cfg) == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and "classifier.bin: stored bucket ids" in errors[0]
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("command, line, message", [
         ("sweep", "sweep.seeds = -1",

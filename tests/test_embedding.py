@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from subword_spec import input_ids
 from xldetect.embedding import (
     AliasSampler,
     EmbeddingMatrix,
@@ -25,7 +26,7 @@ from xldetect.embedding import (
     word_vector,
 )
 from xldetect.errors import FormatError
-from xldetect.vocab import SubwordIndex, build_vocab, input_ids, word_rows_csr
+from xldetect.vocab import SubwordIndex, build_vocab, word_rows_csr
 
 
 def cluster_corpus(reps=30):

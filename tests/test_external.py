@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from xldetect.errors import FormatError
-from xldetect.external import import_external_features, save_external_features
+from xldetect.embedding import load_vectors
+from xldetect.external import save_external_features
 
 
 class TestFeatureFile:
@@ -12,18 +13,18 @@ class TestFeatureFile:
         matrix = rng.standard_normal((6, 4))
         path = tmp_path / "features.txt"
         save_external_features(ids, matrix, path)
-        got_ids, got = import_external_features(path)
-        assert got_ids == ids
-        assert (got == matrix).all()
+        got = load_vectors(path)
+        assert got.words == ids
+        assert (got.vectors == matrix).all()
 
     def test_header_mismatch(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("3 2\nd0 1 2\nd1 3 4\n", encoding="utf-8")
         with pytest.raises(FormatError):
-            import_external_features(path)
+            load_vectors(path)
 
     def test_dim_mismatch_line(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("1 3\nd0 1 2\n", encoding="utf-8")
         with pytest.raises(FormatError):
-            import_external_features(path)
+            load_vectors(path)

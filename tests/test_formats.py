@@ -62,7 +62,7 @@ def write_classifier(path, rng):
 # (name, writer, loader, accepted exceptions, what follows the path in a FormatError)
 FORMATS = [
     ("vectors", write_vectors, emb.load_vectors, (FormatError,), r":\d+: "),
-    ("features", write_features, ext.import_external_features, (FormatError,), r":\d+: "),
+    ("features", write_features, emb.load_vectors, (FormatError,), r":\d+: "),
     ("map", write_map, al.load_map, (FormatError, AlignmentError), r":\d+: "),
     ("feats", write_feats, bl.load_feature_vocab, (FormatError,), r":\d+: "),
     ("xlemb2", write_checkpoint, emb.load_checkpoint, (FormatError,), r": "),
@@ -136,3 +136,12 @@ def test_bad_stored_bucket_ids_rejected(tmp_path, name, write, load, save):
         damaged.write_bytes(data[:at] + bad + rest)
         with pytest.raises(FormatError, match=re.escape(str(damaged)) + ": "):
             load(damaged)
+    # below a head count of 2^64 - 1, but beyond int64, which ids are read as
+    sub = model.subwords
+    head = struct.pack("<IIQII", model.dim, len(model.vocab), buckets, sub.n_min, sub.n_max)
+    huge = struct.pack("<IIQII", model.dim, len(model.vocab), 2**64 - 1, sub.n_min, sub.n_max)
+    assert data.index(head) == 6  # right after the magic
+    damaged.write_bytes(
+        (data[:at] + block((1, seed), ids[:-1] + [2**63 + 5]) + rest).replace(head, huge, 1))
+    with pytest.raises(FormatError, match=re.escape(str(damaged)) + rf": .* at byte {at}$"):
+        load(damaged)

@@ -4,18 +4,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from subword_spec import fnv1a_32, hash_subword, input_ids as spec_input_ids, subwords
 from xldetect import vocab as vocab_module
 
 from xldetect.vocab import (
     SubwordIndex,
     build_vocab,
-    fnv1a_32,
-    hash_subword,
     init_bucket_rows,
     init_input_rows,
     input_ids,
     subword_ids_csr,
-    subwords,
     word_rows_csr,
 )
 
@@ -126,8 +124,9 @@ class TestInputIds:
         ids = input_ids("hello", self.vocab, self.idx)
         k = len(subwords("hello", self.idx))
         assert len(ids) == k + 1
-        assert ids[0] < len(self.vocab)
+        assert ids[0] == self.vocab.word_to_id["hello"]
         assert all(i >= len(self.vocab) for i in ids[1:])
+        assert input_ids("hello", self.vocab, None) == [ids[0]]
 
     def test_oov_word_buckets_only(self):
         ids = input_ids("unseen", self.vocab, self.idx)
@@ -208,7 +207,7 @@ class TestSubwordIdsCsr:
         vocab = build_vocab([self.WORDS], min_count=1)
         indptr, flat = word_rows_csr(vocab, index)
         for w, word in enumerate(vocab.words):
-            assert flat[indptr[w] : indptr[w + 1]].tolist() == input_ids(word, vocab, index)
+            assert flat[indptr[w] : indptr[w + 1]].tolist() == spec_input_ids(word, vocab, index)
 
     def test_empty_word_rejected(self):
         for words in ([""], ["abc", ""]):
@@ -236,6 +235,11 @@ class TestSubwordIdsCsr:
             monkeypatch.setattr(vocab_module, "_BLOCK_CHARS", block)
         rng = np.random.default_rng(block or 0)
         words = self.random_words(rng, 150)
+        # input_ids' vocabulary holds the first 100 words and two short
+        # ones, so it sees in-vocabulary and out-of-vocabulary words, and
+        # words with no n-gram at n_min = 6 on both sides
+        short = ["q", "ñ", "日本", "😀", "<"]
+        full, vocab = (build_vocab([ws], min_count=1) for ws in (words, words[:100] + short[:2]))
         for index in (
             SubwordIndex(3, 6, 2_000_000),
             SubwordIndex(3, 6, 16),
@@ -246,10 +250,11 @@ class TestSubwordIdsCsr:
             SubwordIndex(1, 40, 2**64 - 1),  # every bucket id is the raw hash
         ):
             self.check(words, index, 5)
-            vocab = build_vocab([words], min_count=1)
-            indptr, flat = word_rows_csr(vocab, index)
-            for w, word in enumerate(vocab.words):
-                assert flat[indptr[w] : indptr[w + 1]].tolist() == input_ids(word, vocab, index)
+            indptr, flat = word_rows_csr(full, index)
+            for w, word in enumerate(full.words):
+                assert flat[indptr[w] : indptr[w + 1]].tolist() == spec_input_ids(word, full, index)
+            for word in words + short:
+                assert input_ids(word, vocab, index) == spec_input_ids(word, vocab, index)
 
     def test_block_memory_does_not_grow_with_ngram_range(self, monkeypatch):
         # a block's cells are (characters x n-gram lengths), so blocks
