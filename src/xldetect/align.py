@@ -202,7 +202,7 @@ def refine(
     """
     x, y = _dictionary_matrices(seed_dict, source, target)
     omap = procrustes(x, y)
-    _log_eval(omap, source, target, eval_dict, 0)
+    _log_eval(omap, source, target, eval_dict, 0, csls_k)
     for it in range(1, iterations + 1):
         try:
             induced = induce_dictionary(
@@ -212,14 +212,14 @@ def refine(
             omap = procrustes(x, y)
         except AlignmentError as exc:
             raise AlignmentError(f"refinement iteration {it}: {exc}") from exc
-        _log_eval(omap, source, target, eval_dict, it)
+        _log_eval(omap, source, target, eval_dict, it, csls_k)
     return omap
 
 
-def _log_eval(omap, source, target, eval_dict, iteration):
+def _log_eval(omap, source, target, eval_dict, iteration, csls_k):
     if eval_dict is None:
         return
-    p1 = evaluate_translation(omap, source, target, eval_dict, k=1)
+    p1 = evaluate_translation(omap, source, target, eval_dict, k=1, csls_k=csls_k)
     logger.info("refinement iteration %d: precision@1 = %.4f", iteration, p1)
 
 

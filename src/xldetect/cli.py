@@ -1,7 +1,9 @@
 """Command-line pipeline: each stage consumes prior artifacts by path and
 returns its (inputs, outputs); ``main`` times it and appends a manifest
 line, so any stage can be re-run from its recorded config and seed.
-Re-runs with the same config and seed are byte-identical."""
+Re-runs with the same config and seed are byte-identical. Every path a
+config names, input or output, is ``Path(out_dir) / value``: a relative
+path lies in the run directory and an absolute one stays as it is."""
 
 from __future__ import annotations
 
@@ -29,20 +31,13 @@ from .vocab import SubwordIndex
 logger = logging.getLogger(__name__)
 
 
-def _require_key(cfg: PipelineConfig, key: str) -> str:
-    value = cfg[key]
-    if not value:
+def _input(cfg: PipelineConfig, key: str, produced_by: str) -> Path:
+    if not cfg[key]:
         raise ConfigError([f"{key} must be set for this command"])
-    return value
-
-
-def _require_file(path: str, produced_by: str) -> Path:
-    p = Path(path)
-    if not p.exists():
-        raise DependencyError(
-            f"missing artifact {path!r}; run '{produced_by}' first"
-        )
-    return p
+    path = Path(cfg.out_dir) / cfg[key]
+    if not path.exists():
+        raise DependencyError(f"missing artifact {str(path)!r}; run '{produced_by}' first")
+    return path
 
 
 def _out_path(cfg: PipelineConfig, key: str) -> Path:
@@ -128,8 +123,8 @@ def _split_docs(cfg: PipelineConfig, docs):
 
 
 def cmd_ingest(cfg: PipelineConfig) -> tuple[list[Path], list[Path]]:
-    posts_path = _require_file(_require_key(cfg, "ingest.posts"), "the data producer")
-    status_path = _require_file(_require_key(cfg, "ingest.statuses"), "the data producer")
+    posts_path = _input(cfg, "ingest.posts", "the data producer")
+    status_path = _input(cfg, "ingest.statuses", "the data producer")
     result = cp.ingest_posts(posts_path)
     records = result.records
     if cfg["ingest.language"]:
@@ -146,7 +141,7 @@ def cmd_ingest(cfg: PipelineConfig) -> tuple[list[Path], list[Path]]:
 
 
 def cmd_train_embeddings(cfg: PipelineConfig) -> tuple[list[Path], list[Path]]:
-    corpus_path = _require_file(_require_key(cfg, "embedding.corpus"), "ingest or synth")
+    corpus_path = _input(cfg, "embedding.corpus", "ingest or synth")
     documents = cp.read_documents(corpus_path)
     sentences = [cp.tokenize(d.text) for d in documents]
     model = emb.train_skipgram(sentences, _skipgram_config(cfg))
@@ -159,16 +154,16 @@ def cmd_train_embeddings(cfg: PipelineConfig) -> tuple[list[Path], list[Path]]:
 
 
 def cmd_align(cfg: PipelineConfig) -> tuple[list[Path], list[Path]]:
-    src_path = _require_file(_require_key(cfg, "align.source_vectors"), "train-embeddings")
-    tgt_path = _require_file(_require_key(cfg, "align.target_vectors"), "train-embeddings")
-    dict_path = _require_file(_require_key(cfg, "align.train_dict"), "the dictionary producer")
+    src_path = _input(cfg, "align.source_vectors", "train-embeddings")
+    tgt_path = _input(cfg, "align.target_vectors", "train-embeddings")
+    dict_path = _input(cfg, "align.train_dict", "the dictionary producer")
     source = emb.load_vectors(src_path)
     target = emb.load_vectors(tgt_path)
     train_dict = al.load_dictionary(dict_path, role="train")
     eval_dict = None
     if cfg["align.eval_dict"]:
         eval_dict = al.load_dictionary(
-            _require_file(cfg["align.eval_dict"], "the dictionary producer"), role="eval"
+            _input(cfg, "align.eval_dict", "the dictionary producer"), role="eval"
         )
     omap = al.refine(
         source, target, train_dict,
@@ -185,13 +180,13 @@ def cmd_align(cfg: PipelineConfig) -> tuple[list[Path], list[Path]]:
 
 
 def cmd_train_classifier(cfg: PipelineConfig) -> tuple[list[Path], list[Path]]:
-    docs_path = _require_file(_require_key(cfg, "classifier.docs"), "ingest or synth")
+    docs_path = _input(cfg, "classifier.docs", "ingest or synth")
     documents = cp.read_documents(docs_path)
     train_docs, _ = _split_docs(cfg, documents)
     pretrained = None
     inputs = [docs_path]
     if cfg["classifier.pretrained"]:
-        pre_path = _require_file(cfg["classifier.pretrained"], "align or train-embeddings")
+        pre_path = _input(cfg, "classifier.pretrained", "align or train-embeddings")
         pretrained = emb.load_vectors(pre_path, expect_dim=cfg["classifier.dim"])
         inputs.append(pre_path)
     model = clf.train_supervised(train_docs, _supervised_config(cfg, pretrained))
@@ -205,8 +200,8 @@ def cmd_train_classifier(cfg: PipelineConfig) -> tuple[list[Path], list[Path]]:
 
 
 def cmd_evaluate(cfg: PipelineConfig) -> tuple[list[Path], list[Path]]:
-    model_path = _require_file(_require_key(cfg, "evaluate.model"), "train-classifier")
-    docs_path = _require_file(_require_key(cfg, "evaluate.docs"), "ingest or synth")
+    model_path = _input(cfg, "classifier.out_model", "train-classifier")
+    docs_path = _input(cfg, "evaluate.docs", "ingest or synth")
     model = clf.load_classifier(model_path)
     documents = cp.read_documents(docs_path)
     _, test_docs = _split_docs(cfg, documents)
@@ -231,7 +226,7 @@ def _baseline_weights(kind, vocab, counts, token_docs):
 
 
 def cmd_baseline(cfg: PipelineConfig) -> tuple[list[Path], list[Path]]:
-    docs_path = _require_file(_require_key(cfg, "baseline.docs"), "ingest or synth")
+    docs_path = _input(cfg, "baseline.docs", "ingest or synth")
     documents = cp.read_documents(docs_path)
     train_docs, test_docs = _split_docs(cfg, documents)
     train_tokens = [cp.tokenize(d.text) for d in train_docs]
@@ -270,14 +265,14 @@ def cmd_baseline(cfg: PipelineConfig) -> tuple[list[Path], list[Path]]:
 
 
 def cmd_sweep(cfg: PipelineConfig) -> tuple[list[Path], list[Path]]:
-    docs_path = _require_file(_require_key(cfg, "sweep.docs"), "ingest or synth")
+    docs_path = _input(cfg, "sweep.docs", "ingest or synth")
     documents = cp.read_documents(docs_path)
     train_docs, test_docs = _split_docs(cfg, documents)
     kinds = cfg["sweep.kinds"]
     pretrained = None
     inputs = [docs_path]
     if "transfer" in kinds:
-        pre_path = _require_file(_require_key(cfg, "sweep.pretrained"), "align")
+        pre_path = _input(cfg, "classifier.pretrained", "align")
         pretrained = emb.load_vectors(pre_path, expect_dim=cfg["classifier.dim"])
         inputs.append(pre_path)
     points = cv.learning_curve(
@@ -320,8 +315,8 @@ def cmd_sweep(cfg: PipelineConfig) -> tuple[list[Path], list[Path]]:
 
 
 def cmd_export_vectors(cfg: PipelineConfig) -> tuple[list[Path], list[Path]]:
-    model_path = _require_file(_require_key(cfg, "export.model"), "train-classifier")
-    docs_path = _require_file(_require_key(cfg, "export.docs"), "ingest or synth")
+    model_path = _input(cfg, "classifier.out_model", "train-classifier")
+    docs_path = _input(cfg, "export.docs", "ingest or synth")
     model = clf.load_classifier(model_path)
     documents = cp.read_documents(docs_path)
     if not documents:

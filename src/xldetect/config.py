@@ -13,6 +13,7 @@ from pathlib import Path
 
 from . import formats
 from .errors import ConfigError, FormatError
+from .vocab import MAX_BUCKETS
 
 _BASELINE_KINDS = ("bow", "bow_tfidf", "ngrams", "ngrams_tfidf")
 _SWEEP_KINDS = ("monolingual", "transfer")
@@ -31,8 +32,7 @@ def _at_least(key, lo):
 
 
 def _buckets(key):
-    # model files hold the bucket count as a u64
-    return (lambda v: 1 <= v < 1 << 64, f"{key} must be in [1, 2^64)")
+    return (lambda v: 1 <= v <= MAX_BUCKETS, f"{key} must be in [1, 2^24]")
 
 
 def _u64(v):
@@ -120,12 +120,10 @@ SCHEMA: dict[str, tuple] = {
     "baseline.out_report": ("str", "baseline_report.txt", None),
     "baseline.out_features": ("str", "features.tsv", None),
 
-    "evaluate.model": ("str", "", None),
     "evaluate.docs": ("str", "", None),
     "evaluate.out_report": ("str", "eval_report.txt", None),
 
     "sweep.docs": ("str", "", None),
-    "sweep.pretrained": ("str", "", None),
     "sweep.fractions": ("floats", (0.1, 0.2, 0.3, 0.5, 0.7, 1.0),
                         _entries("sweep.fractions", lambda f: 0.0 < f <= 1.0, "values in (0,1]")),
     "sweep.seeds": ("ints", (1, 2, 3), _entries("sweep.seeds", _u64, "seeds in [0, 2^64)")),
@@ -135,7 +133,6 @@ SCHEMA: dict[str, tuple] = {
     "sweep.out_report": ("str", "sweep_report.txt", None),
     "sweep.out_csv": ("str", "curve.csv", None),
 
-    "export.model": ("str", "", None),
     "export.docs": ("str", "", None),
     "export.out": ("str", "doc_vectors.txt", None),
 

@@ -180,9 +180,10 @@ def read_model_head(reader: ArtifactReader, magic: bytes, what: str):
     dim, nwords, buckets, n_min, n_max = reader.unpack(_MODEL_HEAD)
     if buckets == 0:
         return dim, nwords, None
-    if not 1 <= n_min <= n_max:
-        raise FormatError(f"{reader.path}: bad n-gram range {n_min}..{n_max} at byte {len(magic)}")
-    return dim, nwords, SubwordIndex(n_min, n_max, buckets)
+    try:
+        return dim, nwords, SubwordIndex(n_min, n_max, buckets)
+    except ValueError as exc:
+        raise FormatError(f"{reader.path}: bad subword head at byte {len(magic)}: {exc}") from None
 
 
 def write_vocab_block(fh, vocab: Vocabulary) -> None:
@@ -214,14 +215,13 @@ def write_bucket_block(fh, bucket_ids: np.ndarray, seed: int | None) -> None:
 
 def read_bucket_block(reader: ArtifactReader, sub: SubwordIndex | None):
     """(stored bucket ids, init seed or None): the ids must be strictly
-    increasing and below both the bucket count and 2^63, since they are
-    read as int64."""
+    increasing and below the bucket count."""
     at = reader.offset
     uniform, seed, count = reader.unpack(_BUCKET_HEAD)
     if uniform > 1 or (not uniform and seed):
         raise FormatError(f"{reader.path}: bad bucket init rule at byte {at}")
     ids = np.frombuffer(reader.take(count * _BUCKET_ID.itemsize), dtype=_BUCKET_ID)
-    limit = min(sub.buckets, _INT64_LIMIT) if sub is not None else 0
+    limit = sub.buckets if sub is not None else 0
     if count and ((ids[1:] <= ids[:-1]).any() or ids[-1] >= limit):
         raise FormatError(f"{reader.path}: stored bucket ids are not strictly increasing "
                           f"below {limit} at byte {at}")

@@ -33,6 +33,8 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _U64 = (1 << 64) - 1
 _INIT_WORDS = 1 << 18  # 64-bit outputs per block of init_bucket_rows
+# 8x fastText's 2M default; bounds InputTable.row_slots at 64 MiB of int32
+MAX_BUCKETS = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -47,8 +49,8 @@ class SubwordIndex:
     def __post_init__(self):
         if not 1 <= self.n_min <= self.n_max:
             raise ValueError(f"need 1 <= n_min <= n_max, got {self.n_min}..{self.n_max}")
-        if not 1 <= self.buckets <= _U64:  # model files hold the count as a u64
-            raise ValueError(f"buckets must be in [1, 2^64), got {self.buckets}")
+        if not 1 <= self.buckets <= MAX_BUCKETS:
+            raise ValueError(f"buckets must be in [1, 2^24], got {self.buckets}")
 
 
 class Vocabulary:
@@ -185,7 +187,7 @@ def _hash_block(words, lengths, index) -> tuple[np.ndarray, np.ndarray]:
     shift = (lengths.cumsum() - lengths)[:, None] + k * chars  # each run's first cell,
     shift -= runs.cumsum().reshape(runs.shape) - runs  # less its first id's position
     cell = shift.ravel().repeat(runs.ravel()) + np.arange(runs.sum())
-    return runs.sum(axis=1), grid.take(cell) % np.int64(min(index.buckets, 1 << 32))
+    return runs.sum(axis=1), grid.take(cell) % np.int64(index.buckets)
 
 
 def word_rows_csr(
@@ -308,8 +310,8 @@ class InputTable:
         later id: one int32 per id, built on first use. Its size follows
         the stored ids, not the bucket count a file's head claims. A
         searchsorted lookup on bucket_ids in its place was slower and took
-        more memory on the subword-scoring benchmark, so large bucket
-        counts are to be bounded instead."""
+        more memory on the subword-scoring benchmark, so bucket counts are
+        bounded by MAX_BUCKETS instead."""
         nwords = len(self.vocab)
         top = int(self.bucket_ids[-1]) + 1 if len(self.bucket_ids) else 0
         slots = np.full(nwords + top + 1, -1, dtype=np.int32)

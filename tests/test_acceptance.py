@@ -491,11 +491,9 @@ classifier.docs = {out}/target_documents.tsv
 classifier.dim = 16
 classifier.epochs = 10
 classifier.subwords = false
-evaluate.model = {out}/classifier.bin
 evaluate.docs = {out}/target_documents.tsv
 sweep.docs = {out}/target_documents.tsv
 sweep.kinds = monolingual
-export.model = {out}/classifier.bin
 export.docs = {out}/target_documents.tsv
 """.format(out=tmp_path / "out")
     cfg = tmp_path / "pipeline.cfg"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from xldetect import align as align_module
 from xldetect.align import (
     BilingualDictionary,
     OrthogonalMap,
@@ -264,6 +265,21 @@ class TestRefine:
         seed_dict = BilingualDictionary(truth[:50])
         w = refine(src, tgt, seed_dict, iterations=3, top_k_vocab=100)
         assert np.linalg.norm(w.w - q) <= 1e-6
+
+    def test_logged_precision_uses_csls_k(self, monkeypatch):
+        # the p@1 logged per iteration scores with the same CSLS k as induction
+        src, tgt, _, truth = twin_tables(n=60, d=6, seed=15)
+        seen = []
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs.get("csls_k"))
+            return evaluate_translation(*args, **kwargs)
+
+        monkeypatch.setattr(align_module, "evaluate_translation", spy)
+        eval_dict = BilingualDictionary(truth[30:], role="eval")
+        refine(src, tgt, BilingualDictionary(truth[:30]), iterations=2, eval_dict=eval_dict,
+               csls_k=3)
+        assert seen == [3, 3, 3]
 
     def test_empty_seed_dictionary(self):
         src, tgt, _, _ = twin_tables()

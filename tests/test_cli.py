@@ -1,12 +1,16 @@
 """End-to-end pipeline tests through the command-line interface."""
 
 import struct
+from pathlib import Path
 
 import pytest
 
 from xldetect.classifier import load_classifier
 from xldetect.cli import main
 from xldetect.report import read_report
+
+REPO = Path(__file__).resolve().parent.parent
+DEMO = REPO / "configs" / "demo.cfg"
 
 SMALL_SYNTH = """
 seed = 5
@@ -36,7 +40,6 @@ classifier.dim = 24
 classifier.epochs = 10
 classifier.subwords = false
 classifier.out_model = classifier.bin
-evaluate.model = {out}/classifier.bin
 evaluate.docs = {out}/target_documents.tsv
 baseline.docs = {out}/target_documents.tsv
 baseline.kind = bow_tfidf
@@ -45,7 +48,6 @@ sweep.docs = {out}/target_documents.tsv
 sweep.fractions = 0.5,1.0
 sweep.seeds = 1,2
 sweep.kinds = monolingual
-export.model = {out}/classifier.bin
 export.docs = {out}/target_documents.tsv
 """
 
@@ -215,8 +217,8 @@ class TestPipeline:
         assert "Traceback" not in err
 
     def test_bucket_count_beyond_u64_exit_one(self, tmp_path, capsys):
-        # a count the model head cannot hold is a config error, not an
-        # overflow in the n-gram hashing kernel
+        # a count beyond MAX_BUCKETS is a config error, not an overflow in
+        # the n-gram hashing kernel or a huge slot map
         out = tmp_path / "out"
         out.mkdir()
         docs = "".join(f"u{i}\t{i % 2}\talpha beta gamma\n" for i in range(10))
@@ -225,13 +227,14 @@ class TestPipeline:
         cfg = write_cfg(tmp_path, out, text + f"classifier.buckets = {2**70}\n")
         assert run("train-classifier", cfg) == 1
         err = capsys.readouterr().err
-        assert err.splitlines() == [f"config error: classifier.buckets must be in [1, 2^64) "
+        assert err.splitlines() == [f"config error: classifier.buckets must be in [1, 2^24] "
                                     f"(got {2**70})"]
         assert not (out / "manifest.tsv").exists()
 
     def test_stored_bucket_id_beyond_int64_exit_two(self, tmp_path, capsys):
-        # a damaged head count of 2^64 - 1 admits a stored id of 2^63 + 5,
-        # which int64 cannot hold: the loader rejects it, not row_slots
+        # a stored id of 2^63 + 5, which int64 cannot hold, under a damaged
+        # head count of 2^64 - 1: the loader rejects the head, before
+        # row_slots could size a slot map by the id
         out = tmp_path / "out"
         out.mkdir()
         docs = "".join(f"u{i}\t{i % 2}\talpha beta gamma\n" for i in range(10))
@@ -255,7 +258,7 @@ class TestPipeline:
         assert run("evaluate", cfg) == 2
         err = capsys.readouterr().err
         errors = [line for line in err.splitlines() if line.startswith("error:")]
-        assert len(errors) == 1 and "classifier.bin: stored bucket ids" in errors[0]
+        assert len(errors) == 1 and "classifier.bin: bad subword head at byte 6" in errors[0]
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("command, line, message", [
@@ -371,6 +374,60 @@ class TestPipeline:
         # wherever the split puts the empty document, the stage succeeds
         for seed in range(1, 6):
             assert run("baseline", cfg, "--seed", str(seed)) == 0
+
+
+    @pytest.mark.parametrize("command, key", [
+        ("evaluate", "evaluate.model"),
+        ("export-vectors", "export.model"),
+        ("sweep", "sweep.pretrained"),
+    ])
+    def test_restated_artifact_key_is_unknown(self, tmp_path, capsys, command, key):
+        # evaluate and export-vectors read classifier.out_model, and the
+        # transfer sweep classifier.pretrained; no key restates them
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path, out, SMALL_SYNTH + f"{key} = x\n")
+        assert run(command, cfg) == 1
+        errors = capsys.readouterr().err.splitlines()
+        assert len(errors) == 1 and errors[0].startswith("config error: line ")
+        assert errors[0].endswith(f"unknown key {key!r}")
+        assert not out.exists()
+
+    def test_transfer_sweep_needs_classifier_pretrained(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        docs = "".join(f"u{i}\t{i % 2}\talpha beta gamma\n" for i in range(10))
+        (out / "target_documents.tsv").write_text(docs, encoding="utf-8")
+        cfg = write_cfg(tmp_path, out, SMALL_SYNTH.replace(
+            "sweep.kinds = monolingual", "sweep.kinds = monolingual,transfer"))
+        assert run("sweep", cfg) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "config error: classifier.pretrained must be set for this command"]
+        assert not (out / "manifest.tsv").exists()
+
+
+class TestRunDirectory:
+    def test_demo_with_out_reads_only_its_own_run(self, tmp_path, monkeypatch):
+        # the nine commands in demo.cfg's header, run with --out from a
+        # directory without demo_out/: every input a stage reads, and every
+        # output it writes, lies under the --out directory
+        commands = [line.split()[2:] for line in DEMO.read_text(encoding="utf-8").splitlines()
+                    if line.startswith("#   xldetect ")]
+        assert [c[0] for c in commands] == [
+            "synth", "train-embeddings", "train-embeddings", "align", "train-classifier",
+            "evaluate", "sweep", "baseline", "export-vectors"]
+        cwd, out = tmp_path / "cwd", tmp_path / "run"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        for command, flag, config in commands:
+            assert main([command, flag, str(REPO / config), "--out", str(out)]) == 0, command
+        assert list(cwd.iterdir()) == []
+        rows = [line.split("\t") for line in
+                (out / "manifest.tsv").read_text(encoding="utf-8").splitlines()[1:]]
+        assert [row[0] for row in rows] == [c[0] for c in commands]
+        paths = [p for row in rows for p in row[4].split(";") + row[5].split(";") if p]
+        assert len(paths) == 30  # 14 inputs, 16 outputs
+        assert all(Path(p).parent == out for p in paths), paths
 
 
 class TestReproducibility:

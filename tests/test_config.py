@@ -2,6 +2,7 @@ import pytest
 
 from xldetect.config import SCHEMA, validate_config
 from xldetect.errors import ConfigError
+from xldetect.vocab import MAX_BUCKETS
 
 
 def write_config(tmp_path, text):
@@ -56,14 +57,14 @@ class TestValidation:
         assert any("synth.label_noise" in e for e in err.value.errors)
 
     def test_bucket_count_fits_the_model_head(self, tmp_path):
-        # model files hold the bucket count as a u64
+        # config admits exactly the bucket counts a model head loads with
         for prefix in ("embedding", "classifier"):
-            cfg = validate_config(write_config(tmp_path, f"{prefix}.buckets = {2**64 - 1}\n"))
-            assert cfg[f"{prefix}.buckets"] == 2**64 - 1
-            for value in (0, 2**64, 2**70):
+            cfg = validate_config(write_config(tmp_path, f"{prefix}.buckets = {MAX_BUCKETS}\n"))
+            assert cfg[f"{prefix}.buckets"] == MAX_BUCKETS
+            for value in (0, MAX_BUCKETS + 1, 2**64 - 1, 2**70):
                 with pytest.raises(ConfigError) as err:
                     validate_config(write_config(tmp_path, f"{prefix}.buckets = {value}\n"))
-                assert err.value.errors == [f"{prefix}.buckets must be in [1, 2^64) (got {value})"]
+                assert err.value.errors == [f"{prefix}.buckets must be in [1, 2^24] (got {value})"]
 
     def test_unknown_key_listed(self, tmp_path):
         # workers was a key once; training now has a single path

@@ -15,7 +15,7 @@ from xldetect import embedding as emb
 from xldetect import external as ext
 from xldetect.corpus import AccountDocument
 from xldetect.errors import AlignmentError, FormatError
-from xldetect.vocab import SubwordIndex
+from xldetect.vocab import MAX_BUCKETS, SubwordIndex
 
 
 def _values(rng, shape):
@@ -136,12 +136,23 @@ def test_bad_stored_bucket_ids_rejected(tmp_path, name, write, load, save):
         damaged.write_bytes(data[:at] + bad + rest)
         with pytest.raises(FormatError, match=re.escape(str(damaged)) + ": "):
             load(damaged)
-    # below a head count of 2^64 - 1, but beyond int64, which ids are read as
+    # a head whose bucket count is beyond MAX_BUCKETS, or whose n-gram range
+    # is empty, is rejected at the head; a count at the bound loads, and
+    # bounds the stored ids
     sub = model.subwords
-    head = struct.pack("<IIQII", model.dim, len(model.vocab), buckets, sub.n_min, sub.n_max)
-    huge = struct.pack("<IIQII", model.dim, len(model.vocab), 2**64 - 1, sub.n_min, sub.n_max)
-    assert data.index(head) == 6  # right after the magic
+
+    def head(count, n_min=sub.n_min, n_max=sub.n_max):
+        return struct.pack("<IIQII", model.dim, len(model.vocab), count, n_min, n_max)
+
+    assert data.index(head(buckets)) == 6  # right after the magic
+    for bad in (head(MAX_BUCKETS + 1), head(2**64 - 1), head(buckets, 0), head(buckets, 4, 3)):
+        damaged.write_bytes(data.replace(head(buckets), bad, 1))
+        with pytest.raises(FormatError, match=re.escape(str(damaged)) + ": .* at byte 6: "):
+            load(damaged)
+    damaged.write_bytes(data.replace(head(buckets), head(MAX_BUCKETS), 1))
+    assert load(damaged).subwords.buckets == MAX_BUCKETS
     damaged.write_bytes(
-        (data[:at] + block((1, seed), ids[:-1] + [2**63 + 5]) + rest).replace(head, huge, 1))
+        (data[:at] + block((1, seed), ids[:-1] + [MAX_BUCKETS]) + rest)
+        .replace(head(buckets), head(MAX_BUCKETS), 1))
     with pytest.raises(FormatError, match=re.escape(str(damaged)) + rf": .* at byte {at}$"):
         load(damaged)

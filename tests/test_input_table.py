@@ -16,7 +16,10 @@ import pytest
 from xldetect import classifier as clf
 from xldetect import embedding as emb
 from xldetect.corpus import AccountDocument, tokenize
-from xldetect.vocab import SubwordIndex, init_bucket_rows, init_input_rows, word_rows_csr
+from xldetect.errors import FormatError
+from xldetect.vocab import (
+    MAX_BUCKETS, SubwordIndex, init_bucket_rows, init_input_rows, word_rows_csr,
+)
 
 INDEX = SubwordIndex(3, 6, 1000)
 DIM = 8
@@ -200,20 +203,25 @@ class TestMemory:
         assert peak_mb(lambda: clf.doc_vectors(model, batch)) < limit_mb
 
     def test_bucket_count_in_the_head_allocates_nothing(self, tmp_path):
-        # a file whose head claims 2^40 buckets (one flipped bit) loads,
-        # and predicting from it allocates nothing of that size
+        # a file whose head claims MAX_BUCKETS loads, and predicting from it
+        # allocates nothing of that size; a head that claims 2^40 buckets
+        # (one flipped bit) is rejected before anything is allocated
         path = tmp_path / "clf.bin"
         clf.save_classifier(clf.train_supervised(self.DOCS, clf.SupervisedConfig(dim=100, epochs=1)),
                             path)
         data = bytearray(path.read_bytes())
         at = len(b"XLCLF2") + struct.calcsize("<II")
         assert struct.unpack_from("<Q", data, at)[0] == 2_000_000
-        struct.pack_into("<Q", data, at, 2**40)
+        struct.pack_into("<Q", data, at, MAX_BUCKETS)
         path.write_bytes(bytes(data))
 
         def load_predict():
             model = clf.load_classifier(path)
-            assert model.subwords.buckets == 2**40
+            assert model.subwords.buckets == MAX_BUCKETS
             clf.predict(["hello", "unseen"], model)
 
         assert peak_mb(load_predict) < self.LIMIT_MB
+        struct.pack_into("<Q", data, at, 2**40)
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match="clf.bin: bad subword head at byte 6: buckets"):
+            clf.load_classifier(path)

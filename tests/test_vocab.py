@@ -8,6 +8,7 @@ from subword_spec import fnv1a_32, hash_subword, input_ids as spec_input_ids, su
 from xldetect import vocab as vocab_module
 
 from xldetect.vocab import (
+    MAX_BUCKETS,
     SubwordIndex,
     build_vocab,
     init_bucket_rows,
@@ -247,7 +248,7 @@ class TestSubwordIdsCsr:
             SubwordIndex(1, 2, 97),
             SubwordIndex(1, 8, 1),
             SubwordIndex(6, 8, 101),
-            SubwordIndex(1, 40, 2**64 - 1),  # every bucket id is the raw hash
+            SubwordIndex(1, 40, MAX_BUCKETS),  # the largest table
         ):
             self.check(words, index, 5)
             indptr, flat = word_rows_csr(full, index)
@@ -283,9 +284,11 @@ class TestSubwordIdsCsr:
         assert len(peaks[SubwordIndex(3, 6)]) > 1
         assert wide <= 1.1 * narrow
 
-    def test_bucket_count_must_fit_u64(self):
-        assert SubwordIndex(3, 6, 2**64 - 1).buckets == 2**64 - 1
-        for buckets in (0, 2**64, 2**70):
+    def test_bucket_count_at_most_max_buckets(self):
+        # the bound keeps InputTable.row_slots to 64 MiB of int32
+        assert MAX_BUCKETS == 2**24
+        assert SubwordIndex(3, 6, MAX_BUCKETS).buckets == MAX_BUCKETS
+        for buckets in (0, MAX_BUCKETS + 1, 2**64 - 1, 2**64, 2**70):
             with pytest.raises(ValueError, match="buckets"):
                 SubwordIndex(3, 6, buckets)
 
