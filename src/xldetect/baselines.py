@@ -13,6 +13,7 @@ import numpy as np
 
 from . import formats
 from .errors import DataError, FormatError, TrainingError
+from .params import at_least, check, param, positive
 
 
 @dataclass(frozen=True)
@@ -145,17 +146,12 @@ def tfidf_transform(
 
 @dataclass
 class LogRegConfig:
-    l2_lambda: float = 1.0
-    epochs: int = 100
-    lr: float = 0.1
+    l2_lambda: float = param(1.0, at_least(0))
+    epochs: int = param(100, at_least(0))
+    lr: float = param(0.1, positive())
 
     def __post_init__(self):
-        if self.l2_lambda < 0:
-            raise ValueError(f"l2_lambda must be >= 0, got {self.l2_lambda}")
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
-        if self.lr <= 0:
-            raise ValueError(f"lr must be > 0, got {self.lr}")
+        check(self)
 
 
 @dataclass

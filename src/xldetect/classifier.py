@@ -38,6 +38,7 @@ from .corpus import AccountDocument, LABEL_NAMES, tokenize
 from . import formats
 from .embedding import VectorTable, _check_finite, _epoch_guard
 from .errors import DataError, FormatError, TrainingError
+from .params import at_least, check, param, positive
 from .vocab import (
     InputTable,
     SubwordIndex,
@@ -62,26 +63,18 @@ _BLOCK_SLOTS = 1024  # padded (document, slot) cells per scoring block
 
 @dataclass
 class SupervisedConfig:
-    dim: int = 100
-    epochs: int = 100
-    initial_lr: float = 1.0
-    min_count: int = 1
-    word_ngrams: int = 1  # only 1: there are no word n-gram features
+    dim: int = param(100, at_least(1))
+    epochs: int = param(100, at_least(0))
+    initial_lr: float = param(1.0, positive())
+    min_count: int = param(1, at_least(1))
+    word_ngrams: int = param(1, (lambda v: v == 1, "must be 1: word n-grams are not supported"))
     subwords: SubwordIndex | None = field(default_factory=SubwordIndex)
     pretrained: VectorTable | None = None
     freeze_pretrained: bool = False
     seed: int = 1
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim}")
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
-        if self.initial_lr <= 0:
-            raise ValueError(f"initial_lr must be > 0, got {self.initial_lr}")
-        if self.word_ngrams != 1:
-            raise ValueError(f"word n-grams are not supported: word_ngrams must be 1, "
-                             f"got {self.word_ngrams}")
+        check(self)
         if self.pretrained is not None and self.pretrained.dim != self.dim:
             raise ValueError(
                 f"pretrained vectors have dim {self.pretrained.dim}, config says {self.dim}"

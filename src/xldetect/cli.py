@@ -81,41 +81,10 @@ def _base_report(cfg: PipelineConfig, command: str) -> rp.Report:
     return report
 
 
-def _subword_index(cfg: PipelineConfig, prefix: str) -> SubwordIndex | None:
-    if not cfg[f"{prefix}.subwords"]:
-        return None
-    return SubwordIndex(
-        n_min=cfg[f"{prefix}.n_min"],
-        n_max=cfg[f"{prefix}.n_max"],
-        buckets=cfg[f"{prefix}.buckets"],
-    )
-
-
-def _skipgram_config(cfg: PipelineConfig) -> emb.SkipgramConfig:
-    return emb.SkipgramConfig(
-        dim=cfg["embedding.dim"],
-        epochs=cfg["embedding.epochs"],
-        initial_lr=cfg["embedding.lr"],
-        window=cfg["embedding.window"],
-        negatives=cfg["embedding.negatives"],
-        subsample_t=cfg["embedding.subsample_t"],
-        min_count=cfg["embedding.min_count"],
-        seed=cfg.seed,
-        subwords=_subword_index(cfg, "embedding"),
-    )
-
-
-def _supervised_config(cfg: PipelineConfig, pretrained) -> clf.SupervisedConfig:
-    return clf.SupervisedConfig(
-        dim=cfg["classifier.dim"],
-        epochs=cfg["classifier.epochs"],
-        initial_lr=cfg["classifier.lr"],
-        min_count=cfg["classifier.min_count"],
-        subwords=_subword_index(cfg, "classifier"),
-        pretrained=pretrained,
-        freeze_pretrained=cfg["classifier.freeze_pretrained"],
-        seed=cfg.seed,
-    )
+def _trainer_config(cfg: PipelineConfig, section: str, cls, **extra):
+    """The embedding or classifier section's trainer config, at the config seed."""
+    subwords = cfg.build(section, SubwordIndex) if cfg[f"{section}.subwords"] else None
+    return cfg.build(section, cls, subwords=subwords, seed=cfg.seed, **extra)
 
 
 def _split_docs(cfg: PipelineConfig, docs):
@@ -144,7 +113,7 @@ def cmd_train_embeddings(cfg: PipelineConfig) -> tuple[list[Path], list[Path]]:
     corpus_path = _input(cfg, "embedding.corpus", "ingest or synth")
     documents = cp.read_documents(corpus_path)
     sentences = [cp.tokenize(d.text) for d in documents]
-    model = emb.train_skipgram(sentences, _skipgram_config(cfg))
+    model = emb.train_skipgram(sentences, _trainer_config(cfg, "embedding", emb.SkipgramConfig))
     out_vectors = _out_path(cfg, "embedding.out_vectors")
     out_checkpoint = _out_path(cfg, "embedding.out_checkpoint")
     emb.save_vectors(model.to_table(), out_vectors)
@@ -189,7 +158,8 @@ def cmd_train_classifier(cfg: PipelineConfig) -> tuple[list[Path], list[Path]]:
         pre_path = _input(cfg, "classifier.pretrained", "align or train-embeddings")
         pretrained = emb.load_vectors(pre_path, expect_dim=cfg["classifier.dim"])
         inputs.append(pre_path)
-    model = clf.train_supervised(train_docs, _supervised_config(cfg, pretrained))
+    model = clf.train_supervised(
+        train_docs, _trainer_config(cfg, "classifier", clf.SupervisedConfig, pretrained=pretrained))
     out_model = _out_path(cfg, "classifier.out_model")
     clf.save_classifier(model, out_model)
     logger.info(
@@ -237,11 +207,7 @@ def cmd_baseline(cfg: PipelineConfig) -> tuple[list[Path], list[Path]]:
     model = bl.train_logreg(
         _baseline_weights(kind, vocab, counts, train_tokens),
         [d.label for d in train_docs],
-        config=bl.LogRegConfig(
-            l2_lambda=cfg["baseline.l2_lambda"],
-            epochs=cfg["baseline.epochs"],
-            lr=cfg["baseline.lr"],
-        ),
+        config=cfg.build("baseline", bl.LogRegConfig),
     )
     test_tokens = [cp.tokenize(d.text) for d in test_docs]
     test_counts = bl.vectorize(vocab, test_tokens, n_lo, n_hi)
@@ -281,7 +247,7 @@ def cmd_sweep(cfg: PipelineConfig) -> tuple[list[Path], list[Path]]:
         fractions=cfg["sweep.fractions"],
         seeds=cfg["sweep.seeds"],
         kinds=kinds,
-        config=_supervised_config(cfg, None),
+        config=_trainer_config(cfg, "classifier", clf.SupervisedConfig),
         pretrained=pretrained,
     )
     rows = [
@@ -330,23 +296,7 @@ def cmd_export_vectors(cfg: PipelineConfig) -> tuple[list[Path], list[Path]]:
 
 
 def cmd_synth(cfg: PipelineConfig) -> tuple[list[Path], list[Path]]:
-    sconfig = sy.SyntheticConfig(
-        vocab_size=cfg["synth.vocab_size"],
-        n_source_docs=cfg["synth.source_docs"],
-        target_ratio=cfg["synth.target_ratio"],
-        doc_len_min=cfg["synth.doc_len_min"],
-        doc_len_max=cfg["synth.doc_len_max"],
-        n_signal_words=cfg["synth.signal_words"],
-        signal_rank_start=cfg["synth.signal_rank_start"],
-        signal_lift=cfg["synth.signal_lift"],
-        signal_run_mean=cfg["synth.signal_run_mean"],
-        positive_rate=cfg["synth.positive_rate"],
-        label_noise=cfg["synth.label_noise"],
-        zipf_exponent=cfg["synth.zipf_exponent"],
-        n_friends=cfg["synth.friends"],
-        friend_prob=cfg["synth.friend_prob"],
-        code_switch_rate=cfg["synth.code_switch"],
-    )
+    sconfig = cfg.build("synth", sy.SyntheticConfig)
     data = sy.generate_synthetic_bilingual(sconfig, cfg.seed)
     out_source = _out_path(cfg, "synth.out_source")
     out_target = _out_path(cfg, "synth.out_target")

@@ -4,35 +4,65 @@ The file format is deliberately dumb: one "key = value" per line, "#"
 comments, no nesting. Unknown keys are hard errors so that a typo cannot
 silently fall back to a default, and validation reports every violation
 at once rather than the first.
+
+A key that sets a stage dataclass field, as listed in STAGE_KEYS
+(``embedding.lr`` sets ``SkipgramConfig.initial_lr``), takes its kind (the
+field's annotation), default and rule from that field, where they are
+declared once; validation also applies the dataclass's cross-field rules.
+So config and the library enforce the same rules, config naming the key
+("embedding.dim must be >= 1 (got 0)") where the library names the field
+("dim must be >= 1, got 0"). The other keys are declared in SCHEMA.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
+from dataclasses import fields
 from pathlib import Path
 
 from . import formats
+from .baselines import LogRegConfig
+from .classifier import SupervisedConfig
+from .curves import DEFAULT_FRACTIONS, MODEL_KINDS
+from .embedding import SkipgramConfig
 from .errors import ConfigError, FormatError
-from .vocab import MAX_BUCKETS
+from .params import at_least, open01
+from .synth import SyntheticConfig
+from .vocab import SubwordIndex
 
 _BASELINE_KINDS = ("bow", "bow_tfidf", "ngrams", "ngrams_tfidf")
-_SWEEP_KINDS = ("monolingual", "transfer")
+
+# (section, stage dataclass) -> {key suffix: field} for every key that sets
+# a stage dataclass field
+STAGE_KEYS: dict[tuple, dict[str, str]] = {
+    ("embedding", SkipgramConfig): dict(
+        dim="dim", epochs="epochs", lr="initial_lr", window="window", negatives="negatives",
+        subsample_t="subsample_t", min_count="min_count"),
+    ("embedding", SubwordIndex): dict(n_min="n_min", n_max="n_max", buckets="buckets"),
+    ("classifier", SupervisedConfig): dict(
+        dim="dim", epochs="epochs", lr="initial_lr", min_count="min_count",
+        word_ngrams="word_ngrams", freeze_pretrained="freeze_pretrained"),
+    ("classifier", SubwordIndex): dict(n_min="n_min", n_max="n_max", buckets="buckets"),
+    ("baseline", LogRegConfig): dict(l2_lambda="l2_lambda", epochs="epochs", lr="lr"),
+    ("synth", SyntheticConfig): dict(
+        vocab_size="vocab_size", source_docs="n_source_docs", target_ratio="target_ratio",
+        doc_len_min="doc_len_min", doc_len_max="doc_len_max", signal_words="n_signal_words",
+        signal_rank_start="signal_rank_start", signal_lift="signal_lift",
+        signal_run_mean="signal_run_mean", positive_rate="positive_rate",
+        label_noise="label_noise", zipf_exponent="zipf_exponent", friends="n_friends",
+        friend_prob="friend_prob", code_switch="code_switch_rate"),
+}
 
 
-def _positive(key):
-    return (lambda v: v > 0, f"{key} must be > 0")
-
-
-def _nonneg(key):
-    return (lambda v: v >= 0, f"{key} must be >= 0")
-
-
-def _at_least(key, lo):
-    return (lambda v: v >= lo, f"{key} must be >= {lo}")
-
-
-def _buckets(key):
-    return (lambda v: 1 <= v <= MAX_BUCKETS, f"{key} must be in [1, 2^24]")
+def _stage_entries(section: str, cls) -> dict[str, tuple]:
+    """SCHEMA entries of the keys that set cls's fields."""
+    by_name = {f.name: f for f in fields(cls)}
+    entries = {}
+    for suffix, name in STAGE_KEYS[section, cls].items():
+        f = by_name[name]
+        entries[f"{section}.{suffix}"] = (f.type, f.default, f.metadata.get("rule"))
+    return entries
 
 
 def _u64(v):
@@ -40,26 +70,17 @@ def _u64(v):
     return 0 <= v < 1 << 64
 
 
-def _open01(key):
-    return (lambda v: 0.0 < v < 1.0, f"{key} must be in (0,1)")
+def _choice(options):
+    return (lambda v: v in options, f"must be one of {', '.join(options)}")
 
 
-def _unit(key, hi=1.0):
-    return (lambda v: 0.0 <= v < hi, f"{key} must be in [0,{hi:g})")
+def _entries(ok, what):
+    return (lambda v: len(v) > 0 and all(map(ok, v)), f"must be a non-empty list of {what}")
 
 
-def _choice(key, options):
-    return (lambda v: v in options, f"{key} must be one of {', '.join(options)}")
-
-
-def _entries(key, ok, what):
-    return (lambda v: len(v) > 0 and all(map(ok, v)),
-            f"{key} must be a non-empty list of {what}")
-
-
-# key -> (type tag, default, optional validator)
+# key -> (type tag, default, rule or None); a rule is (predicate, text)
 SCHEMA: dict[str, tuple] = {
-    "seed": ("int", 13, (_u64, "seed must be in [0, 2^64)")),
+    "seed": ("int", 13, (_u64, "must be in [0, 2^64)")),
     "out_dir": ("str", "out", None),
 
     "ingest.posts": ("str", "", None),
@@ -67,20 +88,12 @@ SCHEMA: dict[str, tuple] = {
     "ingest.language": ("str", "", None),
     "ingest.out": ("str", "documents.tsv", None),
 
-    "split.train_fraction": ("float", 0.8, _open01("split.train_fraction")),
+    "split.train_fraction": ("float", 0.8, open01()),
 
     "embedding.corpus": ("str", "", None),
-    "embedding.dim": ("int", 100, _at_least("embedding.dim", 1)),
-    "embedding.epochs": ("int", 5, _nonneg("embedding.epochs")),
-    "embedding.lr": ("float", 0.05, _positive("embedding.lr")),
-    "embedding.window": ("int", 5, _at_least("embedding.window", 1)),
-    "embedding.negatives": ("int", 5, _at_least("embedding.negatives", 1)),
-    "embedding.subsample_t": ("float", 1e-4, _positive("embedding.subsample_t")),
-    "embedding.min_count": ("int", 5, _at_least("embedding.min_count", 1)),
+    **_stage_entries("embedding", SkipgramConfig),
     "embedding.subwords": ("bool", True, None),
-    "embedding.n_min": ("int", 3, _at_least("embedding.n_min", 1)),
-    "embedding.n_max": ("int", 6, _at_least("embedding.n_max", 1)),
-    "embedding.buckets": ("int", 2_000_000, _buckets("embedding.buckets")),
+    **_stage_entries("embedding", SubwordIndex),
     "embedding.out_vectors": ("str", "vectors.txt", None),
     "embedding.out_checkpoint": ("str", "embedding.bin", None),
 
@@ -88,35 +101,25 @@ SCHEMA: dict[str, tuple] = {
     "align.target_vectors": ("str", "", None),
     "align.train_dict": ("str", "", None),
     "align.eval_dict": ("str", "", None),
-    "align.iterations": ("int", 5, _nonneg("align.iterations")),
-    "align.csls_k": ("int", 10, _at_least("align.csls_k", 1)),
-    "align.induce_top_k": ("int", 10000, _at_least("align.induce_top_k", 1)),
+    "align.iterations": ("int", 5, at_least(0)),
+    "align.csls_k": ("int", 10, at_least(1)),
+    "align.induce_top_k": ("int", 10000, at_least(1)),
     "align.out_map": ("str", "map.txt", None),
     "align.out_merged": ("str", "aligned_vectors.txt", None),
 
     "classifier.docs": ("str", "", None),
     "classifier.pretrained": ("str", "", None),
-    "classifier.dim": ("int", 100, _at_least("classifier.dim", 1)),
-    "classifier.epochs": ("int", 100, _nonneg("classifier.epochs")),
-    "classifier.lr": ("float", 1.0, _positive("classifier.lr")),
-    "classifier.min_count": ("int", 1, _at_least("classifier.min_count", 1)),
-    "classifier.word_ngrams": ("int", 1, (lambda v: v == 1, "classifier.word_ngrams must be 1: "
-                                         "word n-grams are not supported")),
+    **_stage_entries("classifier", SupervisedConfig),
     "classifier.subwords": ("bool", True, None),
-    "classifier.n_min": ("int", 3, _at_least("classifier.n_min", 1)),
-    "classifier.n_max": ("int", 6, _at_least("classifier.n_max", 1)),
-    "classifier.buckets": ("int", 2_000_000, _buckets("classifier.buckets")),
-    "classifier.freeze_pretrained": ("bool", False, None),
+    **_stage_entries("classifier", SubwordIndex),
     "classifier.out_model": ("str", "classifier.bin", None),
 
-    "baseline.kind": ("str", "bow", _choice("baseline.kind", _BASELINE_KINDS)),
+    "baseline.kind": ("str", "bow", _choice(_BASELINE_KINDS)),
     "baseline.docs": ("str", "", None),
-    "baseline.max_features": ("int", 35000, _at_least("baseline.max_features", 1)),
-    "baseline.ngram_min": ("int", 1, _at_least("baseline.ngram_min", 1)),
-    "baseline.ngram_max": ("int", 5, _at_least("baseline.ngram_max", 1)),
-    "baseline.l2_lambda": ("float", 1.0, _nonneg("baseline.l2_lambda")),
-    "baseline.epochs": ("int", 100, _nonneg("baseline.epochs")),
-    "baseline.lr": ("float", 0.1, _positive("baseline.lr")),
+    "baseline.max_features": ("int", 35000, at_least(1)),
+    "baseline.ngram_min": ("int", 1, at_least(1)),
+    "baseline.ngram_max": ("int", 5, at_least(1)),
+    **_stage_entries("baseline", LogRegConfig),
     "baseline.out_report": ("str", "baseline_report.txt", None),
     "baseline.out_features": ("str", "features.tsv", None),
 
@@ -124,44 +127,35 @@ SCHEMA: dict[str, tuple] = {
     "evaluate.out_report": ("str", "eval_report.txt", None),
 
     "sweep.docs": ("str", "", None),
-    "sweep.fractions": ("floats", (0.1, 0.2, 0.3, 0.5, 0.7, 1.0),
-                        _entries("sweep.fractions", lambda f: 0.0 < f <= 1.0, "values in (0,1]")),
-    "sweep.seeds": ("ints", (1, 2, 3), _entries("sweep.seeds", _u64, "seeds in [0, 2^64)")),
-    "sweep.kinds": ("strs", ("monolingual", "transfer"),
-                    _entries("sweep.kinds", _SWEEP_KINDS.__contains__,
-                             f"kinds among {', '.join(_SWEEP_KINDS)}")),
+    "sweep.fractions": ("floats", DEFAULT_FRACTIONS, _entries(lambda f: 0.0 < f <= 1.0, "values in (0,1]")),
+    "sweep.seeds": ("ints", (1, 2, 3), _entries(_u64, "seeds in [0, 2^64)")),
+    "sweep.kinds": ("strs", MODEL_KINDS,
+                    _entries(MODEL_KINDS.__contains__, f"kinds among {', '.join(MODEL_KINDS)}")),
     "sweep.out_report": ("str", "sweep_report.txt", None),
     "sweep.out_csv": ("str", "curve.csv", None),
 
     "export.docs": ("str", "", None),
     "export.out": ("str", "doc_vectors.txt", None),
 
-    "synth.vocab_size": ("int", 2000, _at_least("synth.vocab_size", 2)),
-    "synth.source_docs": ("int", 4000, _at_least("synth.source_docs", 1)),
-    "synth.target_ratio": ("float", 10.0, _positive("synth.target_ratio")),
-    "synth.doc_len_min": ("int", 30, _at_least("synth.doc_len_min", 1)),
-    "synth.doc_len_max": ("int", 60, _at_least("synth.doc_len_max", 1)),
-    "synth.signal_words": ("int", 40, _nonneg("synth.signal_words")),
-    "synth.signal_rank_start": ("int", 100, _nonneg("synth.signal_rank_start")),
-    "synth.signal_lift": ("float", 40.0, _at_least("synth.signal_lift", 1.0)),
-    "synth.signal_run_mean": ("float", 3.0, _at_least("synth.signal_run_mean", 1.0)),
-    "synth.positive_rate": ("float", 0.3, _open01("synth.positive_rate")),
-    "synth.label_noise": ("float", 0.0, _unit("synth.label_noise", 0.5)),
-    "synth.zipf_exponent": ("float", 0.5, _nonneg("synth.zipf_exponent")),
-    "synth.friends": ("int", 4, _at_least("synth.friends", 1)),
-    "synth.friend_prob": ("float", 0.85, _unit("synth.friend_prob")),
-    "synth.code_switch": ("float", 0.0, _unit("synth.code_switch")),
+    **_stage_entries("synth", SyntheticConfig),
     "synth.out_source": ("str", "source_documents.tsv", None),
     "synth.out_target": ("str", "target_documents.tsv", None),
     "synth.out_dict": ("str", "dictionary.txt", None),
 }
 
 
+def _finite(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
+
+
 def _parse_value(key: str, kind: str, raw: str):
     if kind == "int":
         return int(raw)
     if kind == "float":
-        return float(raw)
+        return _finite(raw)
     if kind == "bool":
         if raw == "true":
             return True
@@ -169,7 +163,7 @@ def _parse_value(key: str, kind: str, raw: str):
             return False
         raise ValueError("expected true or false")
     if kind == "floats":
-        return tuple(float(x) for x in raw.split(",") if x.strip() != "")
+        return tuple(_finite(x) for x in raw.split(",") if x.strip() != "")
     if kind == "ints":
         return tuple(int(x) for x in raw.split(",") if x.strip() != "")
     if kind == "strs":
@@ -206,6 +200,11 @@ class PipelineConfig:
     def out_dir(self) -> str:
         return self.values["out_dir"]
 
+    def build(self, section: str, cls, **extra):
+        """cls from the keys of section that set its fields, plus extra fields."""
+        keys = STAGE_KEYS[section, cls]
+        return cls(**{name: self[f"{section}.{suffix}"] for suffix, name in keys.items()}, **extra)
+
     def effective_lines(self) -> list[str]:
         return [
             f"{key}={_format_value(SCHEMA[key][0], self.values[key])}"
@@ -219,15 +218,13 @@ class PipelineConfig:
 
 def _cross_checks(values: dict) -> list[str]:
     errors = []
-    for prefix in ("embedding", "classifier"):
-        if values[f"{prefix}.n_min"] > values[f"{prefix}.n_max"]:
-            errors.append(f"{prefix}.n_min must be <= {prefix}.n_max")
+    for (section, cls), keys in STAGE_KEYS.items():
+        key_of = {name: f"{section}.{suffix}" for suffix, name in keys.items()}
+        for names, ok, text in getattr(cls, "CROSS_RULES", ()):
+            if not ok(*(values[key_of[name]] for name in names)):
+                errors.append(text.format(**key_of))
     if values["baseline.ngram_min"] > values["baseline.ngram_max"]:
         errors.append("baseline.ngram_min must be <= baseline.ngram_max")
-    if values["synth.doc_len_min"] > values["synth.doc_len_max"]:
-        errors.append("synth.doc_len_min must be <= synth.doc_len_max")
-    if values["synth.signal_rank_start"] + values["synth.signal_words"] > values["synth.vocab_size"]:
-        errors.append("synth signal set exceeds synth.vocab_size")
     return errors
 
 
@@ -265,7 +262,7 @@ def validate_config(path: str | Path | None, overrides: dict | None = None) -> P
             raw[key] = value
 
     values = {}
-    for key, (kind, default, validator) in SCHEMA.items():
+    for key, (kind, default, rule) in SCHEMA.items():
         if key in raw:
             try:
                 value = _parse_value(key, kind, raw[key])
@@ -274,16 +271,16 @@ def validate_config(path: str | Path | None, overrides: dict | None = None) -> P
                 continue
         else:
             value = default
-        if validator is not None and not validator[0](value):
-            errors.append(validator[1] + f" (got {value!r})")
+        if rule is not None and not rule[0](value):
+            errors.append(f"{key} {rule[1]} (got {value!r})")
             continue
         values[key] = value
 
     if overrides:
         for key, value in overrides.items():
-            kind, _, validator = SCHEMA[key]
-            if validator is not None and not validator[0](value):
-                errors.append(validator[1] + f" (got {value!r})")
+            rule = SCHEMA[key][2]
+            if rule is not None and not rule[0](value):
+                errors.append(f"{key} {rule[1]} (got {value!r})")
             else:
                 values[key] = value
 

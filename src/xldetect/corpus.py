@@ -185,7 +185,8 @@ def subsample_train(
 
 
 def read_status_file(path: str | Path) -> dict[str, AccountStatus]:
-    """Parse "account_id TAB status" lines; unknown statuses are rejected."""
+    """Parse "account_id TAB status" lines; an unknown status or a repeated
+    account id is rejected."""
     statuses: dict[str, AccountStatus] = {}
     art = formats.TextArtifact(path)
     for lineno, line in enumerate(art.lines, start=1):
@@ -194,6 +195,8 @@ def read_status_file(path: str | Path) -> dict[str, AccountStatus]:
         fields = line.split("\t")
         if len(fields) != 2 or not fields[0]:
             raise art.error(lineno, "expected 'account_id<TAB>status'")
+        if fields[0] in statuses:
+            raise art.error(lineno, f"duplicate account id {fields[0]!r}")
         statuses[fields[0]] = AccountStatus.parse(fields[1])
     return statuses
 

@@ -70,9 +70,6 @@ def learning_curve(
             raise ValueError(f"unknown model kind {kind!r}")
     if "transfer" in kinds and pretrained is None:
         raise ValueError("transfer sweeps need pretrained aligned vectors")
-    for f in fractions:
-        if not 0.0 < f <= 1.0:
-            raise ValueError(f"fractions must be in (0,1], got {f}")
     if not test_docs:
         raise ValueError("a sweep needs at least one test document")
 

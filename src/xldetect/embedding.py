@@ -33,6 +33,7 @@ import numpy as np
 
 from . import formats
 from .errors import FormatError, TrainingError
+from .params import at_least, check, param, positive
 from .vocab import (
     InputTable,
     SubwordIndex,
@@ -54,29 +55,19 @@ _CHECK_ROWS = 65536  # rows per slice of the finite check
 
 @dataclass
 class SkipgramConfig:
-    dim: int = 100
-    epochs: int = 5
-    initial_lr: float = 0.05
-    window: int = 5
-    negatives: int = 5
-    subsample_t: float = 1e-4
-    min_count: int = 5
+    # fastText's skipgram defaults (Bojanowski et al. 2017, arXiv 1607.04606)
+    dim: int = param(100, at_least(1))
+    epochs: int = param(5, at_least(0))
+    initial_lr: float = param(0.05, positive())
+    window: int = param(5, at_least(1))
+    negatives: int = param(5, at_least(1))
+    subsample_t: float = param(1e-4, positive())
+    min_count: int = param(5, at_least(1))
     seed: int = 1
     subwords: SubwordIndex | None = field(default_factory=SubwordIndex)
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim}")
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
-        if self.initial_lr <= 0:
-            raise ValueError(f"initial_lr must be > 0, got {self.initial_lr}")
-        if self.window < 1:
-            raise ValueError(f"window must be >= 1, got {self.window}")
-        if self.negatives < 1:
-            raise ValueError(f"negatives must be >= 1, got {self.negatives}")
-        if self.subsample_t <= 0:
-            raise ValueError(f"subsample_t must be > 0, got {self.subsample_t}")
+        check(self)
 
 
 class EmbeddingMatrix(InputTable):

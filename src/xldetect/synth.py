@@ -19,57 +19,42 @@ is at chance.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import le
 
 import numpy as np
 
 from .corpus import AccountDocument
 from .embedding import AliasSampler
 from .errors import DataError
+from .params import at_least, check, open01, param, positive, unit
 
 
 @dataclass
 class SyntheticConfig:
-    vocab_size: int = 2000
-    n_source_docs: int = 4000
-    target_ratio: float = 10.0      # source docs per target doc
-    doc_len_min: int = 30
-    doc_len_max: int = 60
-    n_signal_words: int = 40
-    signal_rank_start: int = 100
-    signal_lift: float = 40.0
-    positive_rate: float = 0.3
-    label_noise: float = 0.0
-    zipf_exponent: float = 0.5
-    n_friends: int = 4
-    friend_prob: float = 0.85
-    signal_run_mean: float = 3.0    # mean length of injected signal runs
-    code_switch_rate: float = 0.0   # fraction of target tokens borrowed from source
+    vocab_size: int = param(2000, at_least(2))
+    n_source_docs: int = param(4000, at_least(1))
+    target_ratio: float = param(10.0, positive())  # source docs per target doc
+    doc_len_min: int = param(30, at_least(1))
+    doc_len_max: int = param(60, at_least(1))
+    n_signal_words: int = param(40, at_least(0))
+    signal_rank_start: int = param(100, at_least(0))
+    signal_lift: float = param(40.0, at_least(1.0))
+    positive_rate: float = param(0.3, open01())
+    label_noise: float = param(0.0, unit(0.5))  # above 0.5 the labels invert
+    zipf_exponent: float = param(0.5, at_least(0))
+    n_friends: int = param(4, at_least(1))
+    friend_prob: float = param(0.85, unit())
+    signal_run_mean: float = param(3.0, at_least(1.0))  # mean length of injected signal runs
+    code_switch_rate: float = param(0.0, unit())  # fraction of target tokens borrowed from source
+
+    CROSS_RULES = (
+        (("doc_len_min", "doc_len_max"), le, "{doc_len_min} must be <= {doc_len_max}"),
+        (("signal_rank_start", "n_signal_words", "vocab_size"), lambda s, n, v: s + n <= v,
+         "signal set {signal_rank_start} + {n_signal_words} must be <= {vocab_size}"),
+    )
 
     def __post_init__(self):
-        if self.vocab_size < 2:
-            raise ValueError(f"vocab_size must be >= 2, got {self.vocab_size}")
-        if self.signal_rank_start + self.n_signal_words > self.vocab_size:
-            raise ValueError(
-                f"signal set (ranks {self.signal_rank_start}.."
-                f"{self.signal_rank_start + self.n_signal_words}) exceeds vocab_size "
-                f"{self.vocab_size}"
-            )
-        if self.n_source_docs < 1 or self.target_ratio <= 0:
-            raise ValueError("need n_source_docs >= 1 and target_ratio > 0")
-        if not 1 <= self.doc_len_min <= self.doc_len_max:
-            raise ValueError("need 1 <= doc_len_min <= doc_len_max")
-        if self.signal_lift < 1.0:
-            raise ValueError(f"signal_lift must be >= 1, got {self.signal_lift}")
-        if self.signal_run_mean < 1.0:
-            raise ValueError(f"signal_run_mean must be >= 1, got {self.signal_run_mean}")
-        if not 0.0 < self.positive_rate < 1.0:
-            raise ValueError(f"positive_rate must be in (0,1), got {self.positive_rate}")
-        if not 0.0 <= self.label_noise < 0.5:
-            raise ValueError(f"label_noise must be in [0,0.5), got {self.label_noise}")
-        if not 0.0 <= self.friend_prob < 1.0:
-            raise ValueError(f"friend_prob must be in [0,1), got {self.friend_prob}")
-        if not 0.0 <= self.code_switch_rate < 1.0:
-            raise ValueError("code_switch_rate must be in [0,1)")
+        check(self)
 
     @property
     def n_target_docs(self) -> int:

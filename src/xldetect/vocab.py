@@ -18,11 +18,13 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import le
 from typing import Iterable
 
 import numpy as np
 
 from .errors import DataError
+from .params import at_least, check, param
 
 FNV_OFFSET_BASIS = 2166136261
 FNV_PRIME = 16777619
@@ -42,15 +44,14 @@ class SubwordIndex:
     """Character n-gram extraction parameters. Pass None where an index is
     expected to disable subwords entirely."""
 
-    n_min: int = 3
-    n_max: int = 6
-    buckets: int = 2_000_000
+    n_min: int = param(3, at_least(1))
+    n_max: int = param(6, at_least(1))
+    buckets: int = param(2_000_000, (lambda v: 1 <= v <= MAX_BUCKETS, "must be in [1, 2^24]"))
+
+    CROSS_RULES = ((("n_min", "n_max"), le, "{n_min} must be <= {n_max}"),)
 
     def __post_init__(self):
-        if not 1 <= self.n_min <= self.n_max:
-            raise ValueError(f"need 1 <= n_min <= n_max, got {self.n_min}..{self.n_max}")
-        if not 1 <= self.buckets <= MAX_BUCKETS:
-            raise ValueError(f"buckets must be in [1, 2^24], got {self.buckets}")
+        check(self)
 
 
 class Vocabulary:

@@ -234,3 +234,10 @@ class TestFiles:
         path.write_text("u1\tzombie\n", encoding="utf-8")
         with pytest.raises(FormatError):
             read_status_file(path)
+
+    def test_status_file_repeated_account_rejected(self, tmp_path):
+        # the last status would silently win: u1 would read as not suspended
+        path = tmp_path / "statuses.tsv"
+        path.write_text("u1\tsuspended\nu2\tactive\nu1\tactive\n", encoding="utf-8")
+        with pytest.raises(FormatError, match=r"statuses\.tsv:3: duplicate account id 'u1'"):
+            read_status_file(path)
