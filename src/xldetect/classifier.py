@@ -6,7 +6,13 @@ vocab.subword_ids_csr; there are no word n-grams). Documents travel as one
 CSR batch (doc_batch), and one forward (_forward) serves training and scoring.
 Training is SGD on softmax cross-entropy, one document per step; with
 pretrained vectors the word rows start from the given table and keep
-training unless frozen.
+training unless frozen. The learning rate decays linearly to 0 over a
+cell's steps (embedding._learning_rate, the skipgram's formula), and
+after every epoch embedding._epoch_guard checks each live cell's output
+weights, and its input rows unless frozen: a non-finite parameter or one
+above the divergence limit raises TrainingError naming the cell. It is
+the only divergence check: a step whose loss is NaN also makes its cell's
+output weights NaN.
 train_many trains independent classifiers (cells) in lockstep: one
 batched step per iteration serves every cell, and a cell trains
 identically, bit for bit, alone (train_supervised) or in a batch.
@@ -36,7 +42,7 @@ import numpy as np
 
 from .corpus import AccountDocument, LABEL_NAMES, tokenize
 from . import formats
-from .embedding import VectorTable, _check_finite, _epoch_guard
+from .embedding import VectorTable, _epoch_guard, _learning_rate
 from .errors import DataError, FormatError, TrainingError
 from .params import at_least, check, param, positive
 from .vocab import (
@@ -237,12 +243,6 @@ def train_many(
     training = [cell for cell in prepared if cell.config.epochs > 0]
     if training:
         _train_lockstep(training)
-    for cell in training:
-        try:
-            _check_finite(cell.model.input_rows, "input rows")
-            _check_finite(cell.model.output_weights, "output weights")
-        except TrainingError as exc:
-            raise TrainingError(f"cell {cell.index}: {exc}", cell=cell.index) from exc
     return [cell.model for cell in prepared]
 
 
@@ -353,8 +353,7 @@ def _train_lockstep(cells: list[_Cell]) -> None:
             perm = np.random.default_rng((cells[c].config.seed, epoch)).permutation(int(n[c]))
             order[: n[c], j] = first_doc[c] + perm
         step = epoch * n[live] + np.arange(1, width + 1)[:, None]
-        lr = (initial_lr[live] * np.maximum(0.0, 1.0 - step / (epochs[live] * n[live]))
-              ).astype(np.float32)
+        lr = _learning_rate(initial_lr[live], step, epochs[live] * n[live]).astype(np.float32)
         present = order >= 0
         active = present.sum(axis=1).tolist()
         length = np.where(present, lengths[order], 0)
@@ -370,15 +369,15 @@ def _train_lockstep(cells: list[_Cell]) -> None:
             loss[:k] += _sgd_step(table, weights, live[:k], read.take(at), shares.take(at),
                                   label[i, :k], lr[i, :k], to)
         for j, c in enumerate(live.tolist()):
-            index = cells[c].index
-            if np.isnan(loss[j]):
-                raise TrainingError(f"cell {index}: non-finite class probabilities in an SGD "
-                                    f"step in epoch {epoch}", cell=index)
+            cell = cells[c]
+            trained = [cell.model.output_weights]
+            if cell.trains_input:
+                trained.append(cell.model.input_rows)
             try:
-                _epoch_guard(weights[c], epoch)
+                _epoch_guard(epoch, *trained)
             except TrainingError as exc:
-                raise TrainingError(f"cell {index}: {exc}", cell=index) from exc
-            cells[c].model.loss_history.append(float(loss[j]) / int(n[c]))
+                raise TrainingError(f"cell {cell.index}: {exc}", cell=cell.index) from exc
+            cell.model.loss_history.append(float(loss[j]) / int(n[c]))
 
 
 def _sgd_step(table, weights, cells, ids, share, labels, lr, write) -> np.ndarray:

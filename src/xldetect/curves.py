@@ -33,12 +33,6 @@ class LearningCurvePoint:
     seed: int
     metrics: MetricsReport
 
-    def __post_init__(self):
-        if not 0.0 < self.train_fraction <= 1.0:
-            raise ValueError(f"fraction must be in (0,1], got {self.train_fraction}")
-        if self.model_kind not in MODEL_KINDS:
-            raise ValueError(f"unknown model kind {self.model_kind!r}")
-
 
 def evaluate_classifier(model, test_docs: list[AccountDocument]) -> MetricsReport:
     """Metrics of the model's labels (a tie is negative) over one batch."""

@@ -19,6 +19,13 @@ same bits. A sentence of more than _STEP_CENTERS kept tokens takes one
 such step per run of that many centers, so a step's memory does not grow
 with the document. When no word's frequency exceeds subsample_t,
 subsampling draws nothing. Training is bit-reproducible for a fixed seed.
+
+The learning rate decays linearly to 0 over the scheduled tokens
+(_learning_rate, the one decay formula of both SGD trainers). One guard,
+_epoch_guard, runs after every epoch of both trainers on every matrix
+that epoch trained, here the input and the context rows. It raises
+TrainingError on a non-finite parameter or one above _PARAM_LIMIT in
+magnitude, and no other divergence check exists.
 """
 
 from __future__ import annotations
@@ -50,7 +57,6 @@ _MAGIC_CHECKPOINT = b"XLEMB2"
 _PARAM_LIMIT = 1e8  # divergence guard on parameter magnitude
 _SCORE_CLIP = 30.0
 _STEP_CENTERS = 256  # bounds a step's memory on long documents
-_CHECK_ROWS = 65536  # rows per slice of the finite check
 
 
 @dataclass
@@ -171,9 +177,10 @@ def _keep_probs(vocab: Vocabulary, t: float) -> np.ndarray:
     return np.where(freqs <= t, 1.0, np.sqrt(t / freqs))
 
 
-def _learning_rate(initial_lr: float, progress: int, total: int) -> float:
-    """Linear decay from initial_lr to 0 over the scheduled tokens."""
-    return initial_lr * max(0.0, 1.0 - progress / total)
+def _learning_rate(initial_lr, progress, total):
+    """Linear decay from initial_lr to 0 over the scheduled tokens or
+    steps, fastText's lr * (1 - progress); takes scalars or arrays."""
+    return initial_lr * np.maximum(0.0, 1.0 - progress / total)
 
 
 def train_skipgram(corpus: Iterable[list[str]], config: SkipgramConfig) -> EmbeddingMatrix:
@@ -202,8 +209,6 @@ def train_skipgram(corpus: Iterable[list[str]], config: SkipgramConfig) -> Embed
         ids = [vocab.word_to_id[t] for t in tokens if t in vocab.word_to_id]
         if ids:
             sentences.append(np.asarray(ids, dtype=np.int64))
-    if not sentences:
-        raise TrainingError("no in-vocabulary tokens to train on")
 
     keep_prob = _keep_probs(vocab, config.subsample_t)
     # with every keep probability 1 the draw discards nothing, so skip it
@@ -231,7 +236,8 @@ def train_skipgram(corpus: Iterable[list[str]], config: SkipgramConfig) -> Embed
         started = time.perf_counter()
         for sent in sentences:
             progress += len(sent)
-            lr = _learning_rate(config.initial_lr, progress, total_scheduled)
+            # a Python float, so that g *= lr multiplies in g's float32
+            lr = float(_learning_rate(config.initial_lr, progress, total_scheduled))
             kept = sent[rng.random(len(sent)) < keep_prob[sent]] if subsample else sent
             n = len(kept)
             kept_tokens += n
@@ -254,16 +260,13 @@ def train_skipgram(corpus: Iterable[list[str]], config: SkipgramConfig) -> Embed
                 pairs += len(centers)
                 steps += 1
         seconds = time.perf_counter() - started
-        _epoch_guard(input_rows, epoch)
+        _epoch_guard(epoch, input_rows, context_rows)
         logger.info(
             "skipgram epoch %d/%d: mean loss %.6f over %d pairs in %d steps, kept %.4f of"
             " tokens, %.0f tokens/s",
             epoch + 1, config.epochs, loss / max(pairs, 1), pairs, steps,
             kept_tokens / in_vocab_tokens, in_vocab_tokens / max(seconds, 1e-9),
         )
-
-    _check_finite(input_rows, "input rows")
-    _check_finite(context_rows, "context rows")
     return model
 
 
@@ -371,23 +374,17 @@ def _sentence_step(input_rows, context_rows, word_rows, centers, contexts, negat
     return float(losses.sum(dtype=np.float64))
 
 
-def _epoch_guard(matrix: np.ndarray, epoch: int) -> None:
-    """Raise when a parameter is non-finite or above _PARAM_LIMIT; checks
-    _CHECK_ROWS rows at a time, so no table-sized copy is made."""
-    for start in range(0, len(matrix), _CHECK_ROWS):
-        peak = np.abs(matrix[start : start + _CHECK_ROWS]).max()
-        if not np.isfinite(peak) or peak > _PARAM_LIMIT:
+def _epoch_guard(epoch: int, *matrices: np.ndarray) -> None:
+    """Raise TrainingError when a parameter of the matrices is non-finite
+    or above _PARAM_LIMIT in magnitude. min() and max() propagate NaN and
+    make no copy of the matrix."""
+    for matrix in matrices:
+        low, high = float(matrix.min()), float(matrix.max())
+        if not -_PARAM_LIMIT <= low <= high <= _PARAM_LIMIT:
+            peak = max(-low, high)  # min and max are both NaN when any entry is
             raise TrainingError(
-                f"training diverged after epoch {epoch}: parameter magnitude {peak!r}"
+                f"training diverged after epoch {epoch}: parameter magnitude {peak}"
             )
-
-
-def _check_finite(matrix: np.ndarray, name: str) -> None:
-    """Raise unless every row is finite; checks _CHECK_ROWS rows at a time,
-    so a 2M-row table needs no table-sized boolean mask."""
-    for start in range(0, len(matrix), _CHECK_ROWS):
-        if not np.isfinite(matrix[start : start + _CHECK_ROWS]).all():
-            raise TrainingError(f"non-finite values in {name} after training")
 
 
 def word_vector(word: str, model: EmbeddingMatrix) -> np.ndarray:

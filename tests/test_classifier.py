@@ -701,8 +701,8 @@ class TestTrainMany:
         # each step moves the output weights by up to lr * 1e5, past the
         # 1e8 limit within the first epoch
         (1e5, 1e4, "cell 1: training diverged after epoch 0: parameter magnitude"),
-        # the second step's logits overflow
-        (1e30, 0.5, "cell 1: non-finite class probabilities in an SGD step in epoch 0"),
+        # the second step's logits overflow and the output weights turn NaN
+        (1e30, 0.5, "^cell 1: training diverged after epoch 0: parameter magnitude nan$"),
     ])
     def test_failing_cell_is_named(self, magnitude, initial_lr, message):
         table = VectorTable(["aaa", "bbb"], np.array([[magnitude, 0.0], [0.0, magnitude]]))
@@ -712,6 +712,21 @@ class TestTrainMany:
         with pytest.raises(TrainingError, match=message) as info:
             train_many([(toy_docs(), healthy), (toy_docs(), bad), (toy_docs(2), healthy)])
         assert info.value.cell == 1
+
+    def test_guard_reads_input_rows_unless_frozen(self):
+        # pretrained rows start past the 1e8 limit; at this lr the output
+        # weights stay small, so only the input rows can trip the guard
+        table = VectorTable(["aaa", "bbb"], np.array([[2e8, 0.0], [0.0, 2e8]]))
+
+        def cells(freeze):
+            config = small_config(dim=2, epochs=2, initial_lr=1e-10, pretrained=table,
+                                  freeze_pretrained=freeze)
+            return [(toy_docs(), small_config(dim=2, epochs=2)), (toy_docs(), config)]
+
+        assert np.abs(train_many(cells(True))[1].output_weights).max() < 1.0
+        with pytest.raises(TrainingError, match=(
+                "^cell 1: training diverged after epoch 0: parameter magnitude 200000000.0$")):
+            train_many(cells(False))
 
 
 class TestPersistence:

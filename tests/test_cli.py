@@ -335,6 +335,23 @@ class TestPipeline:
         assert "Traceback" not in err
         assert not (out / "manifest.tsv").exists()
 
+    def test_diverged_training_exit_two(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        cfg = write_cfg(tmp_path, out, SMALL_SYNTH + "embedding.lr = 1000\n")
+        docs = "".join(f"u{i}\t{i % 2}\talpha beta gamma alpha delta\n" for i in range(10))
+        (out / "source_documents.tsv").write_text(docs, encoding="utf-8")
+        assert run("train-embeddings", cfg) == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1
+        head, _, magnitude = errors[0].rpartition(" ")
+        assert head == "error: training diverged after epoch 0: parameter magnitude"
+        # a plain number, not a numpy repr; past the 1e8 limit or NaN
+        assert not float(magnitude) <= 1e8
+        assert "Traceback" not in err
+        assert not (out / "manifest.tsv").exists()
+
     @pytest.mark.parametrize("command, fraction, side", [
         ("evaluate", 0.96, "test"),
         ("baseline", 0.96, "test"),

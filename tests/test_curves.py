@@ -60,13 +60,14 @@ class TestLearningCurve:
 
     def test_failing_cell_names_its_sweep_point(self):
         # frozen 1e30 transfer vectors overflow the logits at the second
-        # step; the monolingual cells train as usual
+        # step, which turns the output weights NaN; the monolingual cells
+        # train as usual
         train, test = tiny_dataset()
         words = sorted({w for d in train for w in d.text.split()})
         table = VectorTable(words, np.full((len(words), 16), 1e30))
         with pytest.raises(TrainingError, match=(
-                "^sweep point fraction=1.0 seed=1 kind=transfer: cell 1: non-finite class "
-                "probabilities in an SGD step in epoch 0$")):
+                "^sweep point fraction=1.0 seed=1 kind=transfer: cell 1: training diverged "
+                "after epoch 0: parameter magnitude nan$")):
             learning_curve(
                 train, test, fractions=(1.0,), seeds=(1,), kinds=("monolingual", "transfer"),
                 config=tiny_config(freeze_pretrained=True), pretrained=table,
@@ -109,12 +110,16 @@ class TestLearningCurve:
             assert evaluate_classifier(model, test) == expected
             assert epochs or not any(labels)
 
-    def test_point_validation(self):
-        metrics = binary_metrics(ConfusionMatrix(1, 1, 1, 1))
-        with pytest.raises(ValueError):
-            LearningCurvePoint(1.5, "monolingual", 1, metrics)
-        with pytest.raises(ValueError):
-            LearningCurvePoint(0.5, "bogus", 1, metrics)
+    def test_point_validation(self, monkeypatch):
+        # learning_curve rejects a point's fraction or kind before training
+        train, test = tiny_dataset()
+        monkeypatch.setattr(curves_module, "train_many", lambda cells: pytest.fail("trained"))
+        with pytest.raises(ValueError, match=r"fraction must be in \(0,1\], got 1.5"):
+            learning_curve(train, test, fractions=(1.5,), seeds=(1,),
+                           kinds=("monolingual",), config=tiny_config())
+        with pytest.raises(ValueError, match="unknown model kind 'bogus'"):
+            learning_curve(train, test, fractions=(0.5,), seeds=(1,),
+                           kinds=("monolingual", "bogus"), config=tiny_config())
 
     def test_fraction_means_aggregates(self):
         m1 = binary_metrics(ConfusionMatrix(2, 0, 0, 2))

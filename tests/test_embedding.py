@@ -12,6 +12,7 @@ from xldetect.embedding import (
     VectorTable,
     load_checkpoint,
     load_vectors,
+    _epoch_guard,
     _keep_probs,
     _learning_rate,
     _segment_sum,
@@ -25,7 +26,7 @@ from xldetect.embedding import (
     train_skipgram,
     word_vector,
 )
-from xldetect.errors import FormatError
+from xldetect.errors import FormatError, TrainingError
 from xldetect.vocab import SubwordIndex, build_vocab, word_rows_csr
 
 
@@ -223,33 +224,53 @@ class TestTrainSkipgram:
                 assert flat[indptr[w] : indptr[w + 1]].tolist() == input_ids(word, vocab, index)
 
     def test_check_finite_scans_every_block(self):
-        from xldetect.embedding import _CHECK_ROWS, _check_finite, _epoch_guard
-        from xldetect.errors import TrainingError
-
-        table = np.zeros((_CHECK_ROWS + 3, 2), dtype=np.float32)
-        _check_finite(table, "input rows")  # no raise
-        _epoch_guard(table, epoch=0)
-        # the last row, and the rows on either side of the block boundary
-        for row in (len(table) - 1, _CHECK_ROWS - 1, _CHECK_ROWS):
-            for bad in (np.nan, np.inf):
-                table[row, 1] = bad
-                with pytest.raises(TrainingError, match="input rows"):
-                    _check_finite(table, "input rows")
-            for bad in (np.nan, np.inf, -np.inf, 2e8):
-                table[row, 1] = bad
-                with pytest.raises(TrainingError, match="epoch 2: parameter magnitude"):
-                    _epoch_guard(table, epoch=2)
-            table[row, 1] = 0.0
+        # every matrix passed is read to its first and its last element, and
+        # a non-finite entry anywhere raises
+        first = np.ones((3, 2), dtype=np.float32)
+        second = np.zeros((4, 2), dtype=np.float32)
+        _epoch_guard(0, first, second)  # no raise
+        for table in (first, second):
+            for bad, shown in ((np.nan, "nan"), (np.inf, "inf"), (-np.inf, "inf")):
+                for at in ((0, 0), (-1, -1)):
+                    clean = table[at]
+                    table[at] = bad
+                    with pytest.raises(TrainingError, match=(
+                            f"^training diverged after epoch 2: parameter magnitude {shown}$")):
+                        _epoch_guard(2, first, second)
+                    table[at] = clean
 
     def test_divergence_guards(self):
-        from xldetect.embedding import _check_finite, _epoch_guard
-        from xldetect.errors import TrainingError
+        # a finite parameter above the limit raises, the magnitude prints as a
+        # plain float, and the limit itself is within bounds
+        first = np.ones((3, 2), dtype=np.float32)
+        second = np.zeros((4, 2), dtype=np.float32)
+        for bad, shown in ((2e8, "200000000.0"), (-2e8, "200000000.0")):
+            for at in ((0, 0), (-1, -1)):
+                second[at] = bad
+                with pytest.raises(TrainingError, match=(
+                        f"^training diverged after epoch 3: parameter magnitude {shown}$")):
+                    _epoch_guard(3, first, second)
+                second[at] = 0.0
+        second[-1, -1] = -1e8
+        _epoch_guard(0, first, second)
+        _epoch_guard(0, np.array([[1.0]], dtype=np.float32))  # no raise
 
-        with pytest.raises(TrainingError, match="epoch 3"):
-            _epoch_guard(np.array([[1e9]], dtype=np.float32), epoch=3)
-        with pytest.raises(TrainingError):
-            _check_finite(np.array([[np.nan]], dtype=np.float32), "input rows")
-        _epoch_guard(np.array([[1.0]], dtype=np.float32), epoch=0)  # no raise
+    def test_divergence_raises(self):
+        # at lr 1e3 the scores overflow in the first epoch and the tables turn NaN
+        with pytest.raises(TrainingError, match=(
+                "^training diverged after epoch 0: parameter magnitude nan$")):
+            train_skipgram(cluster_corpus(), small_config(initial_lr=1e3))
+
+    def test_guard_reads_context_rows(self, monkeypatch):
+        import xldetect.embedding as emb
+
+        def step(input_rows, context_rows, *rest):
+            context_rows[-1, -1] = np.inf  # the input rows stay finite
+            return 0.0
+
+        monkeypatch.setattr(emb, "_sentence_step", step)
+        with pytest.raises(TrainingError, match="epoch 0: parameter magnitude inf$"):
+            train_skipgram(cluster_corpus(2), small_config(epochs=2))
 
 
 def negative_sampling_loss(input_rows, context_rows, rows, centers, contexts, negatives):
