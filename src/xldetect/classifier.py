@@ -321,6 +321,7 @@ def _shared_table(cells: list[_Cell]):
     return table, np.concatenate(read + [[zero]]), write, shares
 
 
+@np.errstate(over="ignore", invalid="ignore")  # _epoch_guard reports a divergence
 def _train_lockstep(cells: list[_Cell]) -> None:
     """Train the cells in place, as train_many describes."""
     table, read, write, shares = _shared_table(cells)

@@ -1,9 +1,12 @@
-"""Command-line pipeline: each stage consumes prior artifacts by path and
-returns its (inputs, outputs); ``main`` times it and appends a manifest
-line, so any stage can be re-run from its recorded config and seed.
-Re-runs with the same config and seed are byte-identical. Every path a
-config names, input or output, is ``Path(out_dir) / value``: a relative
-path lies in the run directory and an absolute one stays as it is."""
+"""Command-line pipeline: each stage reads and writes its artifacts
+through a ``_Run``, the one place that resolves a config key to its path,
+checks that an input exists, and records every path in the order the
+stage opened it. ``main`` appends the run's inputs and outputs, with its
+wall time, as a manifest line, so any stage can be re-run from its
+recorded config and seed. Re-runs with the same config and seed are
+byte-identical. Every path a config names, input or output, is
+``Path(out_dir) / value``: a relative path lies in the run directory and
+an absolute one stays as it is."""
 
 from __future__ import annotations
 
@@ -31,54 +34,77 @@ from .vocab import SubwordIndex
 logger = logging.getLogger(__name__)
 
 
-def _input(cfg: PipelineConfig, key: str, produced_by: str) -> Path:
-    if not cfg[key]:
-        raise ConfigError([f"{key} must be set for this command"])
-    path = Path(cfg.out_dir) / cfg[key]
-    if not path.exists():
-        raise DependencyError(f"missing artifact {str(path)!r}; run '{produced_by}' first")
-    return path
+class _Run:
+    """One stage run: the artifact paths it read and wrote, in order, and
+    the clock of its manifest line."""
 
+    def __init__(self, cfg: PipelineConfig, command: str):
+        self.cfg = cfg
+        self.command = command
+        self.inputs: list[Path] = []
+        self.outputs: list[Path] = []
+        self.started = time.monotonic()
 
-def _out_path(cfg: PipelineConfig, key: str) -> Path:
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return out_dir / cfg[key]
+    def input(self, key: str, produced_by: str) -> Path:
+        if not self.cfg[key]:
+            raise ConfigError([f"{key} must be set for this command"])
+        path = Path(self.cfg.out_dir) / self.cfg[key]
+        if not path.exists():
+            raise DependencyError(f"missing artifact {str(path)!r}; run '{produced_by}' first")
+        self.inputs.append(path)
+        return path
 
+    def output(self, key: str) -> Path:
+        out_dir = Path(self.cfg.out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        self.outputs.append(out_dir / self.cfg[key])
+        return self.outputs[-1]
 
-def _append_manifest(cfg, command, config_path, inputs, outputs, started):
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = out_dir / "manifest.tsv"
-    line = "\t".join(
-        [
-            command,
-            str(config_path),
-            cfg.config_hash(),
-            str(cfg.seed),
-            ";".join(str(p) for p in inputs),
-            ";".join(str(p) for p in outputs),
-            f"{time.monotonic() - started:.3f}",
-        ]
-    )
-    new = not manifest.exists()
-    with open(manifest, "a", encoding="utf-8") as fh:
-        if new:
-            fh.write("command\tconfig\tconfig_hash\tseed\tinputs\toutputs\twall_s\n")
-        fh.write(line + "\n")
+    def documents(self, key: str) -> list[cp.AccountDocument]:
+        return cp.read_documents(self.input(key, "ingest or synth"))
 
+    def split(self, key: str):
+        """(train, test) of the documents at key, by split.train_fraction at the config seed."""
+        spec = self.cfg.build("split", cp.SplitSpec, seed=self.cfg.seed)
+        return cp.split(self.documents(key), spec)
 
-def _base_report(cfg: PipelineConfig, command: str) -> rp.Report:
-    report = rp.Report()
-    run = report.section("run")
-    run["command"] = command
-    run["config_hash"] = cfg.config_hash()
-    run["seed"] = str(cfg.seed)
-    config = report.section("config")
-    for line in cfg.effective_lines():
-        key, _, value = line.partition("=")
-        config[key] = value
-    return report
+    def pretrained(self, produced_by: str) -> emb.VectorTable:
+        return emb.load_vectors(self.input("classifier.pretrained", produced_by),
+                                expect_dim=self.cfg["classifier.dim"])
+
+    def classifier(self) -> clf.TextClassifier:
+        return clf.load_classifier(self.input("classifier.out_model", "train-classifier"))
+
+    def report(self) -> rp.Report:
+        report = rp.Report()
+        run = report.section("run")
+        run["command"] = self.command
+        run["config_hash"] = self.cfg.config_hash()
+        run["seed"] = str(self.cfg.seed)
+        config = report.section("config")
+        for line in self.cfg.effective_lines():
+            key, _, value = line.partition("=")
+            config[key] = value
+        return report
+
+    def append_manifest(self, config_path: str) -> None:
+        manifest = Path(self.cfg.out_dir) / "manifest.tsv"
+        line = "\t".join(
+            [
+                self.command,
+                str(config_path),
+                self.cfg.config_hash(),
+                str(self.cfg.seed),
+                ";".join(str(p) for p in self.inputs),
+                ";".join(str(p) for p in self.outputs),
+                f"{time.monotonic() - self.started:.3f}",
+            ]
+        )
+        new = not manifest.exists()
+        with open(manifest, "a", encoding="utf-8") as fh:
+            if new:
+                fh.write("command\tconfig\tconfig_hash\tseed\tinputs\toutputs\twall_s\n")
+            fh.write(line + "\n")
 
 
 def _trainer_config(cfg: PipelineConfig, section: str, cls, **extra):
@@ -87,53 +113,39 @@ def _trainer_config(cfg: PipelineConfig, section: str, cls, **extra):
     return cfg.build(section, cls, subwords=subwords, seed=cfg.seed, **extra)
 
 
-def _split_docs(cfg: PipelineConfig, docs):
-    return cp.split(docs, cp.SplitSpec(cfg["split.train_fraction"], cfg.seed))
-
-
-def cmd_ingest(cfg: PipelineConfig) -> tuple[list[Path], list[Path]]:
-    posts_path = _input(cfg, "ingest.posts", "the data producer")
-    status_path = _input(cfg, "ingest.statuses", "the data producer")
-    result = cp.ingest_posts(posts_path)
+def cmd_ingest(run: _Run) -> None:
+    result = cp.ingest_posts(run.input("ingest.posts", "the data producer"))
     records = result.records
-    if cfg["ingest.language"]:
-        records = cp.filter_language(records, cfg["ingest.language"])
-    statuses = cp.read_status_file(status_path)
+    if run.cfg["ingest.language"]:
+        records = cp.filter_language(records, run.cfg["ingest.language"])
+    statuses = cp.read_status_file(run.input("ingest.statuses", "the data producer"))
     documents = cp.aggregate_by_account(records, statuses)
-    out = _out_path(cfg, "ingest.out")
-    cp.write_documents(documents, out)
+    cp.write_documents(documents, run.output("ingest.out"))
     logger.info(
         "ingest: %d records (%d malformed lines) -> %d documents",
         len(result.records), result.malformed, len(documents),
     )
-    return [posts_path, status_path], [out]
 
 
-def cmd_train_embeddings(cfg: PipelineConfig) -> tuple[list[Path], list[Path]]:
-    corpus_path = _input(cfg, "embedding.corpus", "ingest or synth")
-    documents = cp.read_documents(corpus_path)
+def cmd_train_embeddings(run: _Run) -> None:
+    documents = run.documents("embedding.corpus")
     sentences = [cp.tokenize(d.text) for d in documents]
-    model = emb.train_skipgram(sentences, _trainer_config(cfg, "embedding", emb.SkipgramConfig))
-    out_vectors = _out_path(cfg, "embedding.out_vectors")
-    out_checkpoint = _out_path(cfg, "embedding.out_checkpoint")
-    emb.save_vectors(model.to_table(), out_vectors)
-    emb.save_checkpoint(model, out_checkpoint)
+    model = emb.train_skipgram(sentences, _trainer_config(run.cfg, "embedding", emb.SkipgramConfig))
+    emb.save_vectors(model.to_table(), run.output("embedding.out_vectors"))
+    emb.save_checkpoint(model, run.output("embedding.out_checkpoint"))
     logger.info("trained %d-dim vectors for %d words", model.dim, len(model.vocab))
-    return [corpus_path], [out_vectors, out_checkpoint]
 
 
-def cmd_align(cfg: PipelineConfig) -> tuple[list[Path], list[Path]]:
-    src_path = _input(cfg, "align.source_vectors", "train-embeddings")
-    tgt_path = _input(cfg, "align.target_vectors", "train-embeddings")
-    dict_path = _input(cfg, "align.train_dict", "the dictionary producer")
-    source = emb.load_vectors(src_path)
-    target = emb.load_vectors(tgt_path)
-    train_dict = al.load_dictionary(dict_path, role="train")
+def cmd_align(run: _Run) -> None:
+    cfg = run.cfg
+    source = emb.load_vectors(run.input("align.source_vectors", "train-embeddings"))
+    target = emb.load_vectors(run.input("align.target_vectors", "train-embeddings"))
+    train_dict = al.load_dictionary(
+        run.input("align.train_dict", "the dictionary producer"), role="train")
     eval_dict = None
     if cfg["align.eval_dict"]:
         eval_dict = al.load_dictionary(
-            _input(cfg, "align.eval_dict", "the dictionary producer"), role="eval"
-        )
+            run.input("align.eval_dict", "the dictionary producer"), role="eval")
     omap = al.refine(
         source, target, train_dict,
         iterations=cfg["align.iterations"],
@@ -141,51 +153,38 @@ def cmd_align(cfg: PipelineConfig) -> tuple[list[Path], list[Path]]:
         top_k_vocab=cfg["align.induce_top_k"],
         csls_k=cfg["align.csls_k"],
     )
-    out_map = _out_path(cfg, "align.out_map")
-    out_merged = _out_path(cfg, "align.out_merged")
-    al.save_map(omap, out_map)
-    emb.save_vectors(al.merge_tables(target, al.apply_map(omap, source)), out_merged)
-    return [src_path, tgt_path, dict_path], [out_map, out_merged]
+    al.save_map(omap, run.output("align.out_map"))
+    emb.save_vectors(al.merge_tables(target, al.apply_map(omap, source)),
+                     run.output("align.out_merged"))
 
 
-def cmd_train_classifier(cfg: PipelineConfig) -> tuple[list[Path], list[Path]]:
-    docs_path = _input(cfg, "classifier.docs", "ingest or synth")
-    documents = cp.read_documents(docs_path)
-    train_docs, _ = _split_docs(cfg, documents)
+def cmd_train_classifier(run: _Run) -> None:
+    cfg = run.cfg
+    train_docs, _ = run.split("classifier.docs")
     pretrained = None
-    inputs = [docs_path]
     if cfg["classifier.pretrained"]:
-        pre_path = _input(cfg, "classifier.pretrained", "align or train-embeddings")
-        pretrained = emb.load_vectors(pre_path, expect_dim=cfg["classifier.dim"])
-        inputs.append(pre_path)
+        pretrained = run.pretrained("align or train-embeddings")
     model = clf.train_supervised(
         train_docs, _trainer_config(cfg, "classifier", clf.SupervisedConfig, pretrained=pretrained))
-    out_model = _out_path(cfg, "classifier.out_model")
-    clf.save_classifier(model, out_model)
+    clf.save_classifier(model, run.output("classifier.out_model"))
     logger.info(
         "trained classifier on %d documents; mean loss over the last epoch %.4f",
         len(train_docs), model.loss_history[-1],
     )
-    return inputs, [out_model]
 
 
-def cmd_evaluate(cfg: PipelineConfig) -> tuple[list[Path], list[Path]]:
-    model_path = _input(cfg, "classifier.out_model", "train-classifier")
-    docs_path = _input(cfg, "evaluate.docs", "ingest or synth")
-    model = clf.load_classifier(model_path)
-    documents = cp.read_documents(docs_path)
-    _, test_docs = _split_docs(cfg, documents)
+def cmd_evaluate(run: _Run) -> None:
+    model = run.classifier()
+    _, test_docs = run.split("evaluate.docs")
     metrics = cv.evaluate_classifier(model, test_docs)
-    report = _base_report(cfg, "evaluate")
+    report = run.report()
     report.sections["metrics.test"] = rp.metrics_section(metrics)
     report.section("data")["test_documents"] = str(len(test_docs))
-    out = _out_path(cfg, "evaluate.out_report")
-    rp.write_report(report, out)
+    rp.write_report(report, run.output("evaluate.out_report"))
     logger.info(
         "evaluate: f1=%.4f precision=%.4f recall=%.4f on %d documents",
         metrics.f1, metrics.precision, metrics.recall, len(test_docs),
     )
-    return [model_path, docs_path], [out]
 
 
 def _baseline_weights(kind, vocab, counts, token_docs):
@@ -195,10 +194,9 @@ def _baseline_weights(kind, vocab, counts, token_docs):
     return bl.tfidf_transform(counts, [max(1, len(toks)) for toks in token_docs], vocab)
 
 
-def cmd_baseline(cfg: PipelineConfig) -> tuple[list[Path], list[Path]]:
-    docs_path = _input(cfg, "baseline.docs", "ingest or synth")
-    documents = cp.read_documents(docs_path)
-    train_docs, test_docs = _split_docs(cfg, documents)
+def cmd_baseline(run: _Run) -> None:
+    cfg = run.cfg
+    train_docs, test_docs = run.split("baseline.docs")
     train_tokens = [cp.tokenize(d.text) for d in train_docs]
     kind = cfg["baseline.kind"]
     n_lo, n_hi = ((1, 1) if kind.startswith("bow")
@@ -215,32 +213,22 @@ def cmd_baseline(cfg: PipelineConfig) -> tuple[list[Path], list[Path]]:
     metrics_report = cv.binary_metrics(
         cv.confusion(preds, [d.label for d in test_docs])
     )
-    report = _base_report(cfg, "baseline")
+    report = run.report()
     report.sections["metrics.test"] = rp.metrics_section(metrics_report)
     data = report.section("data")
     data["kind"] = kind
     data["features"] = str(len(vocab))
     data["train_documents"] = str(len(train_docs))
     data["test_documents"] = str(len(test_docs))
-    out_report = _out_path(cfg, "baseline.out_report")
-    out_features = _out_path(cfg, "baseline.out_features")
-    rp.write_report(report, out_report)
-    bl.save_feature_vocab(vocab, out_features)
+    rp.write_report(report, run.output("baseline.out_report"))
+    bl.save_feature_vocab(vocab, run.output("baseline.out_features"))
     logger.info("baseline %s: f1=%.4f on %d test documents", kind, metrics_report.f1, len(test_docs))
-    return [docs_path], [out_report, out_features]
 
 
-def cmd_sweep(cfg: PipelineConfig) -> tuple[list[Path], list[Path]]:
-    docs_path = _input(cfg, "sweep.docs", "ingest or synth")
-    documents = cp.read_documents(docs_path)
-    train_docs, test_docs = _split_docs(cfg, documents)
+def cmd_sweep(run: _Run) -> None:
+    cfg = run.cfg
+    train_docs, test_docs = run.split("sweep.docs")
     kinds = cfg["sweep.kinds"]
-    pretrained = None
-    inputs = [docs_path]
-    if "transfer" in kinds:
-        pre_path = _input(cfg, "classifier.pretrained", "align")
-        pretrained = emb.load_vectors(pre_path, expect_dim=cfg["classifier.dim"])
-        inputs.append(pre_path)
     points = cv.learning_curve(
         train_docs,
         test_docs,
@@ -248,7 +236,7 @@ def cmd_sweep(cfg: PipelineConfig) -> tuple[list[Path], list[Path]]:
         seeds=cfg["sweep.seeds"],
         kinds=kinds,
         config=_trainer_config(cfg, "classifier", clf.SupervisedConfig),
-        pretrained=pretrained,
+        pretrained=run.pretrained("align") if "transfer" in kinds else None,
     )
     rows = [
         [repr(p.train_fraction), p.model_kind, str(p.seed),
@@ -262,7 +250,7 @@ def cmd_sweep(cfg: PipelineConfig) -> tuple[list[Path], list[Path]]:
          repr(stats["f1"]), str(int(stats["n"]))]
         for (fraction, kind), stats in means.items()
     ]
-    report = _base_report(cfg, "sweep")
+    report = run.report()
     data = report.section("data")
     data["train_documents"] = str(len(train_docs))
     data["test_documents"] = str(len(test_docs))
@@ -270,45 +258,34 @@ def cmd_sweep(cfg: PipelineConfig) -> tuple[list[Path], list[Path]]:
     report.add_table(
         "curve_means", ["fraction", "kind", "precision", "recall", "f1", "n"], mean_rows
     )
-    out_report = _out_path(cfg, "sweep.out_report")
-    out_csv = _out_path(cfg, "sweep.out_csv")
-    rp.write_report(report, out_report)
-    with open(out_csv, "w", encoding="utf-8") as fh:
+    rp.write_report(report, run.output("sweep.out_report"))
+    with open(run.output("sweep.out_csv"), "w", encoding="utf-8") as fh:
         fh.write(",".join(columns) + "\n")
         for row in rows:
             fh.write(",".join(row) + "\n")
-    return inputs, [out_report, out_csv]
 
 
-def cmd_export_vectors(cfg: PipelineConfig) -> tuple[list[Path], list[Path]]:
-    model_path = _input(cfg, "classifier.out_model", "train-classifier")
-    docs_path = _input(cfg, "export.docs", "ingest or synth")
-    model = clf.load_classifier(model_path)
-    documents = cp.read_documents(docs_path)
+def cmd_export_vectors(run: _Run) -> None:
+    model = run.classifier()
+    documents = run.documents("export.docs")
     if not documents:
-        raise DataError(f"{docs_path}: no documents to export")
+        raise DataError(f"{run.inputs[-1]}: no documents to export")
     ids = [d.account_id for d in documents]
     batch = model.doc_batch([cp.tokenize(d.text) for d in documents])
     matrix = clf.doc_vectors(model, batch).astype(np.float64)
-    out = _out_path(cfg, "export.out")
-    ext.save_external_features(ids, matrix, out)
-    return [model_path, docs_path], [out]
+    ext.save_external_features(ids, matrix, run.output("export.out"))
 
 
-def cmd_synth(cfg: PipelineConfig) -> tuple[list[Path], list[Path]]:
-    sconfig = cfg.build("synth", sy.SyntheticConfig)
-    data = sy.generate_synthetic_bilingual(sconfig, cfg.seed)
-    out_source = _out_path(cfg, "synth.out_source")
-    out_target = _out_path(cfg, "synth.out_target")
-    out_dict = _out_path(cfg, "synth.out_dict")
-    cp.write_documents(data.source_docs, out_source)
-    cp.write_documents(data.target_docs, out_target)
-    al.save_dictionary(al.BilingualDictionary(data.dictionary), out_dict)
+def cmd_synth(run: _Run) -> None:
+    sconfig = run.cfg.build("synth", sy.SyntheticConfig)
+    data = sy.generate_synthetic_bilingual(sconfig, run.cfg.seed)
+    cp.write_documents(data.source_docs, run.output("synth.out_source"))
+    cp.write_documents(data.target_docs, run.output("synth.out_target"))
+    al.save_dictionary(al.BilingualDictionary(data.dictionary), run.output("synth.out_dict"))
     logger.info(
         "synth: %d source / %d target documents, vocabulary %d",
         len(data.source_docs), len(data.target_docs), sconfig.vocab_size,
     )
-    return [], [out_source, out_target, out_dict]
 
 
 _COMMANDS = {
@@ -349,15 +326,10 @@ def main(argv=None) -> int:
     if args.out is not None:
         overrides["out_dir"] = args.out
     try:
-        cfg = validate_config(args.config, overrides)
-    except ConfigError as exc:
-        for err in exc.errors:
-            print(f"config error: {err}", file=sys.stderr)
-        return 1
-    started = time.monotonic()
-    try:
-        inputs, outputs = _COMMANDS[args.command](cfg)
-        _append_manifest(cfg, args.command, args.config, inputs, outputs, started)
+        # the run, and with it the manifest's wall time, starts after validation
+        run = _Run(validate_config(args.config, overrides), args.command)
+        _COMMANDS[args.command](run)
+        run.append_manifest(args.config)
     except ConfigError as exc:
         for err in exc.errors:
             print(f"config error: {err}", file=sys.stderr)
@@ -368,7 +340,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2
-    for out in outputs:
+    for out in run.outputs:
         print(out)
     return 0
 

@@ -24,10 +24,11 @@ from pathlib import Path
 from . import formats
 from .baselines import LogRegConfig
 from .classifier import SupervisedConfig
+from .corpus import SplitSpec
 from .curves import DEFAULT_FRACTIONS, MODEL_KINDS
 from .embedding import SkipgramConfig
 from .errors import ConfigError, FormatError
-from .params import at_least, open01
+from .params import at_least
 from .synth import SyntheticConfig
 from .vocab import SubwordIndex
 
@@ -36,6 +37,7 @@ _BASELINE_KINDS = ("bow", "bow_tfidf", "ngrams", "ngrams_tfidf")
 # (section, stage dataclass) -> {key suffix: field} for every key that sets
 # a stage dataclass field
 STAGE_KEYS: dict[tuple, dict[str, str]] = {
+    ("split", SplitSpec): dict(train_fraction="train_fraction"),
     ("embedding", SkipgramConfig): dict(
         dim="dim", epochs="epochs", lr="initial_lr", window="window", negatives="negatives",
         subsample_t="subsample_t", min_count="min_count"),
@@ -88,7 +90,7 @@ SCHEMA: dict[str, tuple] = {
     "ingest.language": ("str", "", None),
     "ingest.out": ("str", "documents.tsv", None),
 
-    "split.train_fraction": ("float", 0.8, open01()),
+    **_stage_entries("split", SplitSpec),
 
     "embedding.corpus": ("str", "", None),
     **_stage_entries("embedding", SkipgramConfig),

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import formats
 from .errors import DataError, FormatError, LabelingError
+from .params import check, open01, param
 
 logger = logging.getLogger(__name__)
 
@@ -55,8 +56,11 @@ class AccountDocument:
 
 @dataclass(frozen=True)
 class SplitSpec:
-    train_fraction: float = 0.8
+    train_fraction: float = param(0.8, open01())
     seed: int = 0
+
+    def __post_init__(self):
+        check(self)
 
 
 @dataclass
@@ -155,8 +159,6 @@ def split(
     n = len(documents)
     if n < 2:
         raise DataError(f"need at least 2 documents to split, got {n}")
-    if not 0.0 < spec.train_fraction < 1.0:
-        raise ValueError(f"train_fraction must be in (0,1), got {spec.train_fraction}")
     k = _round_half_up(spec.train_fraction * n)
     if k in (0, n):
         raise DataError(f"train_fraction {spec.train_fraction} of {n} documents leaves the "

@@ -25,7 +25,8 @@ The learning rate decays linearly to 0 over the scheduled tokens
 _epoch_guard, runs after every epoch of both trainers on every matrix
 that epoch trained, here the input and the context rows. It raises
 TrainingError on a non-finite parameter or one above _PARAM_LIMIT in
-magnitude, and no other divergence check exists.
+magnitude, and no other divergence check exists; both trainers run with
+numpy's overflow warnings off, so that error is all a divergence prints.
 """
 
 from __future__ import annotations
@@ -183,6 +184,7 @@ def _learning_rate(initial_lr, progress, total):
     return initial_lr * np.maximum(0.0, 1.0 - progress / total)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # _epoch_guard reports a divergence
 def train_skipgram(corpus: Iterable[list[str]], config: SkipgramConfig) -> EmbeddingMatrix:
     """Train skipgram embeddings over a tokenized corpus.
 

@@ -206,6 +206,21 @@ class TestPipeline:
         assert len(errors) == 1 and "non-finite cross-covariance" in errors[0]
         assert "Traceback" not in err
 
+    def test_align_records_eval_dict(self, tmp_path):
+        # the evaluation dictionary align reads is its fourth manifest input
+        out = tmp_path / "out"
+        out.mkdir()
+        cfg = write_cfg(tmp_path, out, SMALL_SYNTH + "align.eval_dict = eval_dict.txt\n")
+        vectors = b"3 2\nw 1 0\nu 0 1\nv 1 1\n"
+        (out / "vectors.txt").write_bytes(vectors)
+        (out / "target_vectors.txt").write_bytes(vectors)
+        (out / "dictionary.txt").write_bytes(b"w w\nu u\nv v\n")
+        (out / "eval_dict.txt").write_bytes(b"w w\n")
+        assert run("align", cfg) == 0
+        row = (out / "manifest.tsv").read_text(encoding="utf-8").splitlines()[1].split("\t")
+        assert row[4].split(";") == [str(out / name) for name in (
+            "vectors.txt", "target_vectors.txt", "dictionary.txt", "eval_dict.txt")]
+
     def test_config_not_utf8_exit_one(self, tmp_path, capsys):
         cfg = tmp_path / "pipeline.cfg"
         cfg.write_bytes(b"seed = 5\nout_dir = \xff\n")
@@ -442,6 +457,8 @@ class TestRunDirectory:
         rows = [line.split("\t") for line in
                 (out / "manifest.tsv").read_text(encoding="utf-8").splitlines()[1:]]
         assert [row[0] for row in rows] == [c[0] for c in commands]
+        counts = [tuple(len([p for p in row[i].split(";") if p]) for i in (4, 5)) for row in rows]
+        assert counts == [(0, 3), (1, 2), (1, 2), (3, 2), (2, 1), (2, 1), (2, 2), (1, 2), (2, 1)]
         paths = [p for row in rows for p in row[4].split(";") + row[5].split(";") if p]
         assert len(paths) == 30  # 14 inputs, 16 outputs
         assert all(Path(p).parent == out for p in paths), paths

@@ -255,8 +255,10 @@ class TestTrainSkipgram:
         _epoch_guard(0, first, second)
         _epoch_guard(0, np.array([[1.0]], dtype=np.float32))  # no raise
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_divergence_raises(self):
-        # at lr 1e3 the scores overflow in the first epoch and the tables turn NaN
+        # at lr 1e3 the scores overflow in the first epoch and the tables turn
+        # NaN; numpy's overflow warnings stay off, so the error is all it reports
         with pytest.raises(TrainingError, match=(
                 "^training diverged after epoch 0: parameter magnitude nan$")):
             train_skipgram(cluster_corpus(), small_config(initial_lr=1e3))

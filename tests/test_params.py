@@ -8,6 +8,7 @@ from xldetect.baselines import LogRegConfig
 from xldetect.classifier import SupervisedConfig
 from xldetect.cli import main
 from xldetect.config import validate_config
+from xldetect.corpus import SplitSpec
 from xldetect.embedding import SkipgramConfig
 from xldetect.errors import ConfigError
 from xldetect.synth import SyntheticConfig
@@ -16,6 +17,8 @@ from xldetect.vocab import MAX_BUCKETS, SubwordIndex
 # key -> (dataclass, field, accepted values, rejected values), written out
 # here rather than read from config so that a wrong map also fails
 OWNED = {
+    "split.train_fraction": (SplitSpec, "train_fraction", [5e-324, 0.9999999999999999],
+                             [0.0, 1.0]),
     "embedding.dim": (SkipgramConfig, "dim", [1], [0]),
     "embedding.epochs": (SkipgramConfig, "epochs", [0], [-1]),
     "embedding.lr": (SkipgramConfig, "initial_lr", [5e-324], [0.0]),
