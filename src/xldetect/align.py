@@ -4,6 +4,13 @@ A seed dictionary anchors a Procrustes fit; refinement alternates
 CSLS-based dictionary induction with refitting. Retrieval (induction,
 evaluation) runs on L2-normalized vectors; the Procrustes fit itself
 uses the raw dictionary vectors.
+
+Retrieval scores one block of query rows against a whole table at a
+time: _block_rows(n) rows against a table of n rows, at most
+_BLOCK_CELLS cells (2 MiB of float64) unless the 64-row floor for wide
+tables applies. Each consumer works on its block in place, so besides
+the normalized tables a search holds a few blocks at once, whatever the
+number of queries.
 """
 
 from __future__ import annotations
@@ -22,7 +29,8 @@ from .errors import AlignmentError
 logger = logging.getLogger(__name__)
 
 _MAGIC_MAP = "XLMAP1"
-_BATCH = 1024
+# float64 cells per similarity block: 2 MiB
+_BLOCK_CELLS = 1 << 18
 
 
 @dataclass
@@ -110,17 +118,33 @@ def _normalized(vectors: np.ndarray) -> np.ndarray:
     return vectors / norms[:, None]
 
 
+def _check_positive(**values: int) -> None:
+    for name, value in values.items():
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+
+
+def _block_rows(n_columns: int) -> int:
+    """Rows per similarity block against a table of n_columns rows: at most
+    _BLOCK_CELLS cells, but never under 64 rows, which keeps the GEMM
+    efficient on wide tables."""
+    return max(64, _BLOCK_CELLS // n_columns)
+
+
 def _mean_topk(sims: np.ndarray, k: int) -> np.ndarray:
-    """Row-wise mean of the k largest entries."""
-    k = min(k, sims.shape[1])
-    part = np.partition(sims, sims.shape[1] - k, axis=1)[:, sims.shape[1] - k :]
-    return part.mean(axis=1)
+    """Row-wise mean of the k largest entries; partitions sims in place."""
+    n = sims.shape[1]
+    k = min(k, n)
+    sims.partition(n - k, axis=1)
+    return sims[:, n - k :].mean(axis=1)
 
 
 def _cosine_blocks(a: np.ndarray, b: np.ndarray):
-    """Cosines of _BATCH rows of a at a time to every row of b (rows normalized)."""
-    for start in range(0, a.shape[0], _BATCH):
-        yield a[start : start + _BATCH] @ b.T
+    """Cosines of _block_rows(len(b)) rows of a at a time to every row of b
+    (rows normalized). Each block is a fresh array its consumer may overwrite."""
+    rows = _block_rows(b.shape[0])
+    for start in range(0, a.shape[0], rows):
+        yield a[start : start + rows] @ b.T
 
 
 def _knn_means(a: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
@@ -129,11 +153,15 @@ def _knn_means(a: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
 
 
 def csls_blocks(x: np.ndarray, y: np.ndarray, r_y: np.ndarray):
-    """CSLS of normalized rows x against normalized rows y, _BATCH rows of x
-    at a time, as 2 cos(x, y) - r_y[y]. That is CSLS minus r_x[x], which is
-    constant along a row, so a row's argmax and top-k are CSLS's own."""
+    """CSLS of normalized rows x against normalized rows y, in the blocks of
+    _cosine_blocks (_block_rows(len(y)) rows of x each), as
+    2 cos(x, y) - r_y[y]. That is CSLS minus r_x[x], which is constant along
+    a row, so a row's argmax and top-k are CSLS's own. Each block is
+    computed in place and may be overwritten by its consumer."""
     for block in _cosine_blocks(x, y):
-        yield 2.0 * block - r_y
+        block *= 2.0
+        block -= r_y
+        yield block
 
 
 def induce_dictionary(
@@ -147,6 +175,7 @@ def induce_dictionary(
     Table row order is taken as frequency rank. Pairs are returned sorted
     by descending CSLS score (ties by source id).
     """
+    _check_positive(top_k_vocab=top_k_vocab, csls_k=csls_k)
     if mapped_source.dim != target.dim:
         raise ValueError("embedding dimensions differ")
     ns = min(top_k_vocab, len(mapped_source))
@@ -200,6 +229,7 @@ def refine(
     iterations counts the induced refits, so iterations=0 is a plain
     Procrustes fit on the seed dictionary.
     """
+    _check_positive(top_k_vocab=top_k_vocab, csls_k=csls_k)
     x, y = _dictionary_matrices(seed_dict, source, target)
     omap = procrustes(x, y)
     _log_eval(omap, source, target, eval_dict, 0, csls_k)
@@ -233,6 +263,7 @@ def evaluate_translation(
 ) -> float:
     """Fraction of source words whose CSLS top-k neighbors contain a listed
     translation; a source word with several translations is one query."""
+    _check_positive(k=k, csls_k=csls_k)
     filtered, _ = eval_dict.filtered(source, target)
     if not filtered.pairs:
         raise AlignmentError("evaluation dictionary has no usable pairs")
@@ -247,10 +278,12 @@ def evaluate_translation(
     queries = sorted(gold)
     kk = min(k, yt.shape[0])
     correct = 0
+    rows = _block_rows(yt.shape[0])
     blocks = csls_blocks(xs[queries], yt, r_tgt)
-    for start, scores in zip(range(0, len(queries), _BATCH), blocks):
-        top = np.argpartition(-scores, kk - 1, axis=1)[:, :kk]
-        for q, row in zip(queries[start : start + _BATCH], top.tolist()):
+    for start, scores in zip(range(0, len(queries), rows), blocks):
+        np.negative(scores, out=scores)
+        top = scores.argpartition(kk - 1, axis=1)[:, :kk]
+        for q, row in zip(queries[start : start + rows], top.tolist()):
             if gold[q].intersection(row):
                 correct += 1
     return correct / len(queries)

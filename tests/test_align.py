@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,37 @@ def twin_tables(n=80, d=12, seed=0, noise=0.0):
     tgt = VectorTable([f"t{i:03d}" for i in range(n)], y)
     truth = [(f"s{i:03d}", f"t{i:03d}") for i in range(n)]
     return src, tgt, q, truth
+
+
+def wide_tables(seed):
+    """600 source rows of a 5000-row twin pair: ns != nt, and against the
+    5000 targets a block takes the 64-row floor."""
+    src, tgt, q, truth = twin_tables(n=5000, d=8, seed=seed, noise=0.5)
+    return VectorTable(src.words[:600], src.vectors[:600]), tgt, q, truth[:600]
+
+
+def normalized(vectors):
+    return vectors / np.linalg.norm(vectors, axis=1)[:, None]
+
+
+def full_csls(mapped, tgt, csls_k):
+    """The whole CSLS matrix from one cosine matrix."""
+    cos = normalized(mapped.vectors) @ normalized(tgt.vectors).T
+    r_src = np.sort(cos, axis=1)[:, -csls_k:].mean(axis=1)
+    r_tgt = np.sort(cos, axis=0)[-csls_k:].mean(axis=0)
+    return 2.0 * cos - r_src[:, None] - r_tgt[None, :]
+
+
+def reference_pairs(mapped, tgt, csls_k):
+    """Mutual CSLS nearest neighbors by a loop over sources, sorted by
+    descending score: (-score, source id, target id)."""
+    full = full_csls(mapped, tgt, csls_k)
+    expected = []
+    for i in range(full.shape[0]):
+        j = int(full[i].argmax())
+        if int(full[:, j].argmax()) == i:
+            expected.append((-full[i, j], i, j))
+    return sorted(expected)
 
 
 class TestProcrustes:
@@ -208,23 +241,27 @@ class TestInduction:
         assert all(a >= b for a, b in zip(induced.scores, induced.scores[1:]))
 
     def test_matches_pairwise_reference(self):
-        # reference: the full CSLS matrix and a loop over sources; 1100 rows
-        # span two blocks of the batched search
+        # against 1100 columns a block has 238 rows, so each table spans
+        # five blocks of the search, the last one ragged (148 rows)
+        assert align_module._block_rows(1100) == 238
         src, tgt, q, _ = twin_tables(n=1100, d=8, seed=13, noise=0.6)
+        self.check_against_reference(src, tgt, q)
+
+    def test_wide_target_matches_pairwise_reference(self):
+        # 600 sources in 64-row blocks (the floor) against 5000 targets:
+        # nine full blocks and one of 24 rows; the 5000 targets in
+        # 436-row blocks against 600 sources: eleven and one of 204
+        assert align_module._block_rows(5000) == 64
+        assert align_module._block_rows(600) == 436
+        src, tgt, q, _ = wide_tables(seed=22)
+        self.check_against_reference(src, tgt, q)
+
+    @staticmethod
+    def check_against_reference(src, tgt, q):
         mapped = apply_map(OrthogonalMap(q), src)
-        induced = induce_dictionary(mapped, tgt, top_k_vocab=1100, csls_k=4)
-        xs, yt = (t.vectors / np.linalg.norm(t.vectors, axis=1)[:, None] for t in (mapped, tgt))
-        cos = xs @ yt.T
-        r_src = np.sort(cos, axis=1)[:, -4:].mean(axis=1)
-        r_tgt = np.sort(cos, axis=0)[-4:].mean(axis=0)
-        full = 2.0 * cos - r_src[:, None] - r_tgt[None, :]
-        expected = []
-        for i in range(len(xs)):
-            j = int(full[i].argmax())
-            if int(full[:, j].argmax()) == i:
-                expected.append((-full[i, j], i, j))
-        expected.sort()
-        assert 10 < len(expected) < 1100
+        induced = induce_dictionary(mapped, tgt, top_k_vocab=len(tgt), csls_k=4)
+        expected = reference_pairs(mapped, tgt, 4)
+        assert 10 < len(expected) < len(src)
         assert induced.pairs == [(src.words[i], tgt.words[j]) for _, i, j in expected]
         assert np.abs(np.array(induced.scores) + [e[0] for e in expected]).max() <= 1e-12
 
@@ -318,6 +355,74 @@ class TestEvaluateTranslation:
         src, tgt, q, _ = twin_tables()
         with pytest.raises(AlignmentError):
             evaluate_translation(OrthogonalMap(q), src, tgt, BilingualDictionary([("x", "y")]))
+
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_matches_full_matrix_reference(self, k):
+        # 300 queries against 5000 targets take 64-row blocks: four full
+        # blocks and a ragged one of 44 rows
+        src, tgt, q, truth = wide_tables(seed=23)
+        omap = OrthogonalMap(q)
+        p = evaluate_translation(omap, src, tgt, BilingualDictionary(truth[100:400]), k=k,
+                                 csls_k=4)
+        full = full_csls(apply_map(omap, src), tgt, 4)[100:400]
+        top = np.argsort(-full, axis=1, kind="stable")[:, :k]
+        hits = [i in row for i, row in zip(range(100, 400), top.tolist())]
+        assert 0 < sum(hits) < len(hits)
+        assert p == sum(hits) / len(hits)
+
+
+class TestArgumentBounds:
+    @pytest.mark.parametrize("kwargs", [{"top_k_vocab": 0}, {"csls_k": 0}, {"csls_k": -3}])
+    def test_induce_dictionary(self, kwargs):
+        src, tgt, _, _ = twin_tables(n=10, d=4)
+        with pytest.raises(ValueError, match=f"{next(iter(kwargs))} must be >= 1"):
+            induce_dictionary(src, tgt, **kwargs)
+
+    @pytest.mark.parametrize("kwargs", [{"top_k_vocab": 0}, {"csls_k": 0}])
+    def test_refine(self, kwargs):
+        # rejected before the seed fit, even when no induction would run
+        src, tgt, _, truth = twin_tables(n=10, d=4)
+        with pytest.raises(ValueError, match=f"{next(iter(kwargs))} must be >= 1"):
+            refine(src, tgt, BilingualDictionary(truth), iterations=0, **kwargs)
+
+    @pytest.mark.parametrize("kwargs", [{"k": 0}, {"k": -1}, {"csls_k": 0}])
+    def test_evaluate_translation(self, kwargs):
+        src, tgt, q, truth = twin_tables(n=10, d=4)
+        with pytest.raises(ValueError, match=f"{next(iter(kwargs))} must be >= 1"):
+            evaluate_translation(OrthogonalMap(q), src, tgt, BilingualDictionary(truth), **kwargs)
+
+
+def peak_mib(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    """Retrieval holds a few similarity blocks at a time, not a strip of
+    rows as wide as the other table: at 4000 rows a 1024-row strip alone
+    would be 31 MiB, and the whole matrix 122 MiB."""
+
+    N = 4000
+
+    def limit_mib(self, src, tgt):
+        block = align_module._block_rows(self.N) * self.N * 8
+        return (2 * (src.vectors.nbytes + tgt.vectors.nbytes) + 5 * block) / 2**20
+
+    def test_induce_dictionary(self):
+        src, tgt, q, _ = twin_tables(n=self.N, d=16, seed=24, noise=0.3)
+        mapped = apply_map(OrthogonalMap(q), src)
+        peak = peak_mib(lambda: induce_dictionary(mapped, tgt, top_k_vocab=self.N, csls_k=10))
+        assert peak < self.limit_mib(mapped, tgt)
+
+    def test_evaluate_translation(self):
+        src, tgt, q, truth = twin_tables(n=self.N, d=16, seed=25, noise=0.3)
+        eval_dict = BilingualDictionary(truth)
+        peak = peak_mib(lambda: evaluate_translation(OrthogonalMap(q), src, tgt, eval_dict, k=5))
+        assert peak < self.limit_mib(src, tgt)
 
 
 class TestMergeAndIO:
