@@ -316,15 +316,8 @@ def load_dictionary(path: str | Path, role: str = "train") -> BilingualDictionar
 
     Duplicate source words are allowed (a word may have several valid
     translations)."""
-    art = formats.TextArtifact(path)
-    pairs = []
-    for lineno, line in enumerate(art.lines, start=1):
-        fields = line.split()
-        if len(fields) == 2:
-            pairs.append((fields[0], fields[1]))
-        elif fields:
-            raise art.error(lineno, "expected 'source target'")
-    return BilingualDictionary(pairs, role)
+    rows = formats.TextArtifact(path).rows(None, 2, "'source target'")
+    return BilingualDictionary([(s, t) for _, (s, t) in rows], role)
 
 
 def save_dictionary(dictionary: BilingualDictionary, path: str | Path) -> None:

@@ -239,10 +239,7 @@ def load_feature_vocab(path: str | Path) -> FeatureVocabulary:
     art = formats.TextArtifact(path)
     size, max_features, n_docs = art.header("FEATS v1", 3)
     features, dfs = [], []
-    for lineno, line in art.records(size):
-        fields = line.split("\t")
-        if len(fields) != 2:
-            raise art.error(lineno, "expected 'feature<TAB>df'")
-        features.append(fields[0])
-        dfs.append(art.count(lineno, fields[1]))
+    for lineno, (feature, df) in art.rows("\t", 2, "'feature<TAB>df'", "feature", size):
+        features.append(feature)
+        dfs.append(art.count(lineno, df))
     return FeatureVocabulary(features, dfs, max_features, n_docs)

@@ -32,13 +32,6 @@ class AccountStatus(Enum):
     NOT_FOUND = "not_found"
     PROTECTED = "protected"
 
-    @classmethod
-    def parse(cls, raw: str) -> "AccountStatus":
-        try:
-            return cls(raw)
-        except ValueError:
-            raise FormatError(f"unknown account status {raw!r}") from None
-
 
 @dataclass(frozen=True)
 class PostRecord:
@@ -191,15 +184,11 @@ def read_status_file(path: str | Path) -> dict[str, AccountStatus]:
     account id is rejected."""
     statuses: dict[str, AccountStatus] = {}
     art = formats.TextArtifact(path)
-    for lineno, line in enumerate(art.lines, start=1):
-        if not line:
-            continue
-        fields = line.split("\t")
-        if len(fields) != 2 or not fields[0]:
-            raise art.error(lineno, "expected 'account_id<TAB>status'")
-        if fields[0] in statuses:
-            raise art.error(lineno, f"duplicate account id {fields[0]!r}")
-        statuses[fields[0]] = AccountStatus.parse(fields[1])
+    for lineno, (account_id, raw) in art.rows("\t", 2, "'account_id<TAB>status'", "account id"):
+        try:
+            statuses[account_id] = AccountStatus(raw)
+        except ValueError:
+            raise art.error(lineno, f"unknown account status {raw!r}") from None
     return statuses
 
 
@@ -212,18 +201,10 @@ def write_documents(documents: Iterable[AccountDocument], path: str | Path) -> N
 def read_documents(path: str | Path) -> list[AccountDocument]:
     """One document per account; a repeated account id is a FormatError."""
     documents = []
-    seen: set[str] = set()
     art = formats.TextArtifact(path)
-    for lineno, line in enumerate(art.lines, start=1):
-        if not line:
-            continue
-        fields = line.split("\t")
-        if len(fields) != 3 or fields[1] not in ("0", "1"):
-            raise art.error(lineno, "expected 'account_id<TAB>label<TAB>text'")
-        if fields[0] in seen:
-            raise art.error(lineno, f"duplicate account id {fields[0]!r}")
-        seen.add(fields[0])
-        documents.append(
-            AccountDocument(account_id=fields[0], text=fields[2], label=int(fields[1]))
-        )
+    for lineno, (account_id, label, text) in art.rows(
+            "\t", 3, "'account_id<TAB>label<TAB>text'", "account id"):
+        if label not in ("0", "1"):
+            raise art.error(lineno, f"expected label 0 or 1, found {label!r}")
+        documents.append(AccountDocument(account_id=account_id, text=text, label=int(label)))
     return documents

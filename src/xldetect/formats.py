@@ -1,17 +1,22 @@
 """Artifact codecs: every file one stage hands to the next is written and
-read here. Text artifacts are UTF-8 lines, a header and then one record
-per line (blank lines are skipped); vectors, external document features
-and the orthogonal map share one text-matrix layout. The binary XLEMB2
-and XLCLF2 files share a model head, one vocabulary block, one block of
-stored bucket ids with the rule that gives every other bucket its value,
-and float32 rows. Readers raise FormatError naming the path and the line
-or byte offset of the damage, so a stage exits 2 with one error line."""
+read here. Text artifacts are UTF-8 lines, and every text table is read
+by TextArtifact.rows: blank lines are skipped, each record has its
+layout's field count, and documents, statuses, FEATS v1 features and
+labelled matrix rows are keyed by a non-empty, unique first field
+(dictionaries are not: a source word may have several translations).
+Vectors, external document features and the orthogonal map share one
+text-matrix layout. The binary XLEMB2 and XLCLF2 files share a model
+head, one vocabulary block, one block of stored bucket ids with the rule
+that gives every other bucket its value, and float32 rows. Readers raise
+FormatError naming the path and the line or byte offset of the damage,
+so a stage exits 2 with one error line."""
 
 from __future__ import annotations
 
 import os
 import struct
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -66,12 +71,32 @@ class TextArtifact:
             raise self.error(1, f"bad header {first!r}")
         return [self.count(1, w) for w in words[len(expected):]]
 
-    def records(self, count: int) -> list[tuple[int, str]]:
-        """(line number, line) of the count non-blank lines after the header."""
-        body = [(i, ln) for i, ln in enumerate(self.lines[1:], start=2) if ln]
-        if len(body) != count:
-            raise self.error(1, f"header says {count} records, found {len(body)}")
-        return body
+    def rows(self, sep: str | None, width: int, layout: str, key: str | None = None,
+             count: int | None = None) -> Iterator[tuple[int, list[str]]]:
+        """(line number, fields) of each non-blank line, split on sep (None:
+        any whitespace, so a whitespace-only line is blank too). With count,
+        line 1 is a header that promised count records. A record without
+        width fields is rejected, described by layout; when key names the
+        first field, an empty or repeated one is rejected too."""
+        lines = enumerate(self.lines, start=1)
+        if count is not None:
+            lines = [(i, ln) for i, ln in enumerate(self.lines[1:], start=2) if ln]
+            if len(lines) != count:
+                raise self.error(1, f"header says {count} records, found {len(lines)}")
+        seen: set[str] = set()
+        for lineno, line in lines:
+            fields = line.split(sep)
+            if len(fields) != width:
+                if not line or not fields:  # blank; a one-field table needs a header
+                    continue
+                raise self.error(lineno, f"expected {layout}, found {len(fields)} fields")
+            if key is not None:
+                if not fields[0]:
+                    raise self.error(lineno, f"empty {key}")
+                if fields[0] in seen:
+                    raise self.error(lineno, f"duplicate {key} {fields[0]!r}")
+                seen.add(fields[0])
+            yield lineno, fields
 
 
 def write_matrix(path: str | Path, header: str, matrix, labels=None) -> None:
@@ -96,25 +121,24 @@ def read_matrix(path: str | Path, magic: str | None) -> tuple[list[str], np.ndar
     else:
         rows = dim = art.header(magic, 1)[0]
     labelled = magic is None
-    records = art.records(rows)
     if rows * dim > sum(map(len, art.lines)):  # a value takes at least one character
         raise art.error(1, f"header promises {rows} x {dim} values, more than the file holds")
-    labels: dict[str, int] = {}  # label -> line, in file order
+    labels, linenos = [], []
     matrix = np.empty((rows, dim), dtype=np.float64)
-    for i, (lineno, line) in enumerate(records):
-        fields = line.split(" ")
-        if len(fields) != dim + labelled:
-            raise art.error(lineno, f"expected {dim + labelled} fields, found {len(fields)}")
-        if labelled and labels.setdefault(fields[0], lineno) != lineno:
-            raise art.error(lineno, f"duplicate label {fields[0]!r}")
+    layout = f"a label and {dim} values" if labelled else f"{dim} values"
+    records = art.rows(" ", dim + labelled, layout, "label" if labelled else None, rows)
+    for i, (lineno, fields) in enumerate(records):
+        linenos.append(lineno)
+        if labelled:
+            labels.append(fields[0])
         try:
             matrix[i] = [float(x) for x in fields[labelled:]]
         except ValueError:
             raise art.error(lineno, "non-numeric field") from None
     finite = np.isfinite(matrix).all(axis=1)
     if not finite.all():
-        raise art.error(records[int(np.argmin(finite))][0], "non-finite value")
-    return list(labels), matrix
+        raise art.error(linenos[int(np.argmin(finite))], "non-finite value")
+    return labels, matrix
 
 
 class ArtifactReader:

@@ -18,6 +18,7 @@ from xldetect.baselines import (
     train_logreg,
     vectorize,
 )
+from xldetect.errors import FormatError
 
 
 def split_rows(rows):
@@ -442,3 +443,10 @@ class TestFeatureVocabIO:
         assert loaded.features == vocab.features
         assert loaded.doc_freq.tolist() == vocab.doc_freq.tolist()
         assert loaded.n_docs == vocab.n_docs
+
+    def test_repeated_feature_rejected(self, tmp_path):
+        # a second 'foo' would leave three features with two ids
+        path = tmp_path / "features.tsv"
+        path.write_text("FEATS v1 3 3 2\nfoo\t2\nbar\t1\nfoo\t1\n", encoding="utf-8")
+        with pytest.raises(FormatError, match=r"features\.tsv:4: duplicate feature 'foo'$"):
+            load_feature_vocab(path)

@@ -7,6 +7,7 @@ import pytest
 
 from xldetect.classifier import load_classifier
 from xldetect.cli import main
+from xldetect.corpus import AccountDocument, read_documents
 from xldetect.report import read_report
 
 REPO = Path(__file__).resolve().parent.parent
@@ -60,6 +61,16 @@ def write_cfg(tmp_path, out_dir, text=SMALL_SYNTH):
 
 def run(cmd, cfg, *extra):
     return main([cmd, "--config", cfg, *extra])
+
+
+def ingest_cfg(tmp_path, posts: bytes, statuses: bytes):
+    """A config whose ingest reads these posts and statuses files from out/."""
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "posts.tsv").write_bytes(posts)
+    (out / "statuses.tsv").write_bytes(statuses)
+    return write_cfg(tmp_path, out, SMALL_SYNTH + (
+        "ingest.posts = {out}/posts.tsv\ningest.statuses = {out}/statuses.tsv\n"))
 
 
 class TestPipeline:
@@ -298,17 +309,28 @@ class TestPipeline:
         assert not (out / "manifest.tsv").exists()
 
     def test_posts_not_utf8_exit_two(self, tmp_path, capsys):
-        out = tmp_path / "out"
-        out.mkdir()
-        (out / "posts.tsv").write_bytes(b"u1\ten\thello\nu2\ten\tbad \xff\n")
-        (out / "statuses.tsv").write_bytes(b"u1\tactive\nu2\tsuspended\n")
-        cfg = write_cfg(tmp_path, out, SMALL_SYNTH + (
-            "ingest.posts = {out}/posts.tsv\ningest.statuses = {out}/statuses.tsv\n"))
+        cfg = ingest_cfg(tmp_path, b"u1\ten\thello\nu2\ten\tbad \xff\n",
+                         b"u1\tactive\nu2\tsuspended\n")
         assert run("ingest", cfg) == 2
         err = capsys.readouterr().err
         errors = [line for line in err.splitlines() if line.startswith("error:")]
         assert len(errors) == 1 and "posts.tsv:2: invalid UTF-8" in errors[0]
         assert "Traceback" not in err
+
+    def test_ingest_writes_documents(self, tmp_path):
+        cfg = ingest_cfg(tmp_path, b"u1\ten\thello\nu2\ten\tbye\nu1\ten\tagain\n",
+                         b"u1\tsuspended\nu2\tactive\n")
+        assert run("ingest", cfg) == 0
+        assert read_documents(tmp_path / "out" / "documents.tsv") == [
+            AccountDocument("u1", "hello again", 1), AccountDocument("u2", "bye", 0)]
+
+    def test_unknown_status_exit_two(self, tmp_path, capsys):
+        cfg = ingest_cfg(tmp_path, b"u1\ten\thello\nu2\ten\tbye\n", b"u1\tactive\nu2\tbanned\n")
+        assert run("ingest", cfg) == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and "statuses.tsv:2: unknown account status 'banned'" in errors[0]
+        assert not (tmp_path / "out" / "documents.tsv").exists()
 
     @pytest.mark.parametrize("command, edits, docs, message", [
         ("train-embeddings", [("embedding.min_count = 3", "embedding.min_count = 1000")],

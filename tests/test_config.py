@@ -1,6 +1,11 @@
+import inspect
+
 import pytest
 
+from xldetect import align as al
+from xldetect import baselines as bl
 from xldetect.config import SCHEMA, validate_config
+from xldetect.curves import learning_curve
 from xldetect.errors import ConfigError
 from xldetect.vocab import MAX_BUCKETS
 
@@ -9,6 +14,10 @@ def write_config(tmp_path, text):
     path = tmp_path / "pipeline.cfg"
     path.write_text(text, encoding="utf-8")
     return path
+
+
+def _default(fn, name):
+    return inspect.signature(fn).parameters[name].default
 
 
 class TestDefaults:
@@ -41,6 +50,17 @@ class TestDefaults:
         assert SCHEMA["classifier.epochs"][1] == c.epochs
         assert SCHEMA["classifier.lr"][1] == c.initial_lr
         assert SCHEMA["classifier.min_count"][1] == c.min_count
+        # the library functions' own defaults, which config restates
+        assert SCHEMA["align.iterations"][1] == _default(al.refine, "iterations")
+        for fn in (al.refine, al.induce_dictionary):
+            assert SCHEMA["align.induce_top_k"][1] == _default(fn, "top_k_vocab")
+        for fn in (al.refine, al.induce_dictionary, al.evaluate_translation):
+            assert SCHEMA["align.csls_k"][1] == _default(fn, "csls_k")
+        assert SCHEMA["baseline.max_features"][1] == _default(bl.count_features, "max_features")
+        assert SCHEMA["baseline.ngram_min"][1] == _default(bl.extract_ngrams, "n_lo")
+        assert SCHEMA["baseline.ngram_max"][1] == _default(bl.extract_ngrams, "n_hi")
+        assert SCHEMA["sweep.seeds"][1] == _default(learning_curve, "seeds")
+        assert SCHEMA["sweep.kinds"][1] == _default(learning_curve, "kinds")
 
 
 class TestValidation:

@@ -110,9 +110,11 @@ class TestLabels:
         labels = [label_from_status(s) for s in AccountStatus]
         assert sorted(labels) == [0, 0, 0, 1]
 
-    def test_unknown_status_rejected(self):
-        with pytest.raises(FormatError):
-            AccountStatus.parse("banned")
+    def test_unknown_status_rejected(self, tmp_path):
+        path = tmp_path / "statuses.tsv"
+        path.write_text("u1\tbanned\n", encoding="utf-8")
+        with pytest.raises(FormatError, match=r"unknown account status 'banned'"):
+            read_status_file(path)
 
 
 class TestAggregate:
@@ -223,6 +225,13 @@ class TestFiles:
         with pytest.raises(FormatError, match=r"docs\.tsv:3: duplicate account id 'a1'"):
             read_documents(path)
 
+    def test_documents_empty_account_id(self, tmp_path):
+        # ingest and the status reader reject an empty account id too
+        path = tmp_path / "docs.tsv"
+        path.write_bytes(b"a1\t0\thello\n\t1\tthere\n")
+        with pytest.raises(FormatError, match=r"docs\.tsv:2: empty account id$"):
+            read_documents(path)
+
     def test_status_file(self, tmp_path):
         path = tmp_path / "statuses.tsv"
         path.write_text("u1\tsuspended\nu2\tactive\n", encoding="utf-8")
@@ -231,8 +240,8 @@ class TestFiles:
 
     def test_status_file_unknown_status(self, tmp_path):
         path = tmp_path / "statuses.tsv"
-        path.write_text("u1\tzombie\n", encoding="utf-8")
-        with pytest.raises(FormatError):
+        path.write_text("u1\tactive\nu2\tzombie\n", encoding="utf-8")
+        with pytest.raises(FormatError, match=r"statuses\.tsv:2: unknown account status 'zombie'$"):
             read_status_file(path)
 
     def test_status_file_repeated_account_rejected(self, tmp_path):

@@ -595,6 +595,13 @@ class TestVectorIO:
         with pytest.raises(FormatError):
             load_vectors(path)
 
+    def test_empty_label_rejected(self, tmp_path):
+        # a row that starts with a space would load as the word ''
+        path = tmp_path / "empty.txt"
+        path.write_text("2 2\nw 1 2\n 3 4\n", encoding="utf-8")
+        with pytest.raises(FormatError, match=r"empty\.txt:3: empty label$"):
+            load_vectors(path)
+
     def test_non_numeric_rejected(self, tmp_path):
         path = tmp_path / "nan.txt"
         for body in ("w 1 oops", "w 1 nan", "w inf 1"):

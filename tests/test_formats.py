@@ -11,6 +11,7 @@ import pytest
 from xldetect import align as al
 from xldetect import baselines as bl
 from xldetect import classifier as clf
+from xldetect import corpus as cp
 from xldetect import embedding as emb
 from xldetect import external as ext
 from xldetect.corpus import AccountDocument
@@ -42,6 +43,21 @@ def write_feats(path, rng):
     bl.save_feature_vocab(vocab, path)
 
 
+def write_documents(path, rng):
+    docs = [AccountDocument(f"u{i}", f"post {i} text", i % 2) for i in range(4)]
+    cp.write_documents(docs, path)
+
+
+def write_statuses(path, rng):
+    path.write_text("".join(f"u{i}\t{s.value}\n" for i, s in enumerate(cp.AccountStatus)),
+                    encoding="utf-8")
+
+
+def write_dictionary(path, rng):
+    pairs = [("alpha", "alfa"), ("beta", "beta"), ("alpha", "uno")]  # a word may repeat
+    al.save_dictionary(al.BilingualDictionary(pairs), path)
+
+
 # more buckets than training touches, so that some are not stored and the
 # stored-id block holds several ids
 def write_checkpoint(path, rng):
@@ -65,6 +81,9 @@ FORMATS = [
     ("features", write_features, emb.load_vectors, (FormatError,), r":\d+: "),
     ("map", write_map, al.load_map, (FormatError, AlignmentError), r":\d+: "),
     ("feats", write_feats, bl.load_feature_vocab, (FormatError,), r":\d+: "),
+    ("documents", write_documents, cp.read_documents, (FormatError,), r":\d+: "),
+    ("statuses", write_statuses, cp.read_status_file, (FormatError,), r":\d+: "),
+    ("dictionary", write_dictionary, al.load_dictionary, (FormatError,), r":\d+: "),
     ("xlemb2", write_checkpoint, emb.load_checkpoint, (FormatError,), r": "),
     ("xlclf2", write_classifier, clf.load_classifier, (FormatError,), r": "),
 ]
