@@ -201,10 +201,16 @@ def doc_embedding(tokens: list[str], model: TextClassifier) -> np.ndarray:
     return doc_vectors(model, model.doc_batch([tokens]))[0]
 
 
+def flagged(probs: np.ndarray) -> np.ndarray:
+    """The flag rule, P(positive) > P(negative), so a tie never flags; probs
+    is one class distribution or a batch of them, one per row."""
+    return probs[..., 1] > probs[..., 0]
+
+
 def predict(tokens: list[str], model: TextClassifier) -> tuple[int, np.ndarray]:
-    """Predicted label and class distribution; a tie never flags positive."""
+    """Predicted label (by flagged) and class distribution."""
     probs = class_probs(model, model.doc_batch([tokens]))[0]
-    return int(probs[1] > probs[0]), probs
+    return int(flagged(probs)), probs
 
 
 def train_supervised(

@@ -28,7 +28,8 @@ from . import external as ext
 from . import report as rp
 from . import synth as sy
 from .config import PipelineConfig, validate_config
-from .errors import ConfigError, DataError, DependencyError, XLDetectError
+from .errors import AlignmentError, ConfigError, DataError, DependencyError, XLDetectError
+from .metrics import SCORES, binary_metrics, confusion
 from .vocab import SubwordIndex
 
 logger = logging.getLogger(__name__)
@@ -77,14 +78,9 @@ class _Run:
 
     def report(self) -> rp.Report:
         report = rp.Report()
-        run = report.section("run")
-        run["command"] = self.command
-        run["config_hash"] = self.cfg.config_hash()
-        run["seed"] = str(self.cfg.seed)
-        config = report.section("config")
-        for line in self.cfg.effective_lines():
-            key, _, value = line.partition("=")
-            config[key] = value
+        report.sections["run"] = {"command": self.command, "config_hash": self.cfg.config_hash(),
+                                  "seed": str(self.cfg.seed)}
+        report.sections["config"] = dict(line.split("=", 1) for line in self.cfg.effective_lines())
         return report
 
     def append_manifest(self, config_path: str) -> None:
@@ -138,8 +134,12 @@ def cmd_train_embeddings(run: _Run) -> None:
 
 def cmd_align(run: _Run) -> None:
     cfg = run.cfg
-    source = emb.load_vectors(run.input("align.source_vectors", "train-embeddings"))
-    target = emb.load_vectors(run.input("align.target_vectors", "train-embeddings"))
+    source_path = run.input("align.source_vectors", "train-embeddings")
+    target_path = run.input("align.target_vectors", "train-embeddings")
+    source, target = emb.load_vectors(source_path), emb.load_vectors(target_path)
+    if source.dim != target.dim:
+        raise AlignmentError(f"cannot align {source_path} (dim {source.dim}) with "
+                             f"{target_path} (dim {target.dim}): the dims differ")
     train_dict = al.load_dictionary(
         run.input("align.train_dict", "the dictionary producer"), role="train")
     eval_dict = None
@@ -179,7 +179,7 @@ def cmd_evaluate(run: _Run) -> None:
     metrics = cv.evaluate_classifier(model, test_docs)
     report = run.report()
     report.sections["metrics.test"] = rp.metrics_section(metrics)
-    report.section("data")["test_documents"] = str(len(test_docs))
+    report.sections["data"] = {"test_documents": str(len(test_docs))}
     rp.write_report(report, run.output("evaluate.out_report"))
     logger.info(
         "evaluate: f1=%.4f precision=%.4f recall=%.4f on %d documents",
@@ -210,16 +210,12 @@ def cmd_baseline(run: _Run) -> None:
     test_tokens = [cp.tokenize(d.text) for d in test_docs]
     test_counts = bl.vectorize(vocab, test_tokens, n_lo, n_hi)
     preds, _ = bl.predict_logreg(model, _baseline_weights(kind, vocab, test_counts, test_tokens))
-    metrics_report = cv.binary_metrics(
-        cv.confusion(preds, [d.label for d in test_docs])
-    )
+    metrics_report = binary_metrics(confusion(preds, [d.label for d in test_docs]))
     report = run.report()
     report.sections["metrics.test"] = rp.metrics_section(metrics_report)
-    data = report.section("data")
-    data["kind"] = kind
-    data["features"] = str(len(vocab))
-    data["train_documents"] = str(len(train_docs))
-    data["test_documents"] = str(len(test_docs))
+    report.sections["data"] = {"kind": kind, "features": str(len(vocab)),
+                               "train_documents": str(len(train_docs)),
+                               "test_documents": str(len(test_docs))}
     rp.write_report(report, run.output("baseline.out_report"))
     bl.save_feature_vocab(vocab, run.output("baseline.out_features"))
     logger.info("baseline %s: f1=%.4f on %d test documents", kind, metrics_report.f1, len(test_docs))
@@ -238,31 +234,21 @@ def cmd_sweep(run: _Run) -> None:
         config=_trainer_config(cfg, "classifier", clf.SupervisedConfig),
         pretrained=run.pretrained("align") if "transfer" in kinds else None,
     )
-    rows = [
-        [repr(p.train_fraction), p.model_kind, str(p.seed),
-         repr(p.metrics.precision), repr(p.metrics.recall), repr(p.metrics.f1)]
-        for p in points
-    ]
-    columns = ["fraction", "kind", "seed", "precision", "recall", "f1"]
-    means = cv.fraction_means(points)
-    mean_rows = [
-        [repr(fraction), kind, repr(stats["precision"]), repr(stats["recall"]),
-         repr(stats["f1"]), str(int(stats["n"]))]
-        for (fraction, kind), stats in means.items()
-    ]
     report = run.report()
-    data = report.section("data")
-    data["train_documents"] = str(len(train_docs))
-    data["test_documents"] = str(len(test_docs))
-    report.add_table("curve", columns, rows)
-    report.add_table(
-        "curve_means", ["fraction", "kind", "precision", "recall", "f1", "n"], mean_rows
-    )
+    report.sections["data"] = {"train_documents": str(len(train_docs)),
+                               "test_documents": str(len(test_docs))}
+    report.add_table("curve", ["fraction", "kind", "seed", *SCORES], [
+        [repr(p.train_fraction), p.model_kind, str(p.seed),
+         *(repr(getattr(p.metrics, score)) for score in SCORES)]
+        for p in points
+    ])
+    report.add_table("curve_means", ["fraction", "kind", *SCORES, "n"], [
+        [repr(fraction), kind, *(repr(stats[score]) for score in SCORES), str(int(stats["n"]))]
+        for (fraction, kind), stats in cv.fraction_means(points).items()
+    ])
     rp.write_report(report, run.output("sweep.out_report"))
     with open(run.output("sweep.out_csv"), "w", encoding="utf-8") as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+        fh.writelines(line + "\n" for line in report.tables["curve"].lines())
 
 
 def cmd_export_vectors(run: _Run) -> None:

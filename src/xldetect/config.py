@@ -28,7 +28,7 @@ from .corpus import SplitSpec
 from .curves import DEFAULT_FRACTIONS, MODEL_KINDS
 from .embedding import SkipgramConfig
 from .errors import ConfigError, FormatError
-from .params import at_least
+from .params import at_least, unit_fraction
 from .synth import SyntheticConfig
 from .vocab import SubwordIndex
 
@@ -67,22 +67,25 @@ def _stage_entries(section: str, cls) -> dict[str, tuple]:
     return entries
 
 
-def _u64(v):
-    # the random streams take seeds as u64
-    return 0 <= v < 1 << 64
+# the random streams take seeds as u64
+_SEED = (lambda v: 0 <= v < 1 << 64, "must be in [0, 2^64)")
 
 
 def _choice(options):
     return (lambda v: v in options, f"must be one of {', '.join(options)}")
 
 
-def _entries(ok, what):
-    return (lambda v: len(v) > 0 and all(map(ok, v)), f"must be a non-empty list of {what}")
+def _entries(rule, noun):
+    """A list key's rule: at least one entry, each keeping rule, whose text
+    "must be <bound>" becomes "must be a non-empty list of <noun> <bound>"."""
+    ok, text = rule
+    return (lambda v: len(v) > 0 and all(map(ok, v)),
+            f"must be a non-empty list of {noun} {text.removeprefix('must be ')}")
 
 
 # key -> (type tag, default, rule or None); a rule is (predicate, text)
 SCHEMA: dict[str, tuple] = {
-    "seed": ("int", 13, (_u64, "must be in [0, 2^64)")),
+    "seed": ("int", 13, _SEED),
     "out_dir": ("str", "out", None),
 
     "ingest.posts": ("str", "", None),
@@ -129,10 +132,10 @@ SCHEMA: dict[str, tuple] = {
     "evaluate.out_report": ("str", "eval_report.txt", None),
 
     "sweep.docs": ("str", "", None),
-    "sweep.fractions": ("floats", DEFAULT_FRACTIONS, _entries(lambda f: 0.0 < f <= 1.0, "values in (0,1]")),
-    "sweep.seeds": ("ints", (1, 2, 3), _entries(_u64, "seeds in [0, 2^64)")),
-    "sweep.kinds": ("strs", MODEL_KINDS,
-                    _entries(MODEL_KINDS.__contains__, f"kinds among {', '.join(MODEL_KINDS)}")),
+    "sweep.fractions": ("floats", DEFAULT_FRACTIONS, _entries(unit_fraction(), "values")),
+    "sweep.seeds": ("ints", (1, 2, 3), _entries(_SEED, "seeds")),
+    "sweep.kinds": ("strs", MODEL_KINDS, _entries(
+        (MODEL_KINDS.__contains__, f"must be among {', '.join(MODEL_KINDS)}"), "kinds")),
     "sweep.out_report": ("str", "sweep_report.txt", None),
     "sweep.out_csv": ("str", "curve.csv", None),
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import formats
 from .errors import DataError, FormatError, LabelingError
-from .params import check, open01, param
+from .params import check, open01, param, unit_fraction
 
 logger = logging.getLogger(__name__)
 
@@ -82,12 +82,19 @@ def _parse_post_line(line: str) -> PostRecord | None:
     return PostRecord(account_id=account_id, text=text, language_tag=language_tag)
 
 
+def _check_account_id(account_id: str, where: str) -> None:
+    # doc_vectors.txt rows start with the id, space-separated, so it must be one word
+    if account_id.split() != [account_id]:
+        raise FormatError(f"{where}: account id {account_id!r} contains whitespace")
+
+
 def ingest_posts(source: str | Path | Iterable[str]) -> IngestResult:
     """Read tab-separated post records from a path or an iterable of lines.
 
     Malformed lines (wrong field count, empty account id or text) are
     counted and reported, not silently dropped. More than 50% malformed
-    lines indicates the wrong input file and raises FormatError.
+    lines indicates the wrong input file and raises FormatError, as does
+    an account id holding whitespace.
     """
     if isinstance(source, (str, Path)):
         try:
@@ -96,14 +103,16 @@ def ingest_posts(source: str | Path | Iterable[str]) -> IngestResult:
             raise OSError(f"cannot read posts file {source}: {exc}") from exc
     else:
         lines = [ln.rstrip("\r\n") for ln in source]
+    name = source if isinstance(source, (str, Path)) else "<posts>"
 
     records: list[PostRecord] = []
     malformed = 0
-    for line in lines:
+    for lineno, line in enumerate(lines, start=1):
         rec = _parse_post_line(line)
         if rec is None:
             malformed += 1
         else:
+            _check_account_id(rec.account_id, f"{name}:{lineno}")
             records.append(rec)
     if lines and malformed * 2 > len(lines):
         raise FormatError(
@@ -170,8 +179,9 @@ def subsample_train(
     Smaller fractions nest inside larger ones for the same seed, so
     learning curves grow by adding data rather than resampling it.
     """
-    if not 0.0 < fraction <= 1.0:
-        raise ValueError(f"fraction must be in (0,1], got {fraction}")
+    ok, text = unit_fraction()
+    if not ok(fraction):
+        raise ValueError(f"fraction {text}, got {fraction}")
     if fraction == 1.0:
         return list(train)
     perm = np.random.default_rng(seed).permutation(len(train))
@@ -204,6 +214,7 @@ def read_documents(path: str | Path) -> list[AccountDocument]:
     art = formats.TextArtifact(path)
     for lineno, (account_id, label, text) in art.rows(
             "\t", 3, "'account_id<TAB>label<TAB>text'", "account id"):
+        _check_account_id(account_id, f"{path}:{lineno}")
         if label not in ("0", "1"):
             raise art.error(lineno, f"expected label 0 or 1, found {label!r}")
         documents.append(AccountDocument(account_id=account_id, text=text, label=int(label)))

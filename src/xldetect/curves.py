@@ -14,11 +14,11 @@ from dataclasses import dataclass, replace
 
 # predict and train_supervised, the one-document and one-cell forms, stay reachable here
 from .classifier import (  # noqa: F401
-    SupervisedConfig, class_probs, predict, train_many, train_supervised)
+    SupervisedConfig, class_probs, flagged, predict, train_many, train_supervised)
 from .corpus import AccountDocument, subsample_train, tokenize
 from .embedding import VectorTable
 from .errors import DataError, TrainingError
-from .metrics import MetricsReport, binary_metrics, confusion
+from .metrics import SCORES, MetricsReport, binary_metrics, confusion
 
 logger = logging.getLogger(__name__)
 
@@ -35,10 +35,9 @@ class LearningCurvePoint:
 
 
 def evaluate_classifier(model, test_docs: list[AccountDocument]) -> MetricsReport:
-    """Metrics of the model's labels (a tie is negative) over one batch."""
+    """Metrics of the model's labels (classifier.flagged) over one batch."""
     probs = class_probs(model, model.doc_batch([tokenize(d.text) for d in test_docs]))
-    preds = probs[:, 1] > probs[:, 0]
-    return binary_metrics(confusion(preds, [d.label for d in test_docs]))
+    return binary_metrics(confusion(flagged(probs), [d.label for d in test_docs]))
 
 
 def learning_curve(
@@ -107,17 +106,12 @@ def learning_curve(
 
 
 def fraction_means(points: list[LearningCurvePoint]) -> dict[tuple[float, str], dict[str, float]]:
-    """Mean precision/recall/f1 per (fraction, kind) cell."""
+    """Mean of each metrics.SCORES score, and the count n, per (fraction, kind) cell."""
     cells: dict[tuple[float, str], list[MetricsReport]] = {}
     for p in points:
         cells.setdefault((p.train_fraction, p.model_kind), []).append(p.metrics)
-    out = {}
+    means = {}
     for key, reports in sorted(cells.items()):
-        n = len(reports)
-        out[key] = {
-            "precision": sum(r.precision for r in reports) / n,
-            "recall": sum(r.recall for r in reports) / n,
-            "f1": sum(r.f1 for r in reports) / n,
-            "n": float(n),
-        }
-    return out
+        means[key] = {s: sum(getattr(r, s) for r in reports) / len(reports) for s in SCORES}
+        means[key]["n"] = float(len(reports))
+    return means

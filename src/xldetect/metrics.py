@@ -6,6 +6,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# the reported scores, in report order, each a MetricsReport field
+SCORES = ("precision", "recall", "f1")
+
 
 @dataclass(frozen=True)
 class ConfusionMatrix:

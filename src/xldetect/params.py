@@ -33,6 +33,10 @@ def open01():
     return (lambda v: 0.0 < v < 1.0, "must be in (0,1)")
 
 
+def unit_fraction():
+    return (lambda v: 0.0 < v <= 1.0, "must be in (0,1]")
+
+
 def unit(hi=1.0):
     return (lambda v: 0.0 <= v < hi, f"must be in [0,{hi:g})")
 

@@ -7,12 +7,12 @@ written report byte for byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from . import formats
 from .errors import FormatError
-from .metrics import MetricsReport
+from .metrics import SCORES, MetricsReport
 
 _HEADER = "XLREPORT 1"
 _FENCE = "```"
@@ -23,6 +23,10 @@ class CsvBlock:
     name: str
     columns: list[str]
     rows: list[list[str]]
+
+    def lines(self) -> list[str]:
+        """The CSV layout: the column line, then each row, comma-joined."""
+        return [",".join(fields) for fields in [self.columns, *self.rows]]
 
 
 @dataclass
@@ -51,9 +55,7 @@ def serialize_report(report: Report) -> str:
         parts.append("")
     for block in report.tables.values():
         parts.append(f"{_FENCE}csv {block.name}")
-        parts.append(",".join(block.columns))
-        for row in block.rows:
-            parts.append(",".join(row))
+        parts.extend(block.lines())
         parts.append(_FENCE)
         parts.append("")
     return "\n".join(parts)
@@ -79,20 +81,13 @@ def parse_report(text: str) -> Report:
             i += 1
         elif line.startswith(_FENCE + "csv "):
             name = line[len(_FENCE) + 4 :]
-            i += 1
-            if i >= len(lines):
-                raise FormatError(f"unterminated csv block {name!r}")
-            columns = lines[i].split(",")
-            rows = []
-            i += 1
-            while i < len(lines) and lines[i] != _FENCE:
-                rows.append(lines[i].split(","))
-                i += 1
-            if i >= len(lines):
-                raise FormatError(f"unterminated csv block {name!r}")
-            i += 1
+            try:  # the line after the opening fence is the column line
+                end = lines.index(_FENCE, i + 2)
+            except ValueError:
+                raise FormatError(f"unterminated csv block {name!r}") from None
+            columns, *rows = [ln.split(",") for ln in lines[i + 1 : end]]
             report.add_table(name, columns, rows)
-            section = None
+            i, section = end + 1, None
         elif "=" in line and section is not None:
             key, value = line.split("=", 1)
             section[key] = value
@@ -119,13 +114,8 @@ def metrics_section(metrics: MetricsReport) -> dict[str, str]:
     """Full-precision metric fields; F1 is recomputable from the counts."""
     return {
         "positive_class": metrics.positive_class,
-        "confusion.tp": str(metrics.confusion.tp),
-        "confusion.fp": str(metrics.confusion.fp),
-        "confusion.fn": str(metrics.confusion.fn),
-        "confusion.tn": str(metrics.confusion.tn),
-        "precision": repr(metrics.precision),
-        "recall": repr(metrics.recall),
-        "f1": repr(metrics.f1),
+        **{f"confusion.{k}": str(v) for k, v in asdict(metrics.confusion).items()},
+        **{score: repr(getattr(metrics, score)) for score in SCORES},
         "flags": ",".join(metrics.flags),
     }
 

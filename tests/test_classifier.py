@@ -15,6 +15,7 @@ from xldetect.classifier import (
     class_probs,
     doc_embedding,
     doc_vectors,
+    flagged,
     load_classifier,
     predict,
     save_classifier,
@@ -170,6 +171,12 @@ class TestPredict:
         label, probs = predict(["aaa"], model)
         assert label == 0
         assert np.allclose(probs, [0.5, 0.5])
+
+    def test_flag_rule_one_and_batch(self):
+        # the same rule for one distribution and for each row of a batch
+        probs = np.array([[0.5, 0.5], [0.25, 0.75], [0.75, 0.25]])
+        assert flagged(probs).tolist() == [False, True, False]
+        assert [bool(flagged(row)) for row in probs] == [False, True, False]
 
     def test_closed_form_softmax(self):
         # logits (0, ln 3) -> probabilities (0.25, 0.75)

@@ -5,9 +5,13 @@ from pathlib import Path
 
 import pytest
 
+from xldetect.align import load_dictionary, load_map
+from xldetect.baselines import load_feature_vocab
 from xldetect.classifier import load_classifier
 from xldetect.cli import main
 from xldetect.corpus import AccountDocument, read_documents
+from xldetect.embedding import load_checkpoint, load_vectors
+from xldetect.metrics import SCORES
 from xldetect.report import read_report
 
 REPO = Path(__file__).resolve().parent.parent
@@ -78,13 +82,14 @@ class TestPipeline:
         out = tmp_path / "out"
         cfg = write_cfg(tmp_path, out)
         assert run("synth", cfg) == 0
-        assert (out / "source_documents.tsv").exists()
-        assert (out / "target_documents.tsv").exists()
-        assert (out / "dictionary.txt").exists()
+        source_docs = read_documents(out / "source_documents.tsv")
+        target_docs = read_documents(out / "target_documents.tsv")
+        assert len(source_docs) == 360 and len(target_docs) > 0
+        assert len(load_dictionary(out / "dictionary.txt")) > 0
 
         assert run("train-embeddings", cfg) == 0
-        assert (out / "vectors.txt").exists()
-        assert (out / "embedding.bin").exists()
+        vectors = load_vectors(out / "vectors.txt", expect_dim=24)
+        assert load_checkpoint(out / "embedding.bin").to_table().words == vectors.words
 
         # target-side embeddings into a second artifact set
         tgt_text = SMALL_SYNTH.replace(
@@ -97,35 +102,45 @@ class TestPipeline:
         cfg_tgt = tmp_path / "target.cfg"
         cfg_tgt.write_text(tgt_text.format(out=out), encoding="utf-8")
         assert run("train-embeddings", str(cfg_tgt)) == 0
-        assert (out / "target_vectors.txt").exists()
+        target_vectors = load_vectors(out / "target_vectors.txt", expect_dim=24)
+        assert load_checkpoint(out / "target_embedding.bin").to_table().words == target_vectors.words
 
         assert run("align", cfg) == 0
-        assert (out / "map.txt").exists()
-        assert (out / "aligned_vectors.txt").exists()
+        assert load_map(out / "map.txt").dim == 24
+        assert load_vectors(out / "aligned_vectors.txt", expect_dim=24).words[
+            :len(target_vectors)] == target_vectors.words
 
         assert run("train-classifier", cfg) == 0
-        assert (out / "classifier.bin").exists()
+        assert load_classifier(out / "classifier.bin").dim == 24
 
         assert run("evaluate", cfg) == 0
         report = read_report(out / "eval_report.txt")
-        assert "metrics.test" in report.sections
+        assert list(SCORES) == [k for k in report.sections["metrics.test"] if k in SCORES]
         assert report.sections["run"]["command"] == "evaluate"
         # config echo holds the full effective config
         assert report.sections["config"]["embedding.dim"] == "24"
 
         assert run("baseline", cfg) == 0
-        assert (out / "baseline_report.txt").exists()
-        assert (out / "features.tsv").exists()
+        baseline = read_report(out / "baseline_report.txt")
+        assert all(score in baseline.sections["metrics.test"] for score in SCORES)
+        features = load_feature_vocab(out / "features.tsv")
+        assert len(features.features) == int(baseline.sections["data"]["features"])
 
         assert run("sweep", cfg) == 0
         sweep_report = read_report(out / "sweep_report.txt")
-        assert sweep_report.tables["curve"].columns == [
-            "fraction", "kind", "seed", "precision", "recall", "f1",
-        ]
-        assert (out / "curve.csv").exists()
+        curve = sweep_report.tables["curve"]
+        assert curve.columns == ["fraction", "kind", "seed", "precision", "recall", "f1"]
+        assert curve.columns[3:] == list(SCORES)
+        assert len(curve.rows) == 4  # 2 fractions x 2 seeds x 1 kind
+        assert sweep_report.tables["curve_means"].columns == [
+            "fraction", "kind", *SCORES, "n"]
+        # curve.csv is the report's curve table, line for line
+        assert (out / "curve.csv").read_text(encoding="utf-8").splitlines() == [
+            ",".join(row) for row in [curve.columns, *curve.rows]]
 
         assert run("export-vectors", cfg) == 0
-        assert (out / "doc_vectors.txt").exists()
+        doc_vectors = load_vectors(out / "doc_vectors.txt", expect_dim=24)
+        assert doc_vectors.words == [d.account_id for d in target_docs]
 
         manifest = (out / "manifest.tsv").read_text(encoding="utf-8").splitlines()
         header = manifest[0].split("\t")
@@ -215,6 +230,20 @@ class TestPipeline:
         err = capsys.readouterr().err
         errors = [line for line in err.splitlines() if line.startswith("error:")]
         assert len(errors) == 1 and "non-finite cross-covariance" in errors[0]
+        assert "Traceback" not in err
+
+    def test_align_dims_differ_exit_two(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        cfg = write_cfg(tmp_path, out)
+        (out / "vectors.txt").write_bytes(b"2 2\nw 1 0\nu 0 1\n")
+        (out / "target_vectors.txt").write_bytes(b"2 3\nw 1 0 0\nu 0 1 0\n")
+        (out / "dictionary.txt").write_bytes(b"w w\nu u\n")
+        assert run("align", cfg) == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert errors == [f"error: cannot align {out / 'vectors.txt'} (dim 2) with "
+                          f"{out / 'target_vectors.txt'} (dim 3): the dims differ"]
         assert "Traceback" not in err
 
     def test_align_records_eval_dict(self, tmp_path):
@@ -323,6 +352,17 @@ class TestPipeline:
         assert run("ingest", cfg) == 0
         assert read_documents(tmp_path / "out" / "documents.tsv") == [
             AccountDocument("u1", "hello again", 1), AccountDocument("u2", "bye", 0)]
+
+    def test_account_id_with_space_exit_two(self, tmp_path, capsys):
+        # doc_vectors.txt labels its rows with the ids, so "u 1" could not be read back
+        cfg = ingest_cfg(tmp_path, b"u1\ten\thello\nu 1\ten\tthere\n",
+                         b"u1\tactive\nu 1\tsuspended\n")
+        assert run("ingest", cfg) == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert errors == [f"error: {tmp_path / 'out' / 'posts.tsv'}:2: "
+                          "account id 'u 1' contains whitespace"]
+        assert not (tmp_path / "out" / "documents.tsv").exists()
 
     def test_unknown_status_exit_two(self, tmp_path, capsys):
         cfg = ingest_cfg(tmp_path, b"u1\ten\thello\nu2\ten\tbye\n", b"u1\tactive\nu2\tbanned\n")

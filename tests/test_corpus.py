@@ -232,6 +232,13 @@ class TestFiles:
         with pytest.raises(FormatError, match=r"docs\.tsv:2: empty account id$"):
             read_documents(path)
 
+    def test_documents_account_id_with_space(self, tmp_path):
+        # export-vectors labels doc_vectors.txt rows with the ids, space-separated
+        path = tmp_path / "docs.tsv"
+        path.write_bytes(b"a1\t0\thello\nu 1\t1\tthere\n")
+        with pytest.raises(FormatError, match=r"docs\.tsv:2: account id 'u 1' contains whitespace$"):
+            read_documents(path)
+
     def test_status_file(self, tmp_path):
         path = tmp_path / "statuses.tsv"
         path.write_text("u1\tsuspended\nu2\tactive\n", encoding="utf-8")

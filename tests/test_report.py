@@ -1,7 +1,7 @@
 import pytest
 
 from xldetect.errors import FormatError
-from xldetect.metrics import ConfusionMatrix, binary_metrics
+from xldetect.metrics import SCORES, ConfusionMatrix, binary_metrics
 from xldetect.report import (
     Report,
     metrics_section,
@@ -60,6 +60,19 @@ class TestConsistency:
         assert repr(recomputed.precision) == section["precision"]
         assert repr(recomputed.recall) == section["recall"]
         assert repr(recomputed.f1) == section["f1"]
+
+    def test_metric_fields_follow_score_declaration(self):
+        section = metrics_section(binary_metrics(ConfusionMatrix(tp=1, fp=1, fn=1, tn=1)))
+        assert [k for k in section if k in ("precision", "recall", "f1")] == list(SCORES)
+        assert list(section)[-1] == "flags"
+
+    def test_csv_lines_match_serialized_block(self):
+        block = sample_report().tables["curve"]
+        assert block.lines() == [
+            "fraction,kind,seed,precision,recall,f1",
+            "0.1,monolingual,1,0.5,0.25,0.3333333333333333"]
+        text = serialize_report(sample_report())
+        assert "```csv curve\n" + "\n".join(block.lines()) + "\n```\n" in text
 
     def test_curve_schema(self):
         report = sample_report()
