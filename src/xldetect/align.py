@@ -327,7 +327,7 @@ def save_dictionary(dictionary: BilingualDictionary, path: str | Path) -> None:
 
 
 def save_map(omap: OrthogonalMap, path: str | Path) -> None:
-    formats.write_matrix(path, f"{_MAGIC_MAP} {omap.dim}", omap.w)
+    formats.write_matrix(path, _MAGIC_MAP, omap.w)
 
 
 def load_map(path: str | Path) -> OrthogonalMap:

@@ -433,31 +433,24 @@ def _sgd_step(table, weights, cells, ids, share, labels, lr, write) -> np.ndarra
 
 
 def save_classifier(model: TextClassifier, path: str | Path) -> None:
-    with open(path, "wb") as fh:
-        formats.write_model_head(fh, _MAGIC_MODEL, model.dim, model.vocab, model.subwords)
-        for name in model.label_names:
-            data = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(data)) + data)
-        fh.write(struct.pack("<I", _WORD_NGRAMS))
-        formats.write_vocab_block(fh, model.vocab)
-        formats.write_bucket_block(fh, model.bucket_ids, model.bucket_seed)
-        formats.write_floats(fh, model.input_rows, model.output_weights)
+    """formats.write_model, with the label names and the word n-gram
+    order as the preamble and the output weights as the tail."""
+    names = [name.encode("utf-8") for name in model.label_names]
+    preamble = b"".join(struct.pack("<H", len(data)) + data for data in names)
+    formats.write_model(path, _MAGIC_MODEL, model, model.output_weights,
+                        preamble + struct.pack("<I", _WORD_NGRAMS))
+
+
+def _read_preamble(reader: formats.ArtifactReader) -> None:
+    names = tuple(reader.text(reader.unpack("<H")[0]) for _ in range(_N_CLASSES))
+    if names != LABEL_NAMES:
+        raise FormatError(f"{reader.path}: unexpected label names {list(names)}")
+    (word_ngrams,) = reader.unpack("<I")
+    if word_ngrams != _WORD_NGRAMS:
+        raise FormatError(f"{reader.path}: word n-gram order {word_ngrams} is not supported "
+                          f"(must be {_WORD_NGRAMS})")
 
 
 def load_classifier(path: str | Path) -> TextClassifier:
-    with open(path, "rb") as fh:
-        reader = formats.ArtifactReader(fh, path)
-        dim, nwords, sub = formats.read_model_head(reader, _MAGIC_MODEL, "a classifier model file")
-        names = tuple(reader.text(reader.unpack("<H")[0]) for _ in range(_N_CLASSES))
-        if names != LABEL_NAMES:
-            raise FormatError(f"{path}: unexpected label names {list(names)}")
-        (word_ngrams,) = reader.unpack("<I")
-        if word_ngrams != _WORD_NGRAMS:
-            raise FormatError(f"{path}: word n-gram order {word_ngrams} is not supported "
-                              f"(must be {_WORD_NGRAMS})")
-        vocab = formats.read_vocab_block(reader, nwords)
-        bucket_ids, bucket_seed = formats.read_bucket_block(reader, sub)
-        input_rows = reader.floats(nwords + len(bucket_ids), dim)
-        output_weights = reader.floats(_N_CLASSES, dim)
-        reader.end()
-    return TextClassifier(vocab, sub, input_rows, output_weights, bucket_ids, bucket_seed)
+    return TextClassifier(*formats.read_model(
+        path, _MAGIC_MODEL, "a classifier model file", _N_CLASSES, _read_preamble))

@@ -404,7 +404,7 @@ def word_vector(word: str, model: EmbeddingMatrix) -> np.ndarray:
 def save_vectors(table: VectorTable, path: str | Path) -> None:
     """Write the word2vec-style text format: "<count> <dim>" header, then
     one word per line followed by its vector, shortest-round-trip decimals."""
-    formats.write_matrix(path, f"{len(table)} {table.dim}", table.vectors, table.words)
+    formats.write_matrix(path, None, table.vectors, table.words)
 
 
 def load_vectors(path: str | Path, expect_dim: int | None = None) -> VectorTable:
@@ -415,24 +415,10 @@ def load_vectors(path: str | Path, expect_dim: int | None = None) -> VectorTable
 
 
 def save_checkpoint(model: EmbeddingMatrix, path: str | Path) -> None:
-    """Binary checkpoint: the stored bucket ids, then raw float32 parameter
-    rows in storage order."""
-    with open(path, "wb") as fh:
-        formats.write_model_head(fh, _MAGIC_CHECKPOINT, model.dim, model.vocab, model.subwords)
-        formats.write_vocab_block(fh, model.vocab)
-        formats.write_bucket_block(fh, model.bucket_ids, model.bucket_seed)
-        formats.write_floats(fh, model.input_rows, model.context_rows)
+    """Binary checkpoint (formats.write_model): the context rows follow
+    the input rows."""
+    formats.write_model(path, _MAGIC_CHECKPOINT, model, model.context_rows)
 
 
 def load_checkpoint(path: str | Path) -> EmbeddingMatrix:
-    with open(path, "rb") as fh:
-        reader = formats.ArtifactReader(fh, path)
-        dim, nwords, sub = formats.read_model_head(
-            reader, _MAGIC_CHECKPOINT, "an embedding checkpoint"
-        )
-        vocab = formats.read_vocab_block(reader, nwords)
-        bucket_ids, bucket_seed = formats.read_bucket_block(reader, sub)
-        input_rows = reader.floats(nwords + len(bucket_ids), dim)
-        context_rows = reader.floats(nwords, dim)
-        reader.end()
-    return EmbeddingMatrix(vocab, sub, input_rows, context_rows, bucket_ids, bucket_seed)
+    return EmbeddingMatrix(*formats.read_model(path, _MAGIC_CHECKPOINT, "an embedding checkpoint"))

@@ -20,4 +20,4 @@ from . import formats
 def save_external_features(ids: list[str], matrix: np.ndarray, path: str | Path) -> None:
     if len(ids) != matrix.shape[0]:
         raise ValueError("ids/matrix length mismatch")
-    formats.write_matrix(path, f"{matrix.shape[0]} {matrix.shape[1]}", matrix, ids)
+    formats.write_matrix(path, None, matrix, ids)

@@ -5,11 +5,13 @@ layout's field count, and documents, statuses, FEATS v1 features and
 labelled matrix rows are keyed by a non-empty, unique first field
 (dictionaries are not: a source word may have several translations).
 Vectors, external document features and the orthogonal map share one
-text-matrix layout. The binary XLEMB2 and XLCLF2 files share a model
-head, one vocabulary block, one block of stored bucket ids with the rule
-that gives every other bucket its value, and float32 rows. Readers raise
-FormatError naming the path and the line or byte offset of the damage,
-so a stage exits 2 with one error line."""
+text-matrix layout, written by write_matrix and read by read_matrix. The
+binary XLEMB2 and XLCLF2 files share one layout, written by write_model
+and read by read_model: a model head, the caller's preamble, one
+vocabulary block of unique words, one block of stored bucket ids with
+the rule that gives every other bucket its value, and finite float32
+rows. Readers raise FormatError naming the path and the line or byte
+offset of the damage, so a stage exits 2 with one error line."""
 
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import FormatError
-from .vocab import SubwordIndex, Vocabulary
+from .vocab import InputTable, SubwordIndex, Vocabulary
 
 _INT64_LIMIT = 2**63
 _MODEL_HEAD = "<IIQII"  # dim, |V|, subword buckets, n_min, n_max
@@ -99,11 +101,13 @@ class TextArtifact:
             yield lineno, fields
 
 
-def write_matrix(path: str | Path, header: str, matrix, labels=None) -> None:
-    """The header line, then one row per line: its label when labels are
-    given, then its values, separated by single spaces."""
+def write_matrix(path: str | Path, magic: str | None, matrix: np.ndarray, labels=None) -> None:
+    """The header read_matrix(path, magic) reads, "<rows> <dim>" without
+    magic and "<magic> <dim>" with it, then one row per line: its label
+    when labels are given, then its values, separated by single spaces."""
+    rows, dim = matrix.shape
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
+        fh.write(f"{rows if magic is None else magic} {dim}\n")
         for i, row in enumerate(matrix):
             fields = [format_float(x) for x in row]
             if labels is not None:
@@ -177,9 +181,15 @@ class ArtifactReader:
             raise FormatError(f"{self.path}: invalid UTF-8 at byte {offset}") from None
 
     def floats(self, rows: int, cols: int) -> np.ndarray:
+        """A rows x cols float32 matrix of finite values."""
+        at = self.offset
         self._claim(rows * cols * 4)
         out = np.empty((rows, cols), dtype="<f4")
         self.fh.readinto(out)
+        # min() and max() propagate NaN and make no copy of the matrix
+        if out.size and not np.isfinite([out.min(), out.max()]).all():
+            bad = int(np.argmin(np.isfinite(out).ravel()))
+            raise FormatError(f"{self.path}: non-finite value at byte {at + 4 * bad}")
         return out
 
     def end(self) -> None:
@@ -187,66 +197,70 @@ class ArtifactReader:
             raise FormatError(f"{self.path}: trailing bytes after offset {self.offset}")
 
 
-def write_floats(fh, *matrices: np.ndarray) -> None:
-    for matrix in matrices:
-        fh.write(np.ascontiguousarray(matrix, dtype="<f4").data)
-
-
-def write_model_head(fh, magic: bytes, dim: int, vocab: Vocabulary, sub: SubwordIndex | None):
+def write_model(path: str | Path, magic: bytes, model: InputTable, tail: np.ndarray,
+                preamble: bytes = b"") -> None:
+    """The XLEMB2/XLCLF2 layout: magic, model head, preamble, vocabulary
+    block, stored-bucket block (the init rule of vocab.init_bucket_rows,
+    a seed or zeros for None, then the stored ids), then the input rows
+    and tail as little-endian float32."""
+    vocab, sub, seed = model.vocab, model.subwords, model.bucket_seed
     buckets = (sub.buckets, sub.n_min, sub.n_max) if sub else (0, 0, 0)
-    fh.write(magic + struct.pack(_MODEL_HEAD, dim, len(vocab), *buckets))
+    with open(path, "wb") as fh:
+        fh.write(magic + struct.pack(_MODEL_HEAD, model.dim, len(vocab), *buckets) + preamble)
+        fh.write(struct.pack(_VOCAB_HEAD, vocab.min_count, vocab.total_tokens))
+        for word, count in zip(vocab.words, vocab.counts):
+            data = word.encode("utf-8")
+            fh.write(struct.pack(_WORD_HEAD, len(data), count) + data)
+        uniform = seed is not None
+        fh.write(struct.pack(_BUCKET_HEAD, uniform, seed if uniform else 0, len(model.bucket_ids)))
+        fh.write(np.asarray(model.bucket_ids, dtype=_BUCKET_ID).data)
+        for matrix in (model.input_rows, tail):
+            fh.write(np.ascontiguousarray(matrix, dtype="<f4").data)
 
 
-def read_model_head(reader: ArtifactReader, magic: bytes, what: str):
-    """(dim, vocabulary size, SubwordIndex or None) after the magic."""
-    if reader.take(len(magic)) != magic:
-        raise FormatError(f"{reader.path}: not {what}")
-    dim, nwords, buckets, n_min, n_max = reader.unpack(_MODEL_HEAD)
-    if buckets == 0:
-        return dim, nwords, None
-    try:
-        return dim, nwords, SubwordIndex(n_min, n_max, buckets)
-    except ValueError as exc:
-        raise FormatError(f"{reader.path}: bad subword head at byte {len(magic)}: {exc}") from None
-
-
-def write_vocab_block(fh, vocab: Vocabulary) -> None:
-    fh.write(struct.pack(_VOCAB_HEAD, vocab.min_count, vocab.total_tokens))
-    for word, count in zip(vocab.words, vocab.counts):
-        data = word.encode("utf-8")
-        fh.write(struct.pack(_WORD_HEAD, len(data), count) + data)
-
-
-def read_vocab_block(reader: ArtifactReader, nwords: int) -> Vocabulary:
-    min_count, total_tokens = reader.unpack(_VOCAB_HEAD)
-    words, counts = [], []
-    for _ in range(nwords):
-        wlen, count = reader.unpack(_WORD_HEAD)
-        if count >= _INT64_LIMIT:
-            raise FormatError(f"{reader.path}: word count over int64 before byte {reader.offset}")
-        words.append(reader.text(wlen))
-        counts.append(count)
-    return Vocabulary(words, counts, min_count, total_tokens)
-
-
-def write_bucket_block(fh, bucket_ids: np.ndarray, seed: int | None) -> None:
-    """The init rule of vocab.init_bucket_rows (seed, or zeros for None),
-    then the stored bucket ids."""
-    uniform = seed is not None
-    fh.write(struct.pack(_BUCKET_HEAD, uniform, seed if uniform else 0, len(bucket_ids)))
-    fh.write(np.asarray(bucket_ids, dtype=_BUCKET_ID).data)
-
-
-def read_bucket_block(reader: ArtifactReader, sub: SubwordIndex | None):
-    """(stored bucket ids, init seed or None): the ids must be strictly
-    increasing and below the bucket count."""
-    at = reader.offset
-    uniform, seed, count = reader.unpack(_BUCKET_HEAD)
-    if uniform > 1 or (not uniform and seed):
-        raise FormatError(f"{reader.path}: bad bucket init rule at byte {at}")
-    ids = np.frombuffer(reader.take(count * _BUCKET_ID.itemsize), dtype=_BUCKET_ID)
-    limit = sub.buckets if sub is not None else 0
-    if count and ((ids[1:] <= ids[:-1]).any() or ids[-1] >= limit):
-        raise FormatError(f"{reader.path}: stored bucket ids are not strictly increasing "
-                          f"below {limit} at byte {at}")
-    return ids.astype(np.int64), (seed if uniform else None)
+def read_model(path: str | Path, magic: bytes, what: str, tail_rows: int | None = None,
+               read_preamble=None) -> tuple:
+    """Read a write_model file: (vocabulary, SubwordIndex or None, input
+    rows, tail, stored bucket ids, init seed or None), the arguments of
+    both model constructors. The tail has tail_rows rows (None: one per
+    word); read_preamble(reader) reads and checks the preamble. Words
+    must be unique, stored bucket ids strictly increasing below the
+    bucket count, and every row finite."""
+    with open(path, "rb") as fh:
+        reader = ArtifactReader(fh, path)
+        if reader.take(len(magic)) != magic:
+            raise FormatError(f"{path}: not {what}")
+        dim, nwords, buckets, n_min, n_max = reader.unpack(_MODEL_HEAD)
+        sub = None
+        if buckets:
+            try:
+                sub = SubwordIndex(n_min, n_max, buckets)
+            except ValueError as exc:
+                raise FormatError(f"{path}: bad subword head at byte {len(magic)}: {exc}") from None
+        if read_preamble is not None:
+            read_preamble(reader)
+        min_count, total_tokens = reader.unpack(_VOCAB_HEAD)
+        counts: dict[str, int] = {}  # by word, in file order
+        for _ in range(nwords):
+            wlen, count = reader.unpack(_WORD_HEAD)
+            if count >= _INT64_LIMIT:
+                raise FormatError(f"{path}: word count over int64 before byte {reader.offset}")
+            at = reader.offset
+            word = reader.text(wlen)
+            if word in counts:
+                raise FormatError(f"{path}: repeated word {word!r} at byte {at}")
+            counts[word] = count
+        vocab = Vocabulary(list(counts), list(counts.values()), min_count, total_tokens)
+        at = reader.offset
+        uniform, seed, stored = reader.unpack(_BUCKET_HEAD)
+        if uniform > 1 or (not uniform and seed):
+            raise FormatError(f"{path}: bad bucket init rule at byte {at}")
+        ids = np.frombuffer(reader.take(stored * _BUCKET_ID.itemsize), dtype=_BUCKET_ID)
+        limit = sub.buckets if sub is not None else 0
+        if stored and ((ids[1:] <= ids[:-1]).any() or ids[-1] >= limit):
+            raise FormatError(f"{path}: stored bucket ids are not strictly increasing "
+                              f"below {limit} at byte {at}")
+        input_rows = reader.floats(nwords + stored, dim)
+        tail = reader.floats(nwords if tail_rows is None else tail_rows, dim)
+        reader.end()
+    return vocab, sub, input_rows, tail, ids.astype(np.int64), (seed if uniform else None)

@@ -62,7 +62,7 @@ def serialize_report(report: Report) -> str:
 
 
 def parse_report(text: str) -> Report:
-    lines = text.splitlines()
+    lines = text.split("\n") if text else []  # serialize_report's separator only
     if not lines or lines[0] != _HEADER:
         raise FormatError(f"not a report: first line is {lines[0]!r}" if lines else "empty report")
     report = Report()

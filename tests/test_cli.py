@@ -316,6 +316,24 @@ class TestPipeline:
         assert len(errors) == 1 and "classifier.bin: bad subword head at byte 6" in errors[0]
         assert "Traceback" not in err
 
+    def test_non_finite_classifier_weight_exit_two(self, tmp_path, capsys):
+        # the file's last four bytes are the last output weight
+        out = tmp_path / "out"
+        out.mkdir()
+        docs = "".join(f"u{i}\t{i % 2}\talpha beta gamma\n" for i in range(10))
+        (out / "target_documents.tsv").write_text(docs, encoding="utf-8")
+        cfg = write_cfg(tmp_path, out)
+        assert run("train-classifier", cfg) == 0
+        path = out / "classifier.bin"
+        data = path.read_bytes()
+        path.write_bytes(data[:-4] + struct.pack("<f", float("nan")))
+        capsys.readouterr()
+        assert run("evaluate", cfg) == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert errors == [f"error: {path}: non-finite value at byte {len(data) - 4}"]
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("command, line, message", [
         ("sweep", "sweep.seeds = -1",
          "sweep.seeds must be a non-empty list of seeds in [0, 2^64) (got (-1,))"),

@@ -4,6 +4,7 @@ damaged artifact exits 2 with one error line."""
 
 import re
 import struct
+import time
 
 import numpy as np
 import pytest
@@ -93,6 +94,13 @@ MODELS = [
 ]
 
 
+def model_params(model):
+    """The float32 matrices a model file holds: the input rows, then the
+    context rows or the output weights."""
+    tail = model.context_rows if isinstance(model, emb.EmbeddingMatrix) else model.output_weights
+    return model.input_rows, tail
+
+
 @pytest.mark.parametrize(
     "name,write,load,accepted,where", FORMATS, ids=[row[0] for row in FORMATS]
 )
@@ -175,3 +183,92 @@ def test_bad_stored_bucket_ids_rejected(tmp_path, name, write, load, save):
         .replace(head(buckets), head(MAX_BUCKETS), 1))
     with pytest.raises(FormatError, match=re.escape(str(damaged)) + rf": .* at byte {at}$"):
         load(damaged)
+
+
+@pytest.mark.parametrize("name,write,load,save", MODELS, ids=[row[0] for row in MODELS])
+def test_every_byte_mutation_raises_or_loads_sound(tmp_path, name, write, load, save):
+    # each byte set to 0x00, to 0xFF and to itself ^ 0x80: a file that loads
+    # holds finite parameters and unique words
+    path, damaged = tmp_path / "model", tmp_path / "damaged"
+    write(path, np.random.default_rng(7))
+    data = path.read_bytes()
+    start = time.perf_counter()
+    leaks, loaded = [], 0
+    for at in range(len(data)):
+        for byte in sorted({0x00, 0xFF, data[at] ^ 0x80} - {data[at]}):
+            damaged.write_bytes(data[:at] + bytes([byte]) + data[at + 1 :])
+            try:
+                model = load(damaged)
+            except FormatError:
+                continue
+            except Exception as exc:
+                leaks.append((at, byte, f"{type(exc).__name__}: {exc}"))
+                continue
+            loaded += 1
+            if not all(np.isfinite(m).all() for m in model_params(model)):
+                leaks.append((at, byte, "non-finite parameter loaded"))
+            if len(model.vocab.word_to_id) != len(model.vocab.words):
+                leaks.append((at, byte, "repeated word loaded"))
+    assert not leaks, f"{len(leaks)} mutations leaked, first: {leaks[:3]}"
+    assert loaded  # some mutations (counts, seeds, values) are not damage a file can show
+    assert time.perf_counter() - start < 2.0
+
+
+@pytest.mark.parametrize("name,write,load,save", MODELS, ids=[row[0] for row in MODELS])
+def test_non_finite_value_rejected(tmp_path, name, write, load, save):
+    path, damaged = tmp_path / "model", tmp_path / "damaged"
+    write(path, np.random.default_rng(7))
+    data = path.read_bytes()
+    rows, tail = model_params(load(path))
+    first_row = data.index(rows.astype("<f4").tobytes())
+    assert first_row + 4 * (rows.size + tail.size) == len(data)
+    # a word row's value, a stored bucket row's, and the file's last value
+    # (the last context row's or output weight's)
+    offsets = (first_row + 4, first_row + 4 * (rows.size - 1), len(data) - 4)
+    for value in (np.nan, np.inf, -np.inf):
+        for at in offsets:
+            damaged.write_bytes(data[:at] + struct.pack("<f", value) + data[at + 4 :])
+            with pytest.raises(FormatError, match=re.escape(
+                    f"{damaged}: non-finite value at byte {at}") + "$"):
+                load(damaged)
+
+
+@pytest.mark.parametrize("name,write,load,save", MODELS, ids=[row[0] for row in MODELS])
+def test_repeated_word_rejected(tmp_path, name, write, load, save):
+    path, damaged = tmp_path / "model", tmp_path / "damaged"
+    write(path, np.random.default_rng(7))
+    data = path.read_bytes()
+    vocab = load(path).vocab
+    # the last word renamed to the first, which has as many UTF-8 bytes
+    first, last = vocab.words[0].encode("utf-8"), vocab.words[-1].encode("utf-8")
+    assert len(first) == len(last)
+    record = struct.pack("<HQ", len(last), vocab.counts[-1]) + last
+    at = data.index(record) + len(record) - len(last)
+    damaged.write_bytes(data[:at] + first + data[at + len(first) :])
+    with pytest.raises(FormatError, match=re.escape(
+            f"{damaged}: repeated word {vocab.words[0]!r} at byte {at}") + "$"):
+        load(damaged)
+
+
+def test_models_without_subwords_save_load_byte_exact(tmp_path):
+    # no subword table: a zero bucket head and the 17-byte empty
+    # stored-bucket block, which save -> load -> save keeps
+    corpus = [["ab", "cd", "ef"], ["cd", "ab"]] * 3
+    config = emb.SkipgramConfig(dim=2, epochs=1, min_count=1, subsample_t=1.0, window=1,
+                                negatives=1, subwords=None)
+    docs = [AccountDocument(f"a{i}", "xy zz" if i % 2 else "qq", i % 2) for i in range(4)]
+    models = [
+        (emb.train_skipgram(corpus, config), emb.save_checkpoint, emb.load_checkpoint),
+        (clf.train_supervised(docs, clf.SupervisedConfig(dim=2, epochs=1, subwords=None)),
+         clf.save_classifier, clf.load_classifier),
+    ]
+    for model, save, load in models:
+        first, second = tmp_path / "first", tmp_path / "second"
+        save(model, first)
+        loaded = load(first)
+        assert loaded.subwords is None and loaded.bucket_seed is None
+        save(loaded, second)
+        assert first.read_bytes() == second.read_bytes()
+        assert bytes(17) in first.read_bytes()
+        for saved, read in zip(model_params(model), model_params(loaded)):
+            np.testing.assert_array_equal(saved, read)

@@ -43,6 +43,20 @@ class TestRoundTrip:
         write_report(parsed, tmp_path / "again.txt")
         assert path.read_bytes() == (tmp_path / "again.txt").read_bytes()
 
+    @pytest.mark.parametrize("char", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                                      "\u2028", "\u2029"])
+    def test_other_line_breaks_round_trip(self, tmp_path, char):
+        # serialize_report joins lines with "\n" only, so a character that
+        # str.splitlines() also breaks on is part of a value or a cell
+        report = sample_report()
+        report.section("run")["out_dir"] = f"runs/a{char}b"
+        report.add_table("names", ["name"], [[f"x{char}y"]])
+        text = serialize_report(report)
+        assert parse_report(text) == report
+        path = tmp_path / "report.txt"
+        write_report(report, path)
+        assert read_report(path) == report
+
     def test_header_line(self):
         assert serialize_report(sample_report()).splitlines()[0] == "XLREPORT 1"
 
