@@ -118,28 +118,42 @@ class TextClassifier(InputTable):
         """The documents as CSR (lengths, ids, shares): each one's unique
         input ids, ascending, and their float32 shares (multiplicity over
         the document's). In-vocabulary tokens read word_rows; the batch's
-        out-of-vocabulary tokens are hashed in one subword_ids_csr call."""
-        word_to_id, (indptr, flat) = self.vocab.word_to_id, self.word_rows
-        known, oov, oov_end = [], [], []
+        out-of-vocabulary tokens are hashed in one subword_ids_csr call. A
+        document's ids and counts come from one sort of its rows and the
+        mask of where the sorted value changes."""
+        get, (indptr, flat) = self.vocab.word_to_id.get, self.word_rows
+        known, oov, oov_end = [], [], [0]
         for tokens in token_docs:
-            wids = list(map(word_to_id.get, tokens))
-            known.append([w for w in wids if w is not None])
-            if self.subwords is not None:
-                oov.extend(tok for tok, w in zip(tokens, wids) if w is None)
+            wids = []
+            for token in tokens:
+                wid = get(token)
+                if wid is None:
+                    oov.append(token)
+                else:
+                    wids.append(wid)
+            known.append(wids)
             oov_end.append(len(oov))
-        oov_ptr, oov_rows = np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.int64)
-        if oov:
+        # without subwords an out-of-vocabulary token has no row
+        oov_ptr, oov_rows = np.zeros(len(oov) + 1, dtype=np.int64), np.empty(0, dtype=np.int64)
+        if oov and self.subwords is not None:
             oov_ptr, oov_rows = subword_ids_csr(oov, self.subwords, len(self.vocab))
         ids, shares = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.float32)]
-        for wids, a, b in zip(known, [0] + oov_end, oov_end):
+        o = oov_ptr.take(oov_end).tolist()
+        for wids, c, d in zip(known, o, o[1:]):
             wids = np.array(wids, dtype=np.int64)
             at = indptr.take(wids)
             n = indptr.take(wids + 1) - at
-            rows = flat.take((at - n.cumsum() + n).repeat(n) + np.arange(n.sum()))
-            rows = np.concatenate((rows, oov_rows[oov_ptr[a] : oov_ptr[b]]))
-            uniq, counts = np.unique(rows, return_counts=True)
-            ids.append(uniq)
-            shares.append(np.divide(counts, len(rows), dtype=np.float32))
+            at -= n.cumsum() - n  # less each token's first place among the document's rows
+            rows = at.repeat(n)
+            rows += np.arange(len(rows))
+            rows = np.concatenate((flat.take(rows), oov_rows[c:d]))
+            rows.sort()
+            change = np.empty(len(rows) + 1, dtype=bool)
+            change[0] = change[-1] = True
+            np.not_equal(rows[1:], rows[:-1], out=change[1:-1])
+            first = change.nonzero()[0]
+            ids.append(rows.take(first[:-1]))
+            shares.append(np.divide(first[1:] - first[:-1], len(rows), dtype=np.float32))
         lengths = np.fromiter(map(len, ids[1:]), dtype=np.int64, count=len(token_docs))
         return lengths, np.concatenate(ids), np.concatenate(shares)
 
@@ -160,6 +174,8 @@ def _score(model: TextClassifier, batch) -> tuple[np.ndarray, np.ndarray]:
     consecutive documents padded as in training, of at most _BLOCK_SLOTS
     (document, slot) cells or one document."""
     lengths, ids, shares = batch
+    if len(lengths) == 1:  # one document is its own block, unpadded
+        return _forward(model.rows(ids)[None], shares[None], model.output_weights[None])
     h = np.empty((len(lengths), model.dim), dtype=np.float32)
     z = np.empty((len(lengths), _N_CLASSES), dtype=np.float32)
     step = max(1, _BLOCK_SLOTS // max(1, int(lengths.max(initial=0))))
@@ -369,12 +385,17 @@ def _train_lockstep(cells: list[_Cell]) -> None:
         loss = np.zeros(len(live))
         for i in range(width):
             k = active[i]
-            at = doc_start[i, :k, None] + span[: slots[i]]
-            if k > 1:
-                at = np.where(span[: slots[i]] < length[i, :k, None], at, len(read) - 1)
-            to = None if write is None else write.take(at)
-            loss[:k] += _sgd_step(table, weights, live[:k], read.take(at), shares.take(at),
-                                  label[i, :k], lr[i, :k], to)
+            if k == 1:  # one document's slots are one run: step on views of it
+                run = np.s_[None, doc_start[i, 0] : doc_start[i, 0] + slots[i]]
+                ids, share = read[run], shares[run]
+                to = None if write is None else write[run]
+            else:
+                at = np.where(span[: slots[i]] < length[i, :k, None],
+                              doc_start[i, :k, None] + span[: slots[i]], len(read) - 1)
+                ids, share = read.take(at), shares.take(at)
+                to = None if write is None else write.take(at)
+            loss[:k] += _sgd_step(table, weights, live[:k], ids, share, label[i, :k], lr[i, :k],
+                                  to)
         for j, c in enumerate(live.tolist()):
             cell = cells[c]
             trained = [cell.model.output_weights]

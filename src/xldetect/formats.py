@@ -104,15 +104,21 @@ class TextArtifact:
 def write_matrix(path: str | Path, magic: str | None, matrix: np.ndarray, labels=None) -> None:
     """The header read_matrix(path, magic) reads, "<rows> <dim>" without
     magic and "<magic> <dim>" with it, then one row per line: its label
-    when labels are given, then its values, separated by single spaces."""
+    when labels are given, then its values as format_float spells them,
+    separated by single spaces. Python's float repr gives the same shortest
+    digits, faster, wherever it writes no exponent; a row where it writes
+    one, or inf or nan, is spelled by format_float."""
     rows, dim = matrix.shape
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{rows if magic is None else magic} {dim}\n")
         for i, row in enumerate(matrix):
-            fields = [format_float(x) for x in row]
+            values = row.tolist()  # the float64 value of every entry
+            line = " ".join(map(repr, values))
+            if "e" in line or "n" in line:
+                line = " ".join(map(format_float, values))
             if labels is not None:
-                fields.insert(0, labels[i])
-            fh.write(" ".join(fields) + "\n")
+                line = f"{labels[i]} {line}" if values else labels[i]
+            fh.write(line + "\n")
 
 
 def read_matrix(path: str | Path, magic: str | None) -> tuple[list[str], np.ndarray]:

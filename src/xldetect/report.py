@@ -44,16 +44,25 @@ class Report:
         self.tables[name] = CsvBlock(name, list(columns), [list(r) for r in rows])
 
 
+def _breaks_line(text: str) -> bool:
+    """Whether text would not read back as one line: read_report reads in
+    universal-newline mode, so "\r" ends a line as "\n" does."""
+    return "\n" in text or "\r" in text
+
+
 def serialize_report(report: Report) -> str:
     parts = [_HEADER, ""]
     for name, kv in report.sections.items():
         parts.append(f"[{name}]")
         for key, value in kv.items():
-            if "=" in key or "\n" in key or "\n" in str(value):
+            if "=" in key or _breaks_line(key) or _breaks_line(str(value)):
                 raise ValueError(f"illegal report key/value under {name!r}: {key!r}")
             parts.append(f"{key}={value}")
         parts.append("")
     for block in report.tables.values():
+        for cell in (c for row in [block.columns, *block.rows] for c in row):
+            if "," in cell or _breaks_line(cell):
+                raise ValueError(f"illegal cell in table {block.name!r}: {cell!r}")
         parts.append(f"{_FENCE}csv {block.name}")
         parts.extend(block.lines())
         parts.append(_FENCE)

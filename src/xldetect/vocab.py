@@ -28,13 +28,17 @@ from .params import at_least, check, param
 
 FNV_OFFSET_BASIS = 2166136261
 FNV_PRIME = 16777619
+# FNV-1a's first step, from the offset basis, over every byte value
+_FNV_FIRST = (np.arange(256, dtype=np.uint32) ^ np.uint32(FNV_OFFSET_BASIS)) * np.uint32(FNV_PRIME)
 _BLOCK_CHARS = 1 << 15  # hash cells per block of subword_ids_csr
 # splitmix64 (Steele et al. 2014): the stream increment and the two mix multipliers
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _U64 = (1 << 64) - 1
-_INIT_WORDS = 1 << 18  # 64-bit outputs per block of init_bucket_rows
+# 64-bit outputs per block of init_bucket_rows: a block's 256 KiB of states
+# stays in cache over its passes, a quarter faster than 2 MiB blocks
+_INIT_WORDS = 1 << 15
 # 8x fastText's 2M default; bounds InputTable.row_slots at 64 MiB of int32
 MAX_BUCKETS = 1 << 24
 
@@ -83,17 +87,15 @@ def build_vocab(corpus: Iterable[list[str]], min_count: int = 5) -> Vocabulary:
     total = counts.total()
     if total == 0:
         raise DataError("empty corpus: no tokens to build a vocabulary from")
-    kept = sorted(
-        ((w, c) for w, c in counts.items() if c >= min_count),
-        key=lambda wc: (-wc[1], wc[0]),
-    )
-    if not kept:
+    # by word, then stably by count, descending: ties stay in word order
+    words = sorted(w for w, c in counts.items() if c >= min_count)
+    words.sort(key=counts.__getitem__, reverse=True)
+    if not words:
         raise DataError(
             f"empty vocabulary: no word reaches min_count={min_count} "
             f"(corpus has {len(counts)} distinct words)"
         )
-    words, kept_counts = zip(*kept)
-    return Vocabulary(list(words), list(kept_counts), min_count, total)
+    return Vocabulary(words, list(map(counts.__getitem__, words)), min_count, total)
 
 
 def input_ids(word: str, vocab: Vocabulary, index: SubwordIndex | None) -> list[int]:
@@ -132,21 +134,23 @@ def subword_ids_csr(
     lengths = np.fromiter(map(len, words), dtype=np.int64, count=len(words))
     lengths += 2
     # a block takes (characters x n-gram lengths of its longest word) cells
-    rows = min(index.n_max, int(lengths.max(initial=0))) - index.n_min + 1
+    rows = min(index.n_max, max(map(len, words), default=0) + 2) - index.n_min + 1
     chars = _BLOCK_CHARS // max(1, rows)
     ends = lengths.cumsum()
-    counts, ids = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
-    start = 0
+    firsts = ends - lengths  # each word's first character
+    indptr = np.zeros(len(words) + 1, dtype=np.int64)
+    ids, start = [], 0
     while start < len(words):
-        limit = (ends[start - 1] if start else 0) + chars
-        stop = max(start + 1, int(ends.searchsorted(limit, side="right")))
-        block_counts, block_ids = _hash_block(words[start:stop], lengths[start:stop], index)
-        counts.append(block_counts)
+        stop = len(words)
+        if ends[-1] - firsts[start] > chars:
+            stop = max(start + 1, int(ends.searchsorted(firsts[start] + chars, side="right")))
+        block = slice(start, stop)
+        block_ends, block_ids = _hash_block(words[block], lengths[block],
+                                            firsts[block] - firsts[start], index)
+        np.add(block_ends, indptr[start], out=indptr[start + 1 : stop + 1])
         ids.append(block_ids)
         start = stop
-    indptr = np.zeros(len(words) + 1, dtype=np.int64)
-    np.concatenate(counts).cumsum(out=indptr[1:])
-    ids = np.concatenate(ids)
+    ids = ids[0] if len(ids) == 1 else np.concatenate([np.empty(0, dtype=np.int64), *ids])
     ids += offset
     if first is not None:
         ids = np.insert(ids, indptr[:-1], first)
@@ -154,41 +158,51 @@ def subword_ids_csr(
     return indptr, ids
 
 
-def _hash_block(words, lengths, index) -> tuple[np.ndarray, np.ndarray]:
-    """(n-gram counts, bucket ids in n-gram order) of words whose wrapped
-    forms have lengths characters. Grid cell (k, c) holds the hash of the
-    n_min + k characters from character c on; step n takes every start c
-    over character c + n - 1, a shifted slice of the bytes, in uint32, which
-    wraps as FNV-1a's mod 2^32. An index of runs of cells, one per word and
-    n-gram length, built from the lengths, reads them in n-gram order."""
-    rows = min(index.n_max, int(lengths.max())) - index.n_min + 1
+def _hash_block(words, lengths, firsts, index) -> tuple[np.ndarray, np.ndarray]:
+    """(each word's n-gram count plus those of the words before it, bucket
+    ids in n-gram order) of words whose wrapped forms have lengths
+    characters and start at characters firsts of the block. Grid cell
+    (k, c) holds the hash of the n_min + k characters from character c on;
+    step n takes every start c over character c + n - 1, a shifted slice of
+    the bytes, in uint32, which wraps as FNV-1a's mod 2^32. An index of runs
+    of cells, one per word and n-gram length, built from the lengths, reads
+    them in n-gram order."""
+    n_min = index.n_min
+    rows = min(index.n_max, max(map(len, words)) + 2) - n_min + 1
     if rows <= 0:  # no word has an n-gram
         return np.zeros(len(words), dtype=np.int64), np.empty(0, dtype=np.int64)
     text = "<" + "><".join(words) + ">"
     if text.count("<") > len(words) or text.count(">") > len(words):
         text = "<" + "><".join(w.replace("<", "_").replace(">", "_") for w in words) + ">"
     buf = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
-    starts = (buf & 0xC0) != 0x80  # the bytes that start a character
-    first_bytes, more = buf[starts], []  # more: (byte j >= 1, whether it is one)
-    if len(buf) > len(first_bytes):
-        width = np.diff(at := starts.nonzero()[0], append=len(buf))  # bytes per character
+    first_bytes, more = buf, []  # more: (byte j >= 1, whether it is one)
+    if len(buf) > len(text):  # some character takes more than one byte
+        at = np.flatnonzero((buf & 0xC0) != 0x80)  # the bytes that start a character
+        first_bytes, width = buf.take(at), np.diff(at, append=len(buf))  # bytes per character
         more = [(buf.take(at + j, mode="clip"), width > j) for j in range(1, int(width.max()))]
-    n_min, chars = index.n_min, len(first_bytes)
-    grid = np.full((rows, chars), FNV_OFFSET_BASIS, dtype=np.uint32)
-    prev, prime = grid[0], np.uint32(FNV_PRIME)
+    chars = len(first_bytes)
+    grid = np.empty((rows, chars), dtype=np.uint32)  # row k is written for n = n_min + k
+    prev, prime = None, np.uint32(FNV_PRIME)
     for n in range(1, n_min + rows):
         row = grid[max(0, n - n_min), : chars - n + 1]
-        np.bitwise_xor(prev[: chars - n + 1], first_bytes[n - 1 :], row)
-        row *= prime
+        if prev is None:  # from the offset basis: a lookup of each first byte
+            _FNV_FIRST.take(first_bytes, out=row, mode="clip")
+        else:
+            np.bitwise_xor(prev[: chars - n + 1], first_bytes[n - 1 :], row)
+            row *= prime
         for byte, has in more:  # continuation bytes
             np.copyto(row, (row ^ byte[n - 1 :]) * prime, where=has[n - 1 :])
         prev = row
-    k = np.arange(rows)
-    runs = np.maximum(lengths[:, None] - (n_min - 1) - k, 0)
-    shift = (lengths.cumsum() - lengths)[:, None] + k * chars  # each run's first cell,
-    shift -= runs.cumsum().reshape(runs.shape) - runs  # less its first id's position
-    cell = shift.ravel().repeat(runs.ravel()) + np.arange(runs.sum())
-    return runs.sum(axis=1), grid.take(cell) % np.int64(index.buckets)
+    # runs[w, k]: the n-grams of n_min + k characters of word w, a run of
+    # cells from its first character on in row k
+    runs = np.subtract.outer(lengths, np.arange(n_min - 1, n_min - 1 + rows))
+    np.maximum(runs, 0, out=runs)
+    shift = firsts[:, None] + np.arange(0, rows * chars, chars)
+    run_ends = runs.cumsum().reshape(runs.shape)
+    shift -= run_ends - runs  # less each run's first id's place
+    cell = shift.ravel().repeat(runs.ravel())
+    cell += np.arange(len(cell))
+    return run_ends[:, -1], grid.take(cell) % np.int64(index.buckets)
 
 
 def word_rows_csr(
@@ -263,10 +277,11 @@ def init_bucket_rows(
         # little-endian: each output's low half, then its high half
         halves = _splitmix64(z).astype("<u8", copy=False).view("<u4")
         halves >>= np.uint32(8)
-        block = out[start : start + step]
-        np.subtract(halves[:, :dim], np.float32(2.0**23), out=block, dtype=np.float32,
+        # u - 2^23 is exact in int32, and int32 converts to float32 faster than uint32
+        centred = halves.view("<i4")
+        centred -= np.int32(2**23)
+        np.multiply(centred[:, :dim], scale, out=out[start : start + step], dtype=np.float32,
                     casting="unsafe")
-        block *= scale
     return out
 
 
@@ -323,12 +338,12 @@ class InputTable:
     def rows(self, ids: np.ndarray) -> np.ndarray:
         """The float32 rows of input ids, in the order given; a bucket not
         stored reads its initial value."""
-        at = self.row_slots[np.minimum(ids, len(self.row_slots) - 1)]
+        at = self.row_slots.take(ids, mode="clip")  # a later id reads the final -1
         out = self.input_rows.take(at, axis=0)  # faster than input_rows[at]
-        missing = np.flatnonzero(at < 0)
+        missing = (at < 0).nonzero()[0]
         if len(missing):
             out[missing] = init_bucket_rows(
-                ids[missing] - len(self.vocab), self.dim, self.bucket_seed
+                ids.take(missing) - len(self.vocab), self.dim, self.bucket_seed
             )
         return out
 
@@ -336,9 +351,12 @@ class InputTable:
         """Store, after the word rows, the initial rows of every bucket that
         the input ids training reads name, so that training can update them
         in place; returns each id's position in input_rows. Called once,
-        while no bucket is stored."""
+        while no bucket is stored. The stored buckets are found with a map
+        over the id range, which neither sorts nor copies the ids."""
         nwords = len(self.vocab)
-        bucket_ids = np.unique(ids[ids >= nwords]) - nwords
+        named = np.zeros(int(ids.max(initial=nwords - 1)) + 1, dtype=bool)
+        named[ids] = True
+        bucket_ids = np.flatnonzero(named[nwords:])
         rows = np.empty((nwords + len(bucket_ids), self.dim), dtype=np.float32)
         rows[:nwords] = self.input_rows
         init_bucket_rows(bucket_ids, self.dim, self.bucket_seed, out=rows[nwords:])

@@ -15,6 +15,7 @@ from xldetect import classifier as clf
 from xldetect import corpus as cp
 from xldetect import embedding as emb
 from xldetect import external as ext
+from xldetect import formats
 from xldetect.corpus import AccountDocument
 from xldetect.errors import AlignmentError, FormatError
 from xldetect.vocab import MAX_BUCKETS, SubwordIndex
@@ -272,3 +273,33 @@ def test_models_without_subwords_save_load_byte_exact(tmp_path):
         assert bytes(17) in first.read_bytes()
         for saved, read in zip(model_params(model), model_params(loaded)):
             np.testing.assert_array_equal(saved, read)
+
+
+def test_write_matrix_spells_every_value_as_format_float(tmp_path):
+    # repr and format_float part ways at repr's exponent thresholds (1e-4
+    # and 1e16), on subnormals and on non-finite values
+    edge = [0.0, -0.0, 1e-4, np.nextafter(1e-4, 0), -np.nextafter(1e-4, 0), 1e16,
+            np.nextafter(1e16, 0), 1e17, -1e17, 5e-324, 2.2250738585072014e-308, 1.5,
+            123456.789, np.inf, -np.inf, np.nan, 0.1, 1 / 3]
+    f32 = np.float32([0.1, 1e-4, 1e-5, 3.4028235e38, 1.1754944e-38, 1e-45, 7.0, -2.5e-3])
+    rng = np.random.default_rng(3)
+    for matrix in (np.array([edge]), np.array([edge]).T, f32[None], f32[:, None].astype(np.float64),
+                   _values(rng, (50, 7)), rng.standard_normal((20, 5)) * 10.0 ** rng.integers(
+                       -20, 20, size=(20, 5))):
+        for magic, labels in ((None, [f"w{i}" for i in range(len(matrix))]), ("MAGIC", None)):
+            path = tmp_path / "matrix.txt"
+            formats.write_matrix(path, magic, matrix, labels)
+            lines = path.read_text(encoding="utf-8").split("\n")
+            assert lines[0] == f"{len(matrix) if magic is None else magic} {matrix.shape[1]}"
+            assert lines[-1] == "" and len(lines) == len(matrix) + 2
+            for i, (line, row) in enumerate(zip(lines[1:], matrix)):
+                expected = [formats.format_float(x) for x in row]
+                if labels is not None:
+                    expected.insert(0, labels[i])
+                assert line == " ".join(expected)
+
+
+def test_write_matrix_without_columns(tmp_path):
+    path = tmp_path / "matrix.txt"
+    formats.write_matrix(path, None, np.zeros((2, 0)), ["a", "b"])
+    assert path.read_text(encoding="utf-8") == "2 0\na\nb\n"

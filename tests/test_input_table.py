@@ -18,7 +18,8 @@ from xldetect import embedding as emb
 from xldetect.corpus import AccountDocument, tokenize
 from xldetect.errors import FormatError
 from xldetect.vocab import (
-    MAX_BUCKETS, SubwordIndex, init_bucket_rows, init_input_rows, word_rows_csr,
+    MAX_BUCKETS, InputTable, SubwordIndex, build_vocab, init_bucket_rows, init_input_rows,
+    word_rows_csr,
 )
 
 INDEX = SubwordIndex(3, 6, 1000)
@@ -65,6 +66,39 @@ def config(**kw):
     defaults = dict(dim=DIM, epochs=4, initial_lr=0.5, min_count=4, subwords=INDEX, seed=7)
     defaults.update(kw)
     return clf.SupervisedConfig(**defaults)
+
+
+class TestStoreBuckets:
+    """store_buckets against the np.unique reference it replaced."""
+
+    BUCKETS = 50
+
+    # (the ids of one or more documents, concatenated) over |V| = 3
+    @pytest.mark.parametrize("ids", [
+        [3, 52, 1, 3, 52, 40],  # bucket 0 (id |V|) and the last bucket (|V| + B - 1)
+        [0, 2, 1, 2],  # no bucket id
+        [4, 20, 1, 4, 2, 20, 4],  # the same ids in three documents
+        [],
+    ])
+    def test_matches_unique_reference(self, ids):
+        vocab = build_vocab([["a", "b", "c"]], min_count=1)
+        nwords = len(vocab)
+        table = InputTable(vocab, SubwordIndex(3, 6, self.BUCKETS),
+                           init_input_rows(vocab, DIM, 7), bucket_seed=7)
+        ids = np.array(ids, dtype=np.int64)
+        positions = table.store_buckets(ids)
+
+        ref = np.unique(ids[ids >= nwords]) - nwords
+        assert table.bucket_ids.dtype == np.int64
+        assert table.bucket_ids.tolist() == ref.tolist()
+        slot = {b: nwords + i for i, b in enumerate(ref.tolist())}
+        assert positions.tolist() == [i if i < nwords else slot[i - nwords] for i in ids.tolist()]
+        ref_slots = np.full(nwords + (ref[-1] + 1 if len(ref) else 0) + 1, -1)
+        ref_slots[:nwords] = np.arange(nwords)
+        ref_slots[nwords + ref] = np.arange(nwords, nwords + len(ref))
+        assert table.row_slots.tolist() == ref_slots.tolist()
+        assert table.input_rows[nwords:].tobytes() == init_bucket_rows(ref, DIM, 7).tobytes()
+        assert table.input_rows[positions].tobytes() == table.rows(ids).tobytes()
 
 
 class TestDenseEquivalence:

@@ -134,6 +134,23 @@ class TestParsing:
         with pytest.raises(ValueError):
             serialize_report(report)
 
+    @pytest.mark.parametrize("text", ["a\rb", "a\r\nb", "a\nb"])
+    def test_line_break_rejected_on_write(self, tmp_path, text):
+        # read_report reads in universal-newline mode, so "\r" would end a line
+        for key, value in ((text, "v"), ("out_dir", text)):
+            report = sample_report()
+            report.section("run")[key] = value
+            with pytest.raises(ValueError, match="illegal report key/value"):
+                write_report(report, tmp_path / "report.txt")
+
+    @pytest.mark.parametrize("cell", ["a,b", "a\rb", "a\nb"])
+    def test_cell_that_cannot_read_back_rejected_on_write(self, tmp_path, cell):
+        for columns, rows in (([cell], [["1"]]), (["name"], [[cell]])):
+            report = sample_report()
+            report.add_table("names", columns, rows)
+            with pytest.raises(ValueError, match="illegal cell"):
+                write_report(report, tmp_path / "report.txt")
+
     def test_table_width_validated(self):
         report = Report()
         with pytest.raises(ValueError):

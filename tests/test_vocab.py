@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -34,6 +35,18 @@ class TestBuildVocab:
     def test_lexicographic_ties(self):
         vocab = build_vocab([["zz", "aa", "mm"]], min_count=1)
         assert vocab.words == ["aa", "mm", "zz"]
+
+    def test_order_matches_count_then_word_key(self):
+        # many count ties, words of shared prefixes and non-ASCII words
+        rng = np.random.default_rng(4)
+        pool = [f"{p}{i}" for p in ("a", "ab", "b", "é", "z") for i in range(40)]
+        corpus = [[pool[j] for j in rng.integers(0, len(pool), size=30)] for _ in range(50)]
+        counts = Counter(w for doc in corpus for w in doc)
+        for min_count in (1, 3, 8):
+            ref = sorted(((w, c) for w, c in counts.items() if c >= min_count),
+                         key=lambda wc: (-wc[1], wc[0]))
+            vocab = build_vocab(corpus, min_count)
+            assert list(zip(vocab.words, vocab.counts.tolist())) == ref
 
     def test_all_below_threshold(self):
         with pytest.raises(ValueError, match="empty vocabulary"):
@@ -199,6 +212,31 @@ class TestSubwordIdsCsr:
                 for word in self.WORDS:
                     self.check([word], index, offset)
                 self.check([], index, offset)
+
+    # the one-document sizes scoring hashes: one block, a few words
+    @pytest.mark.parametrize("words", [
+        ["hello"],
+        ["the", "quick", "brown", "fox", "jumps", "over", "a", "lazy", "dog", "at", "noon", "ok"],
+        ["a<b>c"],
+        ["ñandú日本😀"],
+    ])
+    def test_small_inputs_match_reference(self, words):
+        for index in (SubwordIndex(3, 6, 2_000_000), SubwordIndex(1, 8, 97)):
+            self.check(words, index, 20_000)
+
+    def test_batch_of_exactly_two_blocks(self, monkeypatch):
+        hash_block, blocks = vocab_module._hash_block, []
+
+        def spy(words, *args):
+            blocks.append(len(words))
+            return hash_block(words, *args)
+
+        monkeypatch.setattr(vocab_module, "_hash_block", spy)
+        # wrapped words of 9 characters: 910 fit the 8192 characters of a
+        # block at n = 3..6, and the other 90 make a second block
+        words = [f"w{i:06d}" for i in range(1000)]
+        self.check(words, SubwordIndex(3, 6, 2_000_000), 7)
+        assert blocks == [910, 90]
 
     def test_words_span_many_blocks(self, monkeypatch):
         monkeypatch.setattr(vocab_module, "_BLOCK_CHARS", 8)
