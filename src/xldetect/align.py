@@ -8,9 +8,10 @@ uses the raw dictionary vectors.
 Retrieval scores one block of query rows against a whole table at a
 time: _block_rows(n) rows against a table of n rows, at most
 _BLOCK_CELLS cells (2 MiB of float64) unless the 64-row floor for wide
-tables applies. Each consumer works on its block in place, so besides
-the normalized tables a search holds a few blocks at once, whatever the
-number of queries.
+tables applies. Every block of a search is written into one buffer that
+its consumer works on in place, so besides the normalized tables a search
+holds one block at a time (and what its consumer derives from it),
+whatever the number of queries.
 """
 
 from __future__ import annotations
@@ -141,10 +142,13 @@ def _mean_topk(sims: np.ndarray, k: int) -> np.ndarray:
 
 def _cosine_blocks(a: np.ndarray, b: np.ndarray):
     """Cosines of _block_rows(len(b)) rows of a at a time to every row of b
-    (rows normalized). Each block is a fresh array its consumer may overwrite."""
+    (rows normalized). Every block is a view of one buffer, which its
+    consumer may overwrite and which the next block overwrites."""
     rows = _block_rows(b.shape[0])
+    buf = np.empty((min(rows, a.shape[0]), b.shape[0]))
     for start in range(0, a.shape[0], rows):
-        yield a[start : start + rows] @ b.T
+        part = a[start : start + rows]
+        yield np.matmul(part, b.T, out=buf[: len(part)])
 
 
 def _knn_means(a: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
@@ -157,7 +161,8 @@ def csls_blocks(x: np.ndarray, y: np.ndarray, r_y: np.ndarray):
     _cosine_blocks (_block_rows(len(y)) rows of x each), as
     2 cos(x, y) - r_y[y]. That is CSLS minus r_x[x], which is constant along
     a row, so a row's argmax and top-k are CSLS's own. Each block is
-    computed in place and may be overwritten by its consumer."""
+    computed in place in _cosine_blocks' buffer and may be overwritten by
+    its consumer."""
     for block in _cosine_blocks(x, y):
         block *= 2.0
         block -= r_y
@@ -277,15 +282,15 @@ def evaluate_translation(
 
     queries = sorted(gold)
     kk = min(k, yt.shape[0])
-    correct = 0
-    rows = _block_rows(yt.shape[0])
-    blocks = csls_blocks(xs[queries], yt, r_tgt)
-    for start, scores in zip(range(0, len(queries), rows), blocks):
+    correct = start = 0
+    for scores in csls_blocks(xs[queries], yt, r_tgt):
         np.negative(scores, out=scores)
-        top = scores.argpartition(kk - 1, axis=1)[:, :kk]
-        for q, row in zip(queries[start : start + rows], top.tolist()):
+        # as a list, so the block-sized index array is freed at once
+        top = scores.argpartition(kk - 1, axis=1)[:, :kk].tolist()
+        for q, row in zip(queries[start : start + len(scores)], top):
             if gold[q].intersection(row):
                 correct += 1
+        start += len(scores)
     return correct / len(queries)
 
 

@@ -217,15 +217,16 @@ def train_logreg(
     return LogRegModel(weights=w, bias=b, config=config, loss_history=history)
 
 
-def predict_logreg(model: LogRegModel, rows: SparseRows) -> tuple[np.ndarray, np.ndarray]:
-    """Per row, p = sigma(w.x + b) and a label that is positive iff
-    p > 0.5 (a tie never flags)."""
+def predict_logreg(model: LogRegModel, rows: SparseRows) -> np.ndarray:
+    """Each row's float64 class distribution (1 - p, p) with p = sigma(w.x + b)
+    (n x 2), as classifier.class_probs gives; 1 - p is exact for p >= 0.5,
+    so metrics.flagged flags a row exactly when p > 0.5."""
     if rows.n_features != len(model.weights):
         raise ValueError(
             f"rows have {rows.n_features} features, the model {len(model.weights)}"
         )
     p = _sigmoid(_scores(model.weights, model.bias, rows.indptr, rows.ids, rows.values))
-    return (p > 0.5).astype(np.int64), p
+    return np.stack([1.0 - p, p], axis=1)
 
 
 def save_feature_vocab(vocab: FeatureVocabulary, path: str | Path) -> None:

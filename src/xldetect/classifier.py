@@ -44,6 +44,7 @@ from .corpus import AccountDocument, LABEL_NAMES, tokenize
 from . import formats
 from .embedding import VectorTable, _epoch_guard, _learning_rate
 from .errors import DataError, FormatError, TrainingError
+from .metrics import flagged
 from .params import at_least, check, param, positive
 from .vocab import (
     InputTable,
@@ -217,14 +218,8 @@ def doc_embedding(tokens: list[str], model: TextClassifier) -> np.ndarray:
     return doc_vectors(model, model.doc_batch([tokens]))[0]
 
 
-def flagged(probs: np.ndarray) -> np.ndarray:
-    """The flag rule, P(positive) > P(negative), so a tie never flags; probs
-    is one class distribution or a batch of them, one per row."""
-    return probs[..., 1] > probs[..., 0]
-
-
 def predict(tokens: list[str], model: TextClassifier) -> tuple[int, np.ndarray]:
-    """Predicted label (by flagged) and class distribution."""
+    """Predicted label (by metrics.flagged) and class distribution."""
     probs = class_probs(model, model.doc_batch([tokens]))[0]
     return int(flagged(probs)), probs
 

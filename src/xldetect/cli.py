@@ -29,7 +29,7 @@ from . import report as rp
 from . import synth as sy
 from .config import PipelineConfig, validate_config
 from .errors import AlignmentError, ConfigError, DataError, DependencyError, XLDetectError
-from .metrics import SCORES, binary_metrics, confusion
+from .metrics import SCORES, evaluate
 from .vocab import SubwordIndex
 
 logger = logging.getLogger(__name__)
@@ -196,7 +196,7 @@ def _baseline_weights(kind, vocab, counts, token_docs):
 
 def cmd_baseline(run: _Run) -> None:
     cfg = run.cfg
-    train_docs, test_docs = run.split("baseline.docs")
+    train_docs, test_docs = run.split("evaluate.docs")
     train_tokens = [cp.tokenize(d.text) for d in train_docs]
     kind = cfg["baseline.kind"]
     n_lo, n_hi = ((1, 1) if kind.startswith("bow")
@@ -209,8 +209,8 @@ def cmd_baseline(run: _Run) -> None:
     )
     test_tokens = [cp.tokenize(d.text) for d in test_docs]
     test_counts = bl.vectorize(vocab, test_tokens, n_lo, n_hi)
-    preds, _ = bl.predict_logreg(model, _baseline_weights(kind, vocab, test_counts, test_tokens))
-    metrics_report = binary_metrics(confusion(preds, [d.label for d in test_docs]))
+    probs = bl.predict_logreg(model, _baseline_weights(kind, vocab, test_counts, test_tokens))
+    metrics_report = evaluate(probs, [d.label for d in test_docs])
     report = run.report()
     report.sections["metrics.test"] = rp.metrics_section(metrics_report)
     report.sections["data"] = {"kind": kind, "features": str(len(vocab)),
@@ -223,7 +223,7 @@ def cmd_baseline(run: _Run) -> None:
 
 def cmd_sweep(run: _Run) -> None:
     cfg = run.cfg
-    train_docs, test_docs = run.split("sweep.docs")
+    train_docs, test_docs = run.split("evaluate.docs")
     kinds = cfg["sweep.kinds"]
     points = cv.learning_curve(
         train_docs,

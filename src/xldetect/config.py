@@ -120,7 +120,6 @@ SCHEMA: dict[str, tuple] = {
     "classifier.out_model": ("str", "classifier.bin", None),
 
     "baseline.kind": ("str", "bow", _choice(_BASELINE_KINDS)),
-    "baseline.docs": ("str", "", None),
     "baseline.max_features": ("int", 35000, at_least(1)),
     "baseline.ngram_min": ("int", 1, at_least(1)),
     "baseline.ngram_max": ("int", 5, at_least(1)),
@@ -131,7 +130,6 @@ SCHEMA: dict[str, tuple] = {
     "evaluate.docs": ("str", "", None),
     "evaluate.out_report": ("str", "eval_report.txt", None),
 
-    "sweep.docs": ("str", "", None),
     "sweep.fractions": ("floats", DEFAULT_FRACTIONS, _entries(unit_fraction(), "values")),
     "sweep.seeds": ("ints", (1, 2, 3), _entries(_SEED, "seeds")),
     "sweep.kinds": ("strs", MODEL_KINDS, _entries(

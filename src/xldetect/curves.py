@@ -14,11 +14,11 @@ from dataclasses import dataclass, replace
 
 # predict and train_supervised, the one-document and one-cell forms, stay reachable here
 from .classifier import (  # noqa: F401
-    SupervisedConfig, class_probs, flagged, predict, train_many, train_supervised)
+    SupervisedConfig, class_probs, predict, train_many, train_supervised)
 from .corpus import AccountDocument, subsample_train, tokenize
 from .embedding import VectorTable
 from .errors import DataError, TrainingError
-from .metrics import SCORES, MetricsReport, binary_metrics, confusion
+from .metrics import SCORES, MetricsReport, evaluate
 
 logger = logging.getLogger(__name__)
 
@@ -35,9 +35,9 @@ class LearningCurvePoint:
 
 
 def evaluate_classifier(model, test_docs: list[AccountDocument]) -> MetricsReport:
-    """Metrics of the model's labels (classifier.flagged) over one batch."""
+    """The model's metrics (metrics.evaluate) over one batch."""
     probs = class_probs(model, model.doc_batch([tokenize(d.text) for d in test_docs]))
-    return binary_metrics(confusion(flagged(probs), [d.label for d in test_docs]))
+    return evaluate(probs, [d.label for d in test_docs])
 
 
 def learning_curve(

@@ -1,4 +1,5 @@
-"""Binary-averaged evaluation metrics for the positive "Suspended" class."""
+"""Binary-averaged evaluation metrics for the positive "Suspended" class;
+the classifier and the baselines are both scored through evaluate."""
 
 from __future__ import annotations
 
@@ -79,3 +80,14 @@ def binary_metrics(cm: ConfusionMatrix) -> MetricsReport:
         confusion=cm,
         flags=tuple(flags),
     )
+
+
+def flagged(probs: np.ndarray) -> np.ndarray:
+    """The flag rule, P(positive) > P(negative), so a tie never flags; probs
+    is one class distribution or a batch of them, one per row."""
+    return probs[..., 1] > probs[..., 0]
+
+
+def evaluate(probs: np.ndarray, labels) -> MetricsReport:
+    """Metrics of the labels flagged gives a batch of class distributions."""
+    return binary_metrics(confusion(flagged(probs), labels))

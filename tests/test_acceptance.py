@@ -492,7 +492,6 @@ classifier.dim = 16
 classifier.epochs = 10
 classifier.subwords = false
 evaluate.docs = {out}/target_documents.tsv
-sweep.docs = {out}/target_documents.tsv
 sweep.kinds = monolingual
 export.docs = {out}/target_documents.tsv
 """.format(out=tmp_path / "out")

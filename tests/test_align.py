@@ -425,6 +425,42 @@ class TestMemory:
         assert peak < self.limit_mib(src, tgt)
 
 
+class TestOneBlockBuffer:
+    """Every similarity block of a search is written into one buffer: on
+    TestMemory's tables induction peaks within its inputs twice over and
+    one block, and evaluation, whose argpartition takes an index array as
+    large as the block, within its inputs twice over and three blocks."""
+
+    N = TestMemory.N
+
+    def limit_mib(self, src, tgt, blocks):
+        block = align_module._block_rows(self.N) * self.N * 8
+        return (2 * (src.vectors.nbytes + tgt.vectors.nbytes) + blocks * block) / 2**20
+
+    def test_induce_dictionary(self):
+        src, tgt, q, _ = twin_tables(n=self.N, d=16, seed=24, noise=0.3)
+        mapped = apply_map(OrthogonalMap(q), src)
+        peak = peak_mib(lambda: induce_dictionary(mapped, tgt, top_k_vocab=self.N, csls_k=10))
+        assert peak < self.limit_mib(mapped, tgt, 1)
+
+    def test_evaluate_translation(self):
+        src, tgt, q, truth = twin_tables(n=self.N, d=16, seed=25, noise=0.3)
+        eval_dict = BilingualDictionary(truth)
+        peak = peak_mib(lambda: evaluate_translation(OrthogonalMap(q), src, tgt, eval_dict, k=5))
+        assert peak < self.limit_mib(src, tgt, 3)
+
+    def test_blocks_are_views_of_one_buffer(self):
+        rng = np.random.default_rng(3)
+        a, b = normalized(rng.standard_normal((150, 4))), normalized(rng.standard_normal((4000, 4)))
+        expected = [a[s : s + 65] @ b.T for s in range(0, 150, 65)]
+        blocks = align_module._cosine_blocks(a, b)
+        first = next(blocks)
+        assert first.tobytes() == expected[0].tobytes()
+        for block, want in zip(blocks, expected[1:], strict=True):
+            assert np.shares_memory(block, first)
+            assert block.tobytes() == want.tobytes()
+
+
 class TestMergeAndIO:
     def test_merge_disjoint(self):
         a = VectorTable(["x"], np.ones((1, 2)))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from xldetect import baselines
 from xldetect.baselines import (
     LogRegConfig,
     LogRegModel,
@@ -19,6 +20,7 @@ from xldetect.baselines import (
     vectorize,
 )
 from xldetect.errors import FormatError
+from xldetect.metrics import flagged
 
 
 def split_rows(rows):
@@ -246,14 +248,14 @@ class TestLogReg:
     def test_perfect_separation_small_lambda(self):
         rows, labels = self.separable()
         model = train_logreg(rows, labels, LogRegConfig(l2_lambda=1e-8, epochs=200, lr=0.5))
-        assert predict_logreg(model, rows)[0].tolist() == labels
+        assert flagged(predict_logreg(model, rows)).tolist() == labels
 
     def test_huge_lambda_weights_vanish(self):
         # balanced classes: the optimum collapses to w ~ 0, p ~ prior = 0.5
         rows, labels = self.separable()
         model = train_logreg(rows, labels, LogRegConfig(l2_lambda=1e6, epochs=100, lr=1e-6))
         assert np.abs(model.weights).max() <= 1e-4
-        _, probs = predict_logreg(model, rows)
+        probs = predict_logreg(model, rows)[:, 1]
         assert np.abs(probs - 0.5).max() <= 0.02
 
     def test_gradient_matches_finite_differences(self):
@@ -317,15 +319,15 @@ class TestPredictLogReg:
         return train_logreg(dense_rows([1.0, -1.0]), [1, 0], LogRegConfig(epochs=0))
 
     def test_zero_model_tie_negative(self):
-        labels, probs = predict_logreg(self.zero_model(), dense_rows([5.0]))
-        assert probs.tolist() == [0.5] and labels.tolist() == [0]
+        dist = predict_logreg(self.zero_model(), dense_rows([5.0]))
+        assert dist[:, 1].tolist() == [0.5] and flagged(dist).tolist() == [0]
 
     def test_closed_form_sigmoid(self):
         model = self.zero_model()
         model.weights[0] = math.log(3.0)
-        labels, probs = predict_logreg(model, dense_rows([1.0]))
-        assert probs[0] == pytest.approx(0.75, abs=1e-12)
-        assert labels.tolist() == [1]
+        dist = predict_logreg(model, dense_rows([1.0]))
+        assert dist[0, 1] == pytest.approx(0.75, abs=1e-12)
+        assert flagged(dist).tolist() == [1]
 
     def test_sigmoid_symmetry(self):
         for z in (-20.0, -1.3, 0.0, 0.7, 15.0):
@@ -336,14 +338,33 @@ class TestPredictLogReg:
     def test_empty_row_scores_bias(self):
         model = LogRegModel(np.array([2.0]), -1.0, LogRegConfig(), [])
         rows = SparseRows(np.array([0, 0, 1]), np.array([0]), np.array([1.0]), 1)
-        labels, probs = predict_logreg(model, rows)
-        assert labels.tolist() == [0, 1]
-        assert probs.tolist() == _sigmoid(np.array([-1.0, 1.0])).tolist()
+        dist = predict_logreg(model, rows)
+        assert flagged(dist).tolist() == [0, 1]
+        assert dist[:, 1].tolist() == _sigmoid(np.array([-1.0, 1.0])).tolist()
 
     def test_feature_width_mismatch(self):
         rows = SparseRows(np.array([0, 1]), np.array([1]), np.array([1.0]), 2)
         with pytest.raises(ValueError, match="features"):
             predict_logreg(self.zero_model(), rows)
+
+    def test_distribution_rows_sum_to_one(self):
+        rng = np.random.default_rng(7)
+        model = LogRegModel(np.array([1.0]), 0.0, LogRegConfig(), [])
+        dist = predict_logreg(model, dense_rows(rng.normal(0.0, 3.0, 10_000)))
+        assert dist.dtype == np.float64 and dist.shape == (10_000, 2)
+        assert (dist.sum(axis=1) == 1.0).all()
+
+    def test_flag_is_p_above_half(self, monkeypatch):
+        # 1 - p is exact for p >= 0.5, so P(positive) > P(negative) exactly
+        # when p > 0.5, at the tie, on either side of it and at random
+        model = self.zero_model()
+        edges = [0.0, 0.5, np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0), 1.0]
+        for p in (np.array(edges), np.random.default_rng(8).random(1_000_000)):
+            monkeypatch.setattr(baselines, "_sigmoid", lambda z, p=p: p)
+            dist = predict_logreg(model, dense_rows(np.zeros(len(p))))
+            assert dist[:, 1].tobytes() == p.tobytes()
+            assert (dist.sum(axis=1) == 1.0).all()
+            assert (flagged(dist) == (p > 0.5)).all()
 
 
 class TestMatchesPerDocumentReference:
@@ -395,10 +416,10 @@ class TestMatchesPerDocumentReference:
             assert model.weights.tobytes() == w.tobytes()
             assert model.bias == b
             assert model.loss_history == history
-            got_labels, got_probs = predict_logreg(model, test_rows)
+            dist = predict_logreg(model, test_rows)
             ref = reference_predict(model, split_rows(test_rows))
-            assert got_labels.tolist() == [label for label, _ in ref]
-            assert np.abs(got_probs - [p for _, p in ref]).max() <= 1e-12
+            assert flagged(dist).tolist() == [label for label, _ in ref]
+            assert np.abs(dist[:, 1] - [p for _, p in ref]).max() <= 1e-12
 
 
 class TestSparseRows:

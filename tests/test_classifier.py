@@ -15,7 +15,6 @@ from xldetect.classifier import (
     class_probs,
     doc_embedding,
     doc_vectors,
-    flagged,
     load_classifier,
     predict,
     save_classifier,
@@ -25,6 +24,7 @@ from xldetect.classifier import (
 from xldetect.corpus import LABEL_NAMES, AccountDocument, tokenize
 from xldetect.embedding import VectorTable
 from xldetect.errors import DataError, FormatError, TrainingError
+from xldetect.metrics import flagged
 from xldetect.vocab import SubwordIndex, build_vocab, subword_ids_csr
 
 

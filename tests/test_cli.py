@@ -46,10 +46,8 @@ classifier.epochs = 10
 classifier.subwords = false
 classifier.out_model = classifier.bin
 evaluate.docs = {out}/target_documents.tsv
-baseline.docs = {out}/target_documents.tsv
 baseline.kind = bow_tfidf
 baseline.epochs = 20
-sweep.docs = {out}/target_documents.tsv
 sweep.fractions = 0.5,1.0
 sweep.seeds = 1,2
 sweep.kinds = monolingual
@@ -492,10 +490,13 @@ class TestPipeline:
         ("evaluate", "evaluate.model"),
         ("export-vectors", "export.model"),
         ("sweep", "sweep.pretrained"),
+        ("sweep", "sweep.docs"),
+        ("baseline", "baseline.docs"),
     ])
     def test_restated_artifact_key_is_unknown(self, tmp_path, capsys, command, key):
-        # evaluate and export-vectors read classifier.out_model, and the
-        # transfer sweep classifier.pretrained; no key restates them
+        # evaluate and export-vectors read classifier.out_model, the
+        # transfer sweep classifier.pretrained, and sweep and baseline split
+        # evaluate.docs; no key restates them
         out = tmp_path / "out"
         cfg = write_cfg(tmp_path, out, SMALL_SYNTH + f"{key} = x\n")
         assert run(command, cfg) == 1
@@ -516,6 +517,24 @@ class TestPipeline:
         assert err.splitlines() == [
             "config error: classifier.pretrained must be set for this command"]
         assert not (out / "manifest.tsv").exists()
+
+
+class TestOneTestSet:
+    def test_evaluating_stages_split_evaluate_docs(self, tmp_path):
+        # evaluate, sweep and baseline read the one evaluate.docs file and
+        # score the same held-out documents
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path, out)
+        for cmd in ("synth", "train-classifier", "evaluate", "sweep", "baseline"):
+            assert run(cmd, cfg) == 0, cmd
+        rows = [line.split("\t") for line in
+                (out / "manifest.tsv").read_text(encoding="utf-8").splitlines()[1:]]
+        inputs = {row[0]: row[4].split(";") for row in rows}
+        docs = str(out / "target_documents.tsv")
+        assert all(docs in inputs[cmd] for cmd in ("evaluate", "sweep", "baseline")), inputs
+        counts = {read_report(out / name).sections["data"]["test_documents"]
+                  for name in ("eval_report.txt", "sweep_report.txt", "baseline_report.txt")}
+        assert len(counts) == 1 and int(counts.pop()) > 0
 
 
 class TestRunDirectory:

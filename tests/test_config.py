@@ -87,8 +87,11 @@ class TestValidation:
                 assert err.value.errors == [f"{prefix}.buckets must be in [1, 2^24] (got {value})"]
 
     def test_unknown_key_listed(self, tmp_path):
-        # workers was a key once; training now has a single path
-        for key, line in (("embedding.dmi", "embedding.dmi = 100\n"), ("workers", "workers = 2\n")):
+        # workers was a key once; training now has a single path, and
+        # sweep and baseline split evaluate.docs, not documents of their own
+        for key, line in (("embedding.dmi", "embedding.dmi = 100\n"), ("workers", "workers = 2\n"),
+                          ("sweep.docs", "sweep.docs = d.tsv\n"),
+                          ("baseline.docs", "baseline.docs = d.tsv\n")):
             with pytest.raises(ConfigError) as err:
                 validate_config(write_config(tmp_path, line))
             assert any(repr(key) in e for e in err.value.errors)

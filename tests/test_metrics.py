@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from xldetect.metrics import ConfusionMatrix, binary_metrics, confusion, f1_from_pr
+from xldetect.metrics import (
+    ConfusionMatrix, binary_metrics, confusion, evaluate, f1_from_pr, flagged)
 
 
 class TestConfusion:
@@ -90,3 +91,13 @@ class TestBinaryMetrics:
     def test_positive_class_name(self):
         report = binary_metrics(ConfusionMatrix(1, 1, 1, 1))
         assert report.positive_class == "Suspended"
+
+
+class TestEvaluate:
+    def test_metrics_of_flagged_labels(self):
+        # rows (0.5, 0.5) tie and do not flag
+        probs = np.array([[0.5, 0.5], [0.25, 0.75], [0.75, 0.25], [0.4, 0.6]])
+        report = evaluate(probs, [1, 1, 0, 0])
+        assert flagged(probs).tolist() == [False, True, False, True]
+        assert report == binary_metrics(confusion([0, 1, 0, 1], [1, 1, 0, 0]))
+        assert (report.confusion.tp, report.confusion.fp, report.confusion.fn) == (1, 1, 1)
